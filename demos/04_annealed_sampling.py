@@ -22,12 +22,20 @@ from softspin import (
     external_field,
     hamiltonian,
     pca,
-    posterior_mean,
+    pooled_retained,
     run_parallel,
     scale_target,
     spectrum_extremes,
     synth_dataset,
+    unscale_values,
 )
+
+
+def estimate(traces, last_n):
+    """Mean of the most recent pooled snapshots, in raw percent."""
+    configs = pooled_retained(traces)[0][-last_n:]
+    return unscale_values(configs.mean(axis=0), traces[0].domain)
+
 
 dataset = synth_dataset(400, seed=20240811)
 graph = build_graph(dataset)
@@ -48,7 +56,7 @@ traces = run_parallel(model, cfg, s_ref, k_chains=2, workers=1)
 for k, tr in enumerate(traces):
     print(f"chain {k}: H {tr.energies[0]:9.1f} -> {tr.energies[-1]:9.1f}  "
           f"acceptance {tr.acceptance_rate:.2f}  final T {tr.final_temperature:.2e}")
-est = posterior_mean(traces, 2000)
+est = estimate(traces, 2000)
 print(f"reference mean {y_ref.mean():.3f} | estimated mean {est.mean():.3f} | "
       f"MAE {np.abs(est - y_ref).mean():.3f} | "
       f"r {np.corrcoef(est, y_ref)[0, 1]:.4f}")
@@ -66,7 +74,7 @@ cfg_raw = ChainConfig(
 traces_raw = run_parallel(model_raw, cfg_raw, s_raw, k_chains=2, workers=1)
 for k, tr in enumerate(traces_raw):
     print(f"chain {k}: H {tr.energies[0]:11.1f} -> {tr.energies[-1]:11.1f}")
-est_raw = posterior_mean(traces_raw, 2000)
+est_raw = estimate(traces_raw, 2000)
 print(f"reference mean {y_ref.mean():.3f} | estimated mean {est_raw.mean():.3f} | "
       f"MAE {np.abs(est_raw - y_ref).mean():.3f} | "
       f"r {np.corrcoef(est_raw, y_ref)[0, 1]:.4f}")

@@ -24,12 +24,11 @@ from .indices import (
     build_composites,
     correlation_matrix,
     external_field,
-    jacobi_eigh,
     mpi,
     pca,
     standardize,
 )
-from .graph import GroupSums, InteractionGraph, build_graph, neighbor_sum, spectrum_extremes
+from .graph import GroupSums, InteractionGraph, build_graph, spectrum_extremes
 from .energy import (
     EnergyModel,
     SpinConfiguration,
@@ -49,7 +48,6 @@ from .sampler import (
     make_rng,
     metropolis_step,
     pooled_retained,
-    posterior_mean,
     run_chain,
     run_parallel,
 )

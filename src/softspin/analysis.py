@@ -1,9 +1,8 @@
 """Observed-vs-estimated comparison, residual associations, group summaries.
 
-Includes a self-contained Student-t tail (continued-fraction incomplete
-beta) for the paired test, rank-based Spearman association, and a pivoted-QR
-least-squares path that flags exactly-collinear composite columns as not
-estimated instead of failing.
+Includes the paired t-test, rank-based Spearman association, and a
+pivoted-QR least-squares path that flags exactly-collinear composite columns
+as not estimated instead of failing.
 """
 
 from __future__ import annotations
@@ -19,95 +18,6 @@ from .errors import AllCollinear, DataError
 from .indices import CompositeMatrix
 
 _PIVOT_TOL = 1e-10
-
-
-# ---------------------------------------------------------------------------
-# Student's t distribution via the regularized incomplete beta function
-
-_CF_EPS = 3e-16
-_CF_FPMIN = 1e-300
-_CF_MAXIT = 500
-
-
-def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction of the incomplete beta (modified Lentz method)."""
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _CF_FPMIN:
-        d = _CF_FPMIN
-    d = 1.0 / d
-    h = d
-    for m in range(1, _CF_MAXIT + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_FPMIN:
-            d = _CF_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _CF_FPMIN:
-            c = _CF_FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_FPMIN:
-            d = _CF_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _CF_FPMIN:
-            c = _CF_FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _CF_EPS:
-            return h
-    raise DataError("incomplete beta continued fraction did not converge")
-
-
-def betainc_reg(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b)."""
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_front = (
-        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-        + a * math.log(x) + b * math.log(1.0 - x)
-    )
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
-
-
-def t_two_sided_p(t: float, df: float) -> float:
-    """Two-sided p-value of Student's t with ``df`` degrees of freedom."""
-    if df <= 0:
-        raise DataError("degrees of freedom must be > 0")
-    return betainc_reg(df / 2.0, 0.5, df / (df + t * t))
-
-
-def t_quantile(prob: float, df: float) -> float:
-    """Quantile of Student's t by bisection on the two-sided tail."""
-    if not 0.0 < prob < 1.0:
-        raise DataError("probability must be in (0, 1)")
-    if prob == 0.5:
-        return 0.0
-    if prob < 0.5:
-        return -t_quantile(1.0 - prob, df)
-    target = 2.0 * (1.0 - prob)  # two-sided tail mass of the answer
-    lo, hi = 0.0, 1.0
-    while t_two_sided_p(hi, df) > target:
-        hi *= 2.0
-        if hi > 1e12:
-            raise DataError("t quantile out of range")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if t_two_sided_p(mid, df) > target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------
@@ -162,10 +72,12 @@ def compare(y_ref, y_est) -> ComparisonReport:
     if sd == 0.0:
         t_stat = p = lo = hi = None
     else:
+        from scipy.special import stdtr, stdtrit  # deferred: keeps the CLI import light
+
         se = sd / math.sqrt(n)
         t_stat = mean_diff / se
-        p = t_two_sided_p(t_stat, df)
-        half = t_quantile(0.975, df) * se
+        p = float(2.0 * stdtr(df, -abs(t_stat)))
+        half = float(stdtrit(df, 0.975)) * se
         lo, hi = mean_diff - half, mean_diff + half
     return ComparisonReport(
         n=n, mean_obs=float(ref.mean()), mean_est=float(est.mean()),
@@ -179,19 +91,10 @@ def compare(y_ref, y_est) -> ComparisonReport:
 
 def average_ranks(x) -> np.ndarray:
     """Ranks 1..n with ties replaced by their average rank."""
-    x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(n)
-    sorted_x = x[order]
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_x[j + 1] == sorted_x[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(np.asarray(x, dtype=float),
+                                   return_inverse=True, return_counts=True)
+    upper = np.cumsum(counts)  # 1-based rank of the last member of each tie run
+    return (upper - 0.5 * (counts - 1))[inverse]
 
 
 def _pearson(x: np.ndarray, y: np.ndarray) -> float:

@@ -74,7 +74,6 @@ DEFAULT_CONFIG: dict = {
             # small steps keep the annealed exploration local to the
             # reference configuration at the desk-scale iteration budget
             "proposal_sd": 0.005,
-            "dt0": 0.0001,
         },
     },
     "langevin": {
@@ -94,7 +93,6 @@ DEFAULT_CONFIG: dict = {
             "cooling": 0.9995,
             "t_min": 0.001,
             "mode": "per_step",
-            "proposal_sd": 0.05,
             # smaller than the library default on purpose: keeps the
             # annealed trajectories local to the reference configuration
             "dt0": 1e-06,
@@ -226,14 +224,16 @@ class RunConfig:
         return Domain(self.raw[engine.value]["domain"])
 
     def schedule(self, engine: Engine) -> AnnealingSchedule:
+        """Cooling plus the engine's own step parameter: ``proposal_sd`` for
+        Metropolis, ``dt0`` for Langevin."""
         s = self.raw[engine.value]["schedule"]
+        step = "proposal_sd" if engine is Engine.ISING else "dt0"
         return AnnealingSchedule(
             t0=float(s["t0"]),
             cooling=float(s["cooling"]),
             t_min=float(s["t_min"]),
             mode=CoolingMode(s["mode"]),
-            dt0=float(s["dt0"]),
-            proposal_sd=float(s["proposal_sd"]),
+            **{step: float(s[step])},
         )
 
     def chain_config(self, engine: Engine) -> ChainConfig:
@@ -332,18 +332,18 @@ def _validate(cfg: RunConfig) -> None:
                 f"conformal: estimate_last_n={cfg.estimate_last_n} exceeds the "
                 f"pooled retained pool {pooled} of engine {engine.value}"
             )
-    if cfg.estimate_last_n > spec.n_total:
-        raise ConfigError(
-            f"conformal: estimate_last_n={cfg.estimate_last_n} exceeds "
-            f"n_total={spec.n_total} (the estimation pool is the last n_total "
-            f"retained configurations)"
-        )
         try:
             lam = cfg.lambda_override(engine)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{engine.value}: bad lambda_reg: {exc}") from exc
         if lam is not None and not lam > 0:
             raise ConfigError(f"{engine.value}: lambda_reg must be > 0")
+    if cfg.estimate_last_n > spec.n_total:
+        raise ConfigError(
+            f"conformal: estimate_last_n={cfg.estimate_last_n} exceeds "
+            f"n_total={spec.n_total} (the estimation pool is the last n_total "
+            f"retained configurations)"
+        )
     if cfg.workers < 1:
         raise ConfigError("workers must be >= 1")
     if cfg.dataset_path is None and cfg.synth_units < 2:

@@ -11,7 +11,7 @@ test units under exchangeability.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -78,18 +78,25 @@ def _order_index(p: float, n: int) -> int:
     return min(max(k, 1), n)
 
 
+def _raw_bounds(batches: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Order-statistic quantiles along the first axis (per column of B x N)."""
+    sorted_cols = np.sort(batches, axis=0)
+    b = batches.shape[0]
+    lo = sorted_cols[_order_index(alpha / 2.0, b) - 1]
+    hi = sorted_cols[_order_index(1.0 - alpha / 2.0, b) - 1]
+    return lo, hi
+
+
 def empirical_quantiles(column, alpha: float) -> tuple[float, float]:
     """Raw order-statistic quantiles at levels alpha/2 and 1 - alpha/2.
 
     Pure order statistics (index ceil(p*B), 1-based, no interpolation), the
     convention pinned for the calibration arithmetic.
     """
-    x = np.sort(np.asarray(column, dtype=float))
-    b = x.shape[0]
-    if b < 2:
+    x = np.asarray(column, dtype=float)
+    if x.shape[0] < 2:
         raise ConfigError("need at least two replicates")
-    lo = x[_order_index(alpha / 2.0, b) - 1]
-    hi = x[_order_index(1.0 - alpha / 2.0, b) - 1]
+    lo, hi = _raw_bounds(x, alpha)
     return float(lo), float(hi)
 
 
@@ -150,14 +157,6 @@ class ConformalResult:
         return float(np.mean(self.covered[self.test_idx]))
 
 
-def _raw_bounds(batches: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    sorted_cols = np.sort(batches, axis=0)
-    b = batches.shape[0]
-    lo = sorted_cols[_order_index(alpha / 2.0, b) - 1]
-    hi = sorted_cols[_order_index(1.0 - alpha / 2.0, b) - 1]
-    return lo, hi
-
-
 def _calibrated_split(q_lo, q_hi, y_obs, alpha: float, calib_frac: float,
                       seed: int) -> ConformalResult:
     n = y_obs.shape[0]
@@ -182,18 +181,14 @@ def _calibrated_split(q_lo, q_hi, y_obs, alpha: float, calib_frac: float,
 
 
 def conformal_intervals(batches, y_obs, spec: BatchSpec) -> ConformalResult:
-    """Calibrated prediction intervals for every unit.
+    """Calibrated prediction intervals for every unit: the first split of
+    :func:`repeat_splits`.
 
     Units are split into calibration and test sets by a seeded permutation;
     calibration units supply the scores, and the resulting offset widens the
     raw quantile interval of every unit.
     """
-    batches = np.asarray(batches, dtype=float)
-    y_obs = np.asarray(y_obs, dtype=float)
-    if batches.ndim != 2 or batches.shape[1] != y_obs.shape[0]:
-        raise ConfigError("batches must be (B x N) matching y_obs length")
-    q_lo, q_hi = _raw_bounds(batches, spec.alpha)
-    return _calibrated_split(q_lo, q_hi, y_obs, spec.alpha, spec.calib_frac, spec.seed)
+    return repeat_splits(batches, y_obs, replace(spec, repeats=1))[0]
 
 
 def repeat_splits(batches, y_obs, spec: BatchSpec) -> list[ConformalResult]:
@@ -203,6 +198,8 @@ def repeat_splits(batches, y_obs, spec: BatchSpec) -> list[ConformalResult]:
     """
     batches = np.asarray(batches, dtype=float)
     y_obs = np.asarray(y_obs, dtype=float)
+    if batches.ndim != 2 or y_obs.ndim != 1 or batches.shape[1] != y_obs.shape[0]:
+        raise ConfigError("batches must be (B x N) matching y_obs length")
     q_lo, q_hi = _raw_bounds(batches, spec.alpha)
     return [
         _calibrated_split(q_lo, q_hi, y_obs, spec.alpha, spec.calib_frac, spec.seed + r)

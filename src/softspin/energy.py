@@ -12,7 +12,7 @@ so the full evaluation is O(N) and a single-spin increment is O(1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,16 +24,11 @@ from .indices import ExternalField
 
 @dataclass
 class EnergyModel:
-    """Immutable bundle of graph, external field and scalar parameters.
-
-    ``temperature`` is the level used for likelihood ratios against the
-    reference configuration (not the sampling temperature, which anneals).
-    """
+    """Immutable bundle of graph, external field and regularization weight."""
 
     graph: InteractionGraph
     field: np.ndarray
     lambda_reg: float = 1.0
-    temperature: float = 1.0
 
     def __post_init__(self):
         if isinstance(self.field, ExternalField):
@@ -47,21 +42,14 @@ class EnergyModel:
             raise DataError("field must be finite")
         if not self.lambda_reg > 0:
             raise DataError("lambda_reg must be > 0")
-        if not self.temperature > 0:
-            raise DataError("temperature must be > 0")
 
 
 @dataclass
 class SpinConfiguration:
-    """A spin vector together with the domain it lives on.
-
-    ``cached_energy`` is advisory: consumers may trust it or force a
-    recompute through :func:`hamiltonian`.
-    """
+    """A spin vector together with the domain it lives on."""
 
     s: np.ndarray
     domain: Domain = Domain.ISING_SCALED
-    cached_energy: float | None = dataclass_field(default=None, compare=False)
 
     def __post_init__(self):
         self.s = np.asarray(self.s, dtype=float)
@@ -98,7 +86,7 @@ def delta_h(model: EnergyModel, s, i: int, s_new: float, sums: GroupSums | None 
     x = _spins(s)
     s_i = float(x[i])
     if sums is not None:
-        nb = sums.neighbor_sum(i, s_i)
+        nb = float(sums.sums[model.graph.group_of[i]]) - s_i
     else:
         group = model.graph.members[model.graph.group_of[i]]
         nb = float(x[group].sum()) - s_i

@@ -62,9 +62,10 @@ def build_graph(dataset: Dataset) -> InteractionGraph:
 class GroupSums:
     """Chain-local cache of per-group spin sums.
 
-    The cache is refreshed incrementally on every accepted single-site
-    update; call :meth:`recompute` periodically to cancel floating-point
-    accumulation drift.
+    ``sums[g]`` is the spin sum of group ``g``, so the neighbor sum of unit
+    ``i`` is ``sums[group_of[i]] - s[i]``. Samplers add each accepted
+    single-site change to ``sums`` in place; call :meth:`recompute`
+    periodically to cancel floating-point accumulation drift.
     """
 
     __slots__ = ("graph", "sums")
@@ -78,25 +79,6 @@ class GroupSums:
             self.graph.group_of, weights=np.asarray(s, dtype=float),
             minlength=self.graph.n_groups,
         )
-
-    def neighbor_sum(self, i: int, s_i: float) -> float:
-        return float(self.sums[self.graph.group_of[i]]) - s_i
-
-    def update(self, i: int, old: float, new: float) -> None:
-        self.sums[self.graph.group_of[i]] += new - old
-
-
-def neighbor_sum(graph: InteractionGraph, s, i: int, sums: GroupSums | None = None) -> float:
-    """Coupling-weighted sum of the neighbors of unit ``i``.
-
-    With a ``GroupSums`` cache this is O(1); otherwise the group members are
-    summed directly.
-    """
-    s = np.asarray(s, dtype=float)
-    if sums is not None:
-        return sums.neighbor_sum(i, float(s[i]))
-    group = graph.members[graph.group_of[i]]
-    return float(s[group].sum()) - float(s[i])
 
 
 def spectrum_extremes(graph: InteractionGraph) -> tuple[float, float]:

@@ -140,64 +140,25 @@ def _as_matrix(c) -> tuple[np.ndarray, tuple[str, ...]]:
     return x, tuple(f"C{j + 1}" for j in range(x.shape[1]))
 
 
-def correlation_matrix(composite, *, ddof: int = 1) -> np.ndarray:
-    """Pearson correlation matrix of the composite columns."""
-    x, names = _as_matrix(composite)
+def _standardized(x: np.ndarray, names: tuple[str, ...], ddof: int) -> np.ndarray:
     sd = np.array([_column_sd(x[:, j], ddof) for j in range(x.shape[1])])
     for j, s in enumerate(sd):
         if s == 0.0:
             raise ZeroVariance(names[j])
-    z = (x - x.mean(axis=0)) / sd
-    r = z.T @ z / (x.shape[0] - ddof)
+    return (x - x.mean(axis=0)) / sd
+
+
+def _correlation(z: np.ndarray, ddof: int) -> np.ndarray:
+    r = z.T @ z / (z.shape[0] - ddof)
     r = np.clip((r + r.T) / 2.0, -1.0, 1.0)
     np.fill_diagonal(r, 1.0)
     return r
 
 
-def jacobi_eigh(a, *, tol: float = 1e-12, max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Returns (eigenvalues, eigenvectors) in unsorted order; convergence means
-    every off-diagonal magnitude is at most ``tol``. Adequate for the small
-    matrices used here (K <= 10).
-    """
-    a = np.array(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DataError("matrix must be square")
-    if not np.allclose(a, a.T, atol=1e-10):
-        raise DataError("matrix must be symmetric")
-    k = a.shape[0]
-    v = np.eye(k)
-    if k == 1:
-        return np.diag(a).copy(), v
-    for _ in range(max_sweeps):
-        off = np.max(np.abs(a - np.diag(np.diag(a))))
-        if off <= tol:
-            break
-        for p in range(k - 1):
-            for q in range(p + 1, k):
-                apq = a[p, q]
-                if abs(apq) <= tol:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.hypot(t, 1.0)
-                s = t * c
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-                a[p, q] = a[q, p] = 0.0
-                rot_p = c * v[:, p] - s * v[:, q]
-                rot_q = s * v[:, p] + c * v[:, q]
-                v[:, p], v[:, q] = rot_p, rot_q
-    else:
-        raise DataError("Jacobi eigen-decomposition did not converge")
-    return np.diag(a).copy(), v
+def correlation_matrix(composite, *, ddof: int = 1) -> np.ndarray:
+    """Pearson correlation matrix of the composite columns."""
+    x, names = _as_matrix(composite)
+    return _correlation(_standardized(x, names, ddof), ddof)
 
 
 @dataclass
@@ -237,16 +198,8 @@ def pca(composite, *, ddof: int = 1) -> PCASummary:
     n, k = x.shape
     if n <= k:
         raise DataError(f"PCA needs more rows than columns (N={n}, K={k})")
-    sd = np.array([_column_sd(x[:, j], ddof) for j in range(k)])
-    for j, s in enumerate(sd):
-        if s == 0.0:
-            raise ZeroVariance(names[j])
-    z = (x - x.mean(axis=0)) / sd
-    r = z.T @ z / (n - ddof)
-    r = np.clip((r + r.T) / 2.0, -1.0, 1.0)
-    np.fill_diagonal(r, 1.0)
-
-    w, v = jacobi_eigh(r)
+    z = _standardized(x, names, ddof)
+    w, v = np.linalg.eigh(_correlation(z, ddof))
     w = np.where(w < 0.0, 0.0, w)  # clip rounding noise below zero
     order = np.argsort(-w, kind="stable")
     w = w[order]

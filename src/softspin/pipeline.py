@@ -28,7 +28,6 @@ from .analysis import (
 )
 from .conformal import (
     batch_means,
-    conformal_intervals,
     coverage_adaptivity,
     repeat_splits,
     six_number,
@@ -191,8 +190,7 @@ def stage_simulate(cfg: RunConfig, out: Path, engines=None) -> list[Path]:
     written: list[Path] = []
     for engine in engines or cfg.engines:
         lam = _resolve_lambda(cfg, engine, graph)
-        model = EnergyModel(graph, field, lambda_reg=lam,
-                            temperature=cfg.likelihood_temperature or 1.0)
+        model = EnergyModel(graph, field, lambda_reg=lam)
         domain = cfg.domain(engine)
         s_ref = SpinConfiguration(scale_target(dataset, domain), domain)
         h_ref = hamiltonian(model, s_ref)
@@ -244,11 +242,12 @@ def stage_simulate(cfg: RunConfig, out: Path, engines=None) -> list[Path]:
     return written
 
 
-def _read_retained(out: Path, engine: Engine):
+def _read_retained(out: Path, engine: Engine, names: tuple[str, ...]):
+    """The retained metadata plus only the named arrays of ``engine``."""
     meta_path = _require(artifact(out, f"retained_{engine.value}.json"), "simulate")
     meta = json.loads(meta_path.read_text(encoding="utf-8"))
     arrays = {}
-    for name in ("configs", "iterations", "chains", "energies"):
+    for name in names:
         path = _require(artifact(out, f"retained_{engine.value}_{name}.npy"), "simulate")
         arrays[name] = np.load(path)
     return meta, arrays
@@ -261,7 +260,7 @@ def stage_conformal(cfg: RunConfig, out: Path, engines=None) -> list[Path]:
     y_obs = dataset.target()
     written: list[Path] = []
     for engine in engines or cfg.engines:
-        meta, arrays = _read_retained(out, engine)
+        meta, arrays = _read_retained(out, engine, ("configs",))
         domain = Domain(meta["domain"])
         pool = unscale_values(arrays["configs"], domain)
         if pool.shape[0] < spec.n_total:
@@ -272,8 +271,8 @@ def stage_conformal(cfg: RunConfig, out: Path, engines=None) -> list[Path]:
         pool = pool[-spec.n_total:]
         y_est = pool[-cfg.estimate_last_n:].mean(axis=0)
         batches = batch_means(pool, spec)
-        primary = conformal_intervals(batches, y_obs, spec)
         splits = repeat_splits(batches, y_obs, spec)
+        primary = splits[0]  # seed spec.seed, the single-split interval
         summary = coverage_adaptivity(splits, y_obs)
         written += [
             write_uncertainty_table(
@@ -323,7 +322,7 @@ def stage_analyze(cfg: RunConfig, out: Path, engines=None) -> list[Path]:
             )
         )
 
-        meta, arrays = _read_retained(out, engine)
+        meta, arrays = _read_retained(out, engine, ("energies", "chains"))
         h_ref = float(meta["h_ref"])
         energies = arrays["energies"]
         chains = arrays["chains"].astype(int)

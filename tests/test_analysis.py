@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.special
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,41 +11,37 @@ from softspin.analysis import (
     UnitResults,
     average_ranks,
     baseline_lm,
-    betainc_reg,
     compare,
     group_summaries,
     ols_standardized,
     residual_associations,
-    t_quantile,
-    t_two_sided_p,
 )
 from softspin.errors import AllCollinear, DataError
 
 
-class TestStudentT:
-    def test_incomplete_beta_against_scipy(self):
-        for a in (0.5, 1.0, 2.5, 10.0, 691.0):
-            for b in (0.5, 1.0, 3.0):
-                for x in (0.001, 0.2, 0.5, 0.8, 0.999):
-                    ours = betainc_reg(a, b, x)
-                    ref = scipy.special.betainc(a, b, x)
-                    assert ours == pytest.approx(ref, rel=1e-10, abs=1e-12)
+def _paired(df, t):
+    """Reference/estimate pair of length df + 1 whose paired t statistic is t."""
+    d = np.linspace(-1.0, 1.0, df + 1)
+    d = d / d.std(ddof=1) + t / math.sqrt(df + 1)  # sd 1, so mean / se = t
+    return np.zeros(df + 1), d
 
+
+class TestStudentT:
     def test_two_sided_p_against_scipy(self):
         for df in (2, 5, 30, 1382):
             for t in (0.0, 0.5, 1.96, 8.63, 27.5):
-                ours = t_two_sided_p(t, df)
-                ref = 2.0 * scipy.stats.t.sf(abs(t), df)
-                assert ours == pytest.approx(ref, rel=1e-9, abs=1e-300)
+                rep = compare(*_paired(df, t))
+                assert rep.t_stat == pytest.approx(t, rel=1e-9, abs=1e-12)
+                ref = 2.0 * scipy.stats.t.sf(abs(rep.t_stat), df)
+                assert rep.t_pvalue == pytest.approx(ref, rel=1e-9, abs=1e-300)
 
     def test_quantile_against_scipy(self):
         for df in (2, 10, 100, 1382):
-            for q in (0.6, 0.9, 0.975, 0.995):
-                ours = t_quantile(q, df)
-                ref = scipy.stats.t.ppf(q, df)
-                assert ours == pytest.approx(ref, abs=1e-9)
-        assert t_quantile(0.5, 7) == 0.0
-        assert t_quantile(0.025, 7) == pytest.approx(-t_quantile(0.975, 7))
+            rep = compare(*_paired(df, 1.0))
+            se = 1.0 / math.sqrt(df + 1)
+            half = scipy.stats.t.ppf(0.975, df) * se
+            assert rep.ci95_hi - rep.mean_diff == pytest.approx(half, rel=1e-9)
+            assert rep.mean_diff - rep.ci95_lo == pytest.approx(half, rel=1e-9)
 
 
 class TestCompare:

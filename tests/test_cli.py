@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -101,13 +105,21 @@ class TestPipeline:
         assert code == 2
         assert not (out / "trace_ising_00.csv").exists()
 
+    @pytest.mark.parametrize("value", [-1, "abc"])
+    def test_bad_lambda_reg_fails_at_load(self, tmp_path, value):
+        tree = dict(TINY, ising=dict(TINY["ising"], lambda_reg=value))
+        cfg_path = write_config(tmp_path, tree)
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert not out.exists() or not any(out.iterdir())
+
     def test_divergence_exit_code(self, tmp_path):
         tree = dict(TINY)
         tree["engines"] = ["langevin"]
         tree["langevin"] = dict(
             TINY["langevin"],
             schedule={"t0": 1.0, "cooling": 0.999, "t_min": 0.001,
-                      "mode": "per_step", "proposal_sd": 0.05, "dt0": 1e9},
+                      "mode": "per_step", "dt0": 1e9},
         )
         cfg_path = write_config(tmp_path, tree)
         out = tmp_path / "run"
@@ -303,3 +315,18 @@ class TestConfig:
         tree["conformal"] = dict(TINY["conformal"], estimate_last_n=100_000)
         with pytest.raises(ConfigError, match="estimate_last_n"):
             load_config(write_config(tmp_path, tree))
+
+    @pytest.mark.parametrize("engine, key", [("ising", "dt0"), ("langevin", "proposal_sd")])
+    def test_other_engines_step_key_rejected(self, tmp_path, engine, key):
+        with pytest.raises(ConfigError, match=f"{engine}.schedule.{key}"):
+            load_config(write_config(tmp_path, {engine: {"schedule": {key: 0.1}}}))
+
+    def test_import_leaves_scipy_stats_and_special_out(self):
+        # scipy.special is imported lazily by the t-test; scipy.stats never
+        code = ("import sys, softspin.cli; "
+                "print(sorted(m for m in ('scipy.stats', 'scipy.special') if m in sys.modules))")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, check=True, env=dict(os.environ, PYTHONPATH=path))
+        assert done.stdout.strip() == "[]"

@@ -172,6 +172,22 @@ class TestConformalIntervals:
         with pytest.raises(EmptyCalibration):
             conformal_intervals(batches, y, self.spec(calib_frac=0.01))
 
+    def test_equals_first_repeated_split(self):
+        batches, y = exchangeable_fixture(120)
+        one = conformal_intervals(batches, y, self.spec())
+        first = repeat_splits(batches, y, self.spec())[0]
+        for name in ("q_lo", "q_hi", "lo", "hi", "covered", "calib_idx", "test_idx"):
+            np.testing.assert_array_equal(getattr(one, name), getattr(first, name))
+        assert (one.q_hat, one.degenerate, one.alpha) == (
+            first.q_hat, first.degenerate, first.alpha)
+
+    def test_shape_mismatch_is_config_error(self):
+        batches, y = exchangeable_fixture(50)
+        with pytest.raises(ConfigError, match="matching y_obs length"):
+            repeat_splits(batches, y[:-1], self.spec())
+        with pytest.raises(ConfigError, match="matching y_obs length"):
+            repeat_splits(batches[0], y, self.spec())
+
 
 class TestCoverageAdaptivity:
     def test_all_covered(self):

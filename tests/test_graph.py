@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import dense_coupling, make_clique_graph, tiny_dataset
-from softspin.graph import GroupSums, build_graph, neighbor_sum, spectrum_extremes
+from softspin.energy import EnergyModel, delta_h
+from softspin.graph import GroupSums, build_graph, spectrum_extremes
 
 
 class TestBuildGraph:
@@ -41,43 +42,53 @@ class TestBuildGraph:
 
 
 class TestNeighborSum:
+    """Neighbor sums read from the group-sum cache, against the dense oracle."""
+
     def test_singleton_zero(self):
         g = make_clique_graph([1, 2])
         s = np.array([4.0, 1.0, 2.0])
-        assert neighbor_sum(g, s, 0) == 0.0
+        sums = GroupSums(g, s)
+        assert sums.sums[g.group_of[0]] - s[0] == 0.0
 
     def test_clique_hand_value(self):
         g = make_clique_graph([3])
         s = np.array([2.0, 3.0, 5.0])
-        assert neighbor_sum(g, s, 0) == 8.0
         sums = GroupSums(g, s)
-        assert neighbor_sum(g, s, 0, sums) == 8.0
+        assert sums.sums[g.group_of[0]] - s[0] == 8.0
 
     def test_cached_updates_match_bruteforce(self, rng):
         g = make_clique_graph([4, 7, 1, 12, 2])
         n = g.n
+        j = dense_coupling(g)
+        h = rng.normal(size=n)
+        model = EnergyModel(g, h, lambda_reg=1.3)
+
+        def dense_energy(x):
+            return -0.5 * x @ j @ x - h @ x + 0.5 * model.lambda_reg * x @ x
+
         s = rng.normal(size=n)
         sums = GroupSums(g, s)
-        j = dense_coupling(g)
         for _ in range(1000):
             i = int(rng.integers(0, n))
             new = float(rng.normal())
-            sums.update(i, float(s[i]), new)
+            sums.sums[g.group_of[i]] += new - s[i]  # the samplers' in-place update
             s[i] = new
             q = int(rng.integers(0, n))
-            oracle = float(j[q] @ s)
-            got = neighbor_sum(g, s, q, sums)
-            assert got == pytest.approx(oracle, rel=1e-10, abs=1e-10)
+            s_new = float(rng.normal())
+            moved = s.copy()
+            moved[q] = s_new
+            oracle = dense_energy(moved) - dense_energy(s)
+            got = delta_h(model, s, q, s_new, sums)
+            assert got == pytest.approx(oracle, rel=1e-9, abs=1e-9)
 
     def test_recompute_aligns_cache(self, rng):
         g = make_clique_graph([5, 5])
         s = rng.normal(size=g.n)
         sums = GroupSums(g, rng.normal(size=g.n))
         sums.recompute(s)
-        for q in range(g.n):
-            assert neighbor_sum(g, s, q, sums) == pytest.approx(
-                neighbor_sum(g, s, q), rel=1e-12, abs=1e-12
-            )
+        np.testing.assert_allclose(
+            sums.sums[g.group_of] - s, dense_coupling(g) @ s, rtol=1e-12, atol=1e-12
+        )
 
 
 class TestSpectrum:

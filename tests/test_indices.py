@@ -12,7 +12,6 @@ from softspin.indices import (
     build_composites,
     correlation_matrix,
     external_field,
-    jacobi_eigh,
     mpi,
     pca,
     standardize,
@@ -113,23 +112,6 @@ class TestCorrelation:
         x[:, 1] = 4.2
         with pytest.raises(ZeroVariance):
             correlation_matrix(x)
-
-
-class TestJacobi:
-    def test_matches_numpy_eigh(self, rng):
-        for k in (2, 4, 6, 9):
-            a = rng.normal(size=(k, k))
-            a = (a + a.T) / 2.0
-            w, v = jacobi_eigh(a)
-            w_ref = np.linalg.eigvalsh(a)
-            np.testing.assert_allclose(np.sort(w), w_ref, atol=1e-10)
-            # reconstruction and orthonormality
-            np.testing.assert_allclose(v @ np.diag(w) @ v.T, a, atol=1e-10)
-            np.testing.assert_allclose(v.T @ v, np.eye(k), atol=1e-10)
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(DataError):
-            jacobi_eigh(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 def _random_composites(rng, n=200, k=6):

@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_clique_graph
-from softspin.data import Domain
+from softspin.data import Domain, unscale_values
 from softspin.energy import EnergyModel, SpinConfiguration, hamiltonian
 from softspin.errors import (
     ConfigError,
     DivergenceDetected,
-    InsufficientSamples,
     ParallelChainError,
 )
 from softspin.sampler import (
@@ -26,7 +25,6 @@ from softspin.sampler import (
     make_rng,
     metropolis_step,
     pooled_retained,
-    posterior_mean,
     run_chain,
     run_parallel,
 )
@@ -375,6 +373,8 @@ class TestRunParallel:
 
 
 class TestPosteriorMean:
+    """The estimate is the mean of the most recent pooled snapshots in percent."""
+
     def _trace_with(self, retained, iterations, domain=Domain.RAW_PERCENT, seed=0):
         from softspin.sampler import ChainTrace
 
@@ -389,38 +389,20 @@ class TestPosteriorMean:
             accept_count=0, final_temperature=1.0, n_iters=0, burn_in=0, config=cfg,
         )
 
-    def test_identical_configs(self):
-        config = np.array([3.0, 4.0])
-        tr = self._trace_with([config, config, config], [1, 2, 3])
-        np.testing.assert_array_equal(posterior_mean([tr], 3), config)
-
-    def test_two_config_mean(self):
-        tr = self._trace_with([np.zeros(3), np.full(3, 2.0)], [1, 2])
-        np.testing.assert_array_equal(posterior_mean([tr], 2), np.ones(3))
-
-    def test_streaming_oracle(self, rng):
-        rows = rng.normal(size=(40, 6))
-        tr = self._trace_with(rows, np.arange(40))
-        got = posterior_mean([tr], 25)
-        acc = np.zeros(6)
-        for row in rows[-25:]:
-            acc += row
-        np.testing.assert_allclose(got, acc / 25.0, atol=1e-12)
-
     def test_pool_most_recent_across_chains(self):
         t1 = self._trace_with([np.full(2, 1.0), np.full(2, 3.0)], [10, 30])
         t2 = self._trace_with([np.full(2, 2.0)], [20], seed=1)
+        configs, iters, _, _ = pooled_retained([t1, t2])
         # most recent two snapshots are iterations 20 and 30
-        np.testing.assert_array_equal(posterior_mean([t1, t2], 2), np.full(2, 2.5))
+        np.testing.assert_array_equal(iters[-2:], [20, 30])
+        np.testing.assert_array_equal(configs[-2:].mean(axis=0), np.full(2, 2.5))
 
     def test_ising_domain_unscaled_to_percent(self):
         tr = self._trace_with([np.zeros(2)], [1], domain=Domain.ISING_SCALED)
-        np.testing.assert_array_equal(posterior_mean([tr], 1), np.full(2, 50.0))
-
-    def test_insufficient_samples(self):
-        tr = self._trace_with([np.zeros(2)], [1])
-        with pytest.raises(InsufficientSamples):
-            posterior_mean([tr], 2)
+        configs, _, _, _ = pooled_retained([tr])
+        np.testing.assert_array_equal(
+            unscale_values(configs, tr.domain).mean(axis=0), np.full(2, 50.0)
+        )
 
     def test_pooled_retained_ordering(self):
         t1 = self._trace_with([np.full(2, 1.0)], [10])
