@@ -2,9 +2,10 @@
 
 The Metropolis engine perturbs one spin at a time on the [-1, 1] scale and
 cools on acceptance; the Langevin engine takes full-vector gradient steps
-with temperature-scaled noise on the raw percent scale. Both start at the
-observed configuration and drift toward energetically more favorable states
-nearby, which is the point: local exploration, not global optimization.
+with temperature-scaled noise on the raw percent scale and cools every
+step. Both start at the observed configuration and drift toward
+energetically more favorable states nearby, which is the point: local
+exploration, not global optimization.
 """
 
 import numpy as np
@@ -12,7 +13,6 @@ import numpy as np
 from softspin import (
     AnnealingSchedule,
     ChainConfig,
-    CoolingMode,
     Domain,
     EnergyModel,
     Engine,
@@ -68,8 +68,7 @@ s_raw = SpinConfiguration(scale_target(dataset, Domain.RAW_PERCENT),
                           Domain.RAW_PERCENT)
 cfg_raw = ChainConfig(
     engine=Engine.LANGEVIN, n_iters=20_000, thin=10, retain_last=1500, seed=202,
-    schedule=AnnealingSchedule(t0=1.0, cooling=0.9995, t_min=1e-3, dt0=1e-6,
-                               mode=CoolingMode.PER_STEP),
+    schedule=AnnealingSchedule(t0=1.0, cooling=0.9995, t_min=1e-3, dt0=1e-6),
 )
 traces_raw = run_parallel(model_raw, cfg_raw, s_raw, k_chains=2, workers=1)
 for k, tr in enumerate(traces_raw):

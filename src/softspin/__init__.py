@@ -42,7 +42,6 @@ from .sampler import (
     AnnealingSchedule,
     ChainConfig,
     ChainTrace,
-    CoolingMode,
     Engine,
     langevin_step,
     make_rng,

@@ -20,7 +20,7 @@ from .conformal import BatchSpec
 from .data import DEFAULT_INDICATORS, Domain, IndicatorSpec, SynthParams
 from .errors import ConfigError
 from .indices import Direction
-from .sampler import AnnealingSchedule, ChainConfig, CoolingMode, Engine
+from .sampler import AnnealingSchedule, ChainConfig, Engine
 
 DEFAULT_CONFIG: dict = {
     "seed": 20240810,
@@ -70,7 +70,6 @@ DEFAULT_CONFIG: dict = {
             "t0": 1.0,
             "cooling": 0.999,
             "t_min": 0.001,
-            "mode": "on_accept",
             # small steps keep the annealed exploration local to the
             # reference configuration at the desk-scale iteration budget
             "proposal_sd": 0.005,
@@ -92,7 +91,6 @@ DEFAULT_CONFIG: dict = {
             "t0": 1.0,
             "cooling": 0.9995,
             "t_min": 0.001,
-            "mode": "per_step",
             # smaller than the library default on purpose: keeps the
             # annealed trajectories local to the reference configuration
             "dt0": 1e-06,
@@ -185,13 +183,14 @@ class RunConfig:
 
     def synth_params(self) -> SynthParams:
         s = self.raw["synth"]
-        weights = s["profile_weights"]
+        weights, corr = s["profile_weights"], s["group_correlation"]
         if weights is not None:
             weights = {k: tuple(float(x) for x in v) for k, v in weights.items()}
         return SynthParams(
             indicators=tuple(self.indicator_spec()),
             profile_weights=weights,
-            group_correlation=s["group_correlation"],
+            group_correlation=({k: float(v) for k, v in corr.items()}
+                               if isinstance(corr, dict) else float(corr)),
             cross_correlation=float(s["cross_correlation"]),
             mirror_groups=tuple((str(a), str(b)) for a, b in s["mirror_groups"]),
             target_base_percent=float(s["target_base_percent"]),
@@ -224,16 +223,13 @@ class RunConfig:
         return Domain(self.raw[engine.value]["domain"])
 
     def schedule(self, engine: Engine) -> AnnealingSchedule:
-        """Cooling plus the engine's own step parameter: ``proposal_sd`` for
-        Metropolis, ``dt0`` for Langevin."""
+        """Cooling plus the engine's own ``Engine.step_parameter``."""
         s = self.raw[engine.value]["schedule"]
-        step = "proposal_sd" if engine is Engine.ISING else "dt0"
         return AnnealingSchedule(
             t0=float(s["t0"]),
             cooling=float(s["cooling"]),
             t_min=float(s["t_min"]),
-            mode=CoolingMode(s["mode"]),
-            **{step: float(s[step])},
+            **{engine.step_parameter: float(s[engine.step_parameter])},
         )
 
     def chain_config(self, engine: Engine) -> ChainConfig:
@@ -290,14 +286,19 @@ class RunConfig:
 
 
 def resolve_config(tree: dict) -> RunConfig:
-    """Fill derived values (per-stage seeds) and validate every section."""
-    tree = copy.deepcopy(tree)
-    base_seed = int(tree["seed"])
-    for section, offset in _SEED_OFFSETS.items():
-        if tree[section].get("seed") is None:
-            tree[section]["seed"] = base_seed + offset
-    cfg = RunConfig(tree)
-    _validate(cfg)
+    """Fill derived values (per-stage seeds) and validate every section.
+
+    Every typed value is read here once, so one of the wrong type fails as a
+    ConfigError before any stage writes an artifact.
+    """
+    cfg = RunConfig(copy.deepcopy(tree))
+    try:
+        for section, offset in _SEED_OFFSETS.items():
+            if cfg.raw[section].get("seed") is None:
+                cfg.raw[section]["seed"] = cfg.seed + offset
+        _validate(cfg)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed configuration value: {exc}") from exc
     return cfg
 
 
@@ -305,17 +306,18 @@ def _validate(cfg: RunConfig) -> None:
     engines = cfg.engines
     if not engines:
         raise ConfigError("engines: at least one engine must be enabled")
-    try:
-        cfg.indicator_spec()
-        cfg.synth_params()
-        cfg.directions()
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"indicators/synth: {exc}") from exc
+    cfg.indicator_spec()
+    cfg.synth_params()
+    cfg.directions()
+    # read only for their types; the stages use them later
+    (cfg.out, cfg.synth_seed, cfg.indices_ddof, cfg.truncate_components,
+     cfg.likelihood_temperature)
     try:
         spec = cfg.batch_spec()
     except ConfigError as exc:
         raise ConfigError(f"conformal: {exc}") from exc
     for engine in engines:
+        cfg.domain(engine)
         try:
             chain = cfg.chain_config(engine)
         except ConfigError as exc:
@@ -332,10 +334,7 @@ def _validate(cfg: RunConfig) -> None:
                 f"conformal: estimate_last_n={cfg.estimate_last_n} exceeds the "
                 f"pooled retained pool {pooled} of engine {engine.value}"
             )
-        try:
-            lam = cfg.lambda_override(engine)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{engine.value}: bad lambda_reg: {exc}") from exc
+        lam = cfg.lambda_override(engine)
         if lam is not None and not lam > 0:
             raise ConfigError(f"{engine.value}: lambda_reg must be > 0")
     if cfg.estimate_last_n > spec.n_total:

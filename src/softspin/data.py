@@ -113,14 +113,12 @@ class UnitRecord:
 class Dataset:
     """Ordered collection of unit records plus the indicator table.
 
-    ``scale_domain`` records the scale of ``target_observed`` values; loaded
-    and synthesized datasets always carry raw percents, and scaling into the
-    simulation domain happens lazily through :func:`scale_target`.
+    ``target_observed`` values are raw percents; scaling into the simulation
+    domain happens lazily through :func:`scale_target`.
     """
 
     records: list[UnitRecord]
     spec: list[IndicatorSpec]
-    scale_domain: Domain = Domain.RAW_PERCENT
 
     def __post_init__(self):
         seen = set()

@@ -205,11 +205,8 @@ def stage_simulate(cfg: RunConfig, out: Path, engines=None) -> list[Path]:
                     trace.energy_iterations, trace.energies,
                 )
             )
-        configs, iters, chains, energies = pooled_retained(traces)
-        for name, arr in (
-            ("configs", configs), ("iterations", iters),
-            ("chains", chains), ("energies", energies),
-        ):
+        configs, energies = pooled_retained(traces)
+        for name, arr in (("configs", configs), ("energies", energies)):
             path = artifact(out, f"retained_{engine.value}_{name}.npy")
             np.save(path, arr)
             written.append(path)
@@ -224,15 +221,14 @@ def stage_simulate(cfg: RunConfig, out: Path, engines=None) -> list[Path]:
             "burn_in": traces[0].burn_in,
             "thin": chain_cfg.thin,
             "retain_last": chain_cfg.retain_last,
+            "retained_first_iteration": chain_cfg.retained_iterations().start,
             "energy_stride": chain_cfg.energy_stride,
             "lambda_reg": lam,
             "schedule": {
                 "t0": chain_cfg.schedule.t0,
                 "cooling": chain_cfg.schedule.cooling,
                 "t_min": chain_cfg.schedule.t_min,
-                "mode": chain_cfg.schedule.mode.value,
-                "proposal_sd": chain_cfg.schedule.proposal_sd,
-                "dt0": chain_cfg.schedule.dt0,
+                engine.step_parameter: getattr(chain_cfg.schedule, engine.step_parameter),
             },
             "h_ref": h_ref,
             "final_temperatures": [t.final_temperature for t in traces],
@@ -322,14 +318,14 @@ def stage_analyze(cfg: RunConfig, out: Path, engines=None) -> list[Path]:
             )
         )
 
-        meta, arrays = _read_retained(out, engine, ("energies", "chains"))
+        meta, arrays = _read_retained(out, engine, ("energies",))
         h_ref = float(meta["h_ref"])
         energies = arrays["energies"]
-        chains = arrays["chains"].astype(int)
         temps = np.asarray(meta["final_temperatures"], dtype=float)
         t_like = cfg.likelihood_temperature
-        per_snapshot_t = (
-            np.full(energies.shape[0], t_like) if t_like is not None else temps[chains]
+        per_snapshot_t = (  # pooled row j * k_chains + c belongs to chain c
+            np.full(energies.shape[0], t_like) if t_like is not None
+            else np.tile(temps, meta["retain_last"])
         )
         log_ratio = -(energies - h_ref) / per_snapshot_t
         if h_ref != 0.0:
@@ -365,10 +361,9 @@ def stage_analyze(cfg: RunConfig, out: Path, engines=None) -> list[Path]:
                     rows, comp_names,
                 )
             )
-        comp = read_comparison(artifact(out, f"comparison_{engine.value}.csv"))
         benchmark_rows.append(
             ("Continuous Ising" if engine is Engine.ISING else "Langevin dynamics",
-             comp["rmse"], comp["mae"])
+             report.rmse, report.mae)
         )
     written.append(write_benchmark(artifact(out, "benchmark.csv"), benchmark_rows))
     return written

@@ -3,9 +3,9 @@
 Both engines explore the energy landscape around a reference configuration
 under a geometric cooling schedule. The Metropolis engine perturbs one
 randomly chosen spin with Gaussian noise and accepts with the Boltzmann
-rule, cooling on acceptance by default; the Langevin engine performs
-full-vector gradient steps with temperature-scaled noise and a step size
-proportional to the current temperature, so drift and noise shrink
+rule, cooling on acceptance; the Langevin engine performs full-vector
+gradient steps with temperature-scaled noise and a step size proportional
+to the current temperature, cooling every step, so drift and noise shrink
 together. Chains are reproducible: each one owns a counter-based Philox
 stream keyed by its seed, and parallel runs assign stream keys by chain
 index so results do not depend on scheduling.
@@ -31,10 +31,10 @@ class Engine(str, Enum):
     ISING = "ising"
     LANGEVIN = "langevin"
 
-
-class CoolingMode(str, Enum):
-    ON_ACCEPT = "on_accept"  # temperature drops only when a proposal is accepted
-    PER_STEP = "per_step"    # temperature drops every iteration
+    @property
+    def step_parameter(self) -> str:
+        """The one ``AnnealingSchedule`` step field this engine reads."""
+        return "proposal_sd" if self is Engine.ISING else "dt0"
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -46,6 +46,7 @@ def make_rng(seed: int) -> np.random.Generator:
 class AnnealingSchedule:
     """Geometric cooling plus the per-engine step parameters.
 
+    Metropolis cools on each accepted proposal, Langevin on every step.
     ``t_min == t0`` keeps the temperature constant, which is how fixed-T
     runs (stationarity diagnostics) are expressed. ``dt0`` is the Langevin
     base step at ``t0``; the effective step is dt0 * T/t0. ``proposal_sd``
@@ -55,7 +56,6 @@ class AnnealingSchedule:
     t0: float = 1.0
     cooling: float = 0.9995
     t_min: float = 1e-3
-    mode: CoolingMode = CoolingMode.ON_ACCEPT
     dt0: float = 1e-4
     proposal_sd: float = 0.05
 
@@ -126,6 +126,13 @@ class ChainConfig:
         n = self.n_iters if n_iters is None else n_iters
         return int(self.burn_in_frac * n)
 
+    def retained_iterations(self) -> range:
+        """Iterations of the retained snapshots, oldest first: the last
+        ``retain_last`` of the thinned post-burn-in iterations."""
+        burn = self.burn_in()
+        last = burn + (self.n_iters - burn) // self.thin * self.thin
+        return range(last - (self.retain_last - 1) * self.thin, last + 1, self.thin)
+
     def resolve_bounds(self, domain: Domain) -> tuple[float, float] | None:
         if self.bounds == AUTO_BOUNDS:
             return DOMAIN_BOUNDS[domain]
@@ -180,7 +187,7 @@ def metropolis_step(model: EnergyModel, state: ChainState,
     Draws a uniform site, perturbs it with Gaussian noise of scale
     ``proposal_sd`` (reflected at the bounds if any), and accepts with
     min{1, exp(-dH/T)}. On acceptance the spin, the group-sum cache and the
-    running energy are updated and, in on-accept mode, the temperature cools.
+    running energy are updated and the temperature cools.
     One uniform variate is consumed per step regardless of the branch so the
     random stream is aligned across runs.
     """
@@ -205,9 +212,6 @@ def metropolis_step(model: EnergyModel, state: ChainState,
         s[i] = s_new
         state.sums.sums[g] += diff
         state.energy += delta
-        if schedule.mode is CoolingMode.ON_ACCEPT:
-            state.temperature = schedule.cooled(temperature)
-    if schedule.mode is CoolingMode.PER_STEP:
         state.temperature = schedule.cooled(temperature)
     return accepted
 
@@ -220,7 +224,7 @@ def langevin_step(model: EnergyModel, state: ChainState,
     and dt = dt0 * T/t0, so the drift and noise scales shrink together as
     the temperature drops. States leaving the divergence guard (ten domain
     widths beyond the bounds, or non-finite anywhere) raise; bounded states
-    are clamped back into the domain. Cools every step in per-step mode.
+    are clamped back into the domain. Cools every step.
     """
     temperature = state.temperature
     dt = schedule.dt0 * (temperature / schedule.t0)
@@ -241,8 +245,7 @@ def langevin_step(model: EnergyModel, state: ChainState,
 
     state.s = s_new
     state.sums.recompute(s_new)
-    if schedule.mode is CoolingMode.PER_STEP:
-        state.temperature = schedule.cooled(temperature)
+    state.temperature = schedule.cooled(temperature)
 
 
 @dataclass
@@ -250,9 +253,8 @@ class ChainTrace:
     """Everything a finished chain leaves behind.
 
     ``energies`` is the strided energy series (iteration 0 included);
-    ``retained`` holds the last ``retain_last`` thinned post-burn-in
-    snapshots in chronological order, with matching iteration numbers and
-    energies.
+    ``retained`` holds the snapshots at ``config.retained_iterations()``
+    in chronological order, with their energies in ``retained_energies``.
     """
 
     engine: Engine
@@ -261,7 +263,6 @@ class ChainTrace:
     energies: np.ndarray
     energy_iterations: np.ndarray
     retained: np.ndarray
-    retained_iterations: np.ndarray
     retained_energies: np.ndarray
     accept_count: int
     final_temperature: float
@@ -293,7 +294,6 @@ def run_chain(model: EnergyModel, cfg: ChainConfig, s_ref: SpinConfiguration) ->
     rng = make_rng(cfg.seed)
     state = init_state(model, s0, schedule, bounds)
 
-    burn = cfg.burn_in()
     stride = cfg.energy_stride
     n_rec = cfg.n_iters // stride + 1
     energies = np.empty(n_rec)
@@ -302,11 +302,10 @@ def run_chain(model: EnergyModel, cfg: ChainConfig, s_ref: SpinConfiguration) ->
     energy_iters[0] = 0
     rec = 1
 
-    retain = cfg.retain_last
-    ring = np.empty((retain, n)) if retain else np.empty((0, n))
-    ring_iters = np.empty(retain, dtype=np.int64)
-    ring_energy = np.empty(retain)
-    kept = 0
+    grid = cfg.retained_iterations()
+    first, thin = grid.start, grid.step
+    retained = np.empty((len(grid), n))
+    retained_energy = np.empty(len(grid))
     accepts = 0
     is_metropolis = cfg.engine is Engine.ISING
 
@@ -322,7 +321,7 @@ def run_chain(model: EnergyModel, cfg: ChainConfig, s_ref: SpinConfiguration) ->
             state.sums.recompute(state.s)
             state.energy = hamiltonian(model, state.s)
         record = t % stride == 0
-        keep = retain and t > burn and (t - burn) % cfg.thin == 0
+        keep = t >= first and (t - first) % thin == 0
         if record or keep:
             energy = state.energy if is_metropolis else hamiltonian(model, state.s)
             if record:
@@ -330,24 +329,9 @@ def run_chain(model: EnergyModel, cfg: ChainConfig, s_ref: SpinConfiguration) ->
                 energy_iters[rec] = t
                 rec += 1
             if keep:
-                pos = kept % retain
-                ring[pos] = state.s
-                ring_iters[pos] = t
-                ring_energy[pos] = energy
-                kept += 1
-
-    if retain and kept:
-        shift = kept % retain if kept >= retain else 0
-        order = np.arange(retain) if kept >= retain else np.arange(kept)
-        if shift:
-            order = np.roll(order, -shift)
-        retained = ring[order]
-        retained_iters = ring_iters[order]
-        retained_energy = ring_energy[order]
-    else:
-        retained = np.empty((0, n))
-        retained_iters = np.empty(0, dtype=np.int64)
-        retained_energy = np.empty(0)
+                j = (t - first) // thin
+                retained[j] = state.s
+                retained_energy[j] = energy
 
     accept_count = accepts if is_metropolis else cfg.n_iters
     return ChainTrace(
@@ -357,12 +341,11 @@ def run_chain(model: EnergyModel, cfg: ChainConfig, s_ref: SpinConfiguration) ->
         energies=energies[:rec],
         energy_iterations=energy_iters[:rec],
         retained=retained,
-        retained_iterations=retained_iters,
         retained_energies=retained_energy,
         accept_count=int(accept_count),
         final_temperature=state.temperature,
         n_iters=cfg.n_iters,
-        burn_in=burn,
+        burn_in=cfg.burn_in(),
         config=cfg,
     )
 
@@ -413,19 +396,17 @@ def run_parallel(
     return results  # type: ignore[return-value]
 
 
-def pooled_retained(traces: Sequence[ChainTrace]):
-    """Pool retained snapshots across chains, oldest first.
+def pooled_retained(traces: Sequence[ChainTrace]) -> tuple[np.ndarray, np.ndarray]:
+    """Pool the retained snapshots of chains that share one retention grid.
 
-    Snapshots are ordered by (iteration, chain index) so "most recent" is
-    well defined and deterministic across runs. Returns (configs, iterations,
-    chain_ids, energies).
+    Row ``j * k + c`` of the pool is chain ``c``'s snapshot ``j`` (k chains),
+    so rows run oldest first by (iteration, chain index) and "most recent" is
+    well defined and deterministic across runs. Returns (configs, energies).
     """
-    configs = np.concatenate([t.retained for t in traces], axis=0)
-    iters = np.concatenate([t.retained_iterations for t in traces])
-    chains = np.concatenate(
-        [np.full(t.retained.shape[0], k, dtype=np.int64) for k, t in enumerate(traces)]
-    )
-    energies = np.concatenate([t.retained_energies for t in traces])
-    order = np.lexsort((chains, iters))
-    return configs[order], iters[order], chains[order], energies[order]
+    grid = traces[0].config.retained_iterations()
+    if any(t.config.retained_iterations() != grid for t in traces):
+        raise ConfigError("pooled_retained: the chains do not share one retention grid")
+    configs = np.stack([t.retained for t in traces], axis=1)
+    energies = np.stack([t.retained_energies for t in traces], axis=1)
+    return configs.reshape(-1, configs.shape[2]), energies.reshape(-1)
 

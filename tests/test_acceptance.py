@@ -22,7 +22,6 @@ from softspin.indices import build_composites, external_field, mpi, pca, standar
 from softspin.sampler import (
     AnnealingSchedule,
     ChainConfig,
-    CoolingMode,
     Engine,
     init_state,
     langevin_step,
@@ -338,7 +337,7 @@ class TestCriterion8PerformanceEnvelope:
             engine=Engine.LANGEVIN, n_iters=600_000, burn_in_frac=0.10,
             thin=1000, retain_last=500, seed=8,
             schedule=AnnealingSchedule(t0=1.0, cooling=0.9995, t_min=1e-3,
-                                       dt0=1e-4, mode=CoolingMode.PER_STEP),
+                                       dt0=1e-4),
         )
         t0 = time.perf_counter()
         trace = run_chain(model, cfg, dataset_ref)

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import yaml
 
 from softspin.cli import main
 from softspin.config import DEFAULT_CONFIG, config_hash, load_config
+from softspin.conformal import six_number
 from softspin.errors import ConfigError
 from softspin.reports import read_table
 
@@ -113,13 +115,45 @@ class TestPipeline:
         assert main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 2
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("key", [
+        "ising.n_iters", "conformal.alpha", "langevin.k_chains", "workers",
+        "indices.ddof", "model.temperature", "seed", "synth.group_correlation",
+    ])
+    def test_non_numeric_value_fails_at_load(self, tmp_path, key):
+        tree = json.loads(json.dumps(TINY))
+        *sections, leaf = key.split(".")
+        node = tree
+        for name in sections:
+            node = node.setdefault(name, {})
+        node[leaf] = "abc"
+        cfg_path = write_config(tmp_path, tree)
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_simulate_artifacts_independent_of_workers(self, tmp_path):
+        cfg_path = write_config(tmp_path)
+        one, two = tmp_path / "one", tmp_path / "two"
+        for stage in ("synth", "field"):
+            assert main([stage, "--config", str(cfg_path), "--out", str(one)]) == 0
+        shutil.copytree(one, two)
+        for out, workers in ((one, "1"), (two, "2")):
+            assert main(["simulate", "--config", str(cfg_path), "--out", str(out),
+                         "--workers", workers]) == 0
+        names = sorted(p.name for p in one.iterdir()
+                       if p.name.startswith(("retained_", "trace_")))
+        assert len(names) == 2 * (2 + 3)  # per engine: 2 traces, json, configs, energies
+        assert names == sorted(p.name for p in two.iterdir()
+                               if p.name.startswith(("retained_", "trace_")))
+        for name in names:
+            assert (one / name).read_bytes() == (two / name).read_bytes(), name
+
     def test_divergence_exit_code(self, tmp_path):
         tree = dict(TINY)
         tree["engines"] = ["langevin"]
         tree["langevin"] = dict(
             TINY["langevin"],
-            schedule={"t0": 1.0, "cooling": 0.999, "t_min": 0.001,
-                      "mode": "per_step", "dt0": 1e9},
+            schedule={"t0": 1.0, "cooling": 0.999, "t_min": 0.001, "dt0": 1e9},
         )
         cfg_path = write_config(tmp_path, tree)
         out = tmp_path / "run"
@@ -257,6 +291,20 @@ class TestArtifactLayouts:
         header, rows = read_table(run_dir / "trace_ising_00.csv")
         assert header == ["iteration", "energy"]
         assert rows[0][0] == "0"
+
+    def test_pooled_rows_labelled_from_json(self, run_dir):
+        # row i of the pooled arrays is chain i % k_chains, whose final
+        # temperature scales that row's log-likelihood ratio
+        meta = json.loads((run_dir / "retained_ising.json").read_text())
+        energies = np.load(run_dir / "retained_ising_energies.npy")
+        configs = np.load(run_dir / "retained_ising_configs.npy")
+        k = meta["k_chains"]
+        assert configs.shape == (k * meta["retain_last"], 60) == (energies.size, 60)
+        temps = np.asarray(meta["final_temperatures"])[np.arange(energies.size) % k]
+        expected = six_number(-(energies - meta["h_ref"]) / temps)
+        _, rows = read_table(run_dir / "energy_ratio_ising.csv")
+        assert rows[1][0] == "log_likelihood_ratio"
+        assert [float(v) for v in rows[1][1:]] == pytest.approx(list(expected), rel=1e-12)
 
     def test_group_table_layout(self, run_dir):
         header, rows = read_table(run_dir / "groups.csv")

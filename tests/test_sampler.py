@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from softspin.errors import (
 from softspin.sampler import (
     AnnealingSchedule,
     ChainConfig,
-    CoolingMode,
+    ChainTrace,
     Engine,
     _reflect,
     accept_probability,
@@ -148,8 +149,7 @@ class TestMetropolisStep:
 
     def test_on_accept_cooling_only_on_acceptance(self):
         model = quadratic_model(h=0.0, lam=1.0)
-        sched = AnnealingSchedule(t0=1.0, cooling=0.9, t_min=1e-6, proposal_sd=0.5,
-                                  mode=CoolingMode.ON_ACCEPT)
+        sched = AnnealingSchedule(t0=1.0, cooling=0.9, t_min=1e-6, proposal_sd=0.5)
         rng = make_rng(3)
         state = init_state(model, np.array([0.0]), sched, None)
         cools = 0
@@ -187,8 +187,7 @@ class TestLangevinStep:
 
     def test_bit_identical_trajectory(self):
         model = quadratic_model(n=4)
-        sched = AnnealingSchedule(t0=1.0, cooling=0.999, t_min=1e-3, dt0=1e-3,
-                                  mode=CoolingMode.PER_STEP)
+        sched = AnnealingSchedule(t0=1.0, cooling=0.999, t_min=1e-3, dt0=1e-3)
 
         def run(seed):
             rng = make_rng(seed)
@@ -201,6 +200,18 @@ class TestLangevinStep:
         s2, t2 = run(7)
         np.testing.assert_array_equal(s1, s2)
         assert t1 == t2
+
+    def test_cools_every_step(self):
+        model = quadratic_model(n=3)
+        sched = AnnealingSchedule(t0=1.0, cooling=0.9, t_min=0.2, dt0=1e-3)
+        state = init_state(model, np.zeros(3), sched, None)
+        rng = make_rng(4)
+        expected = sched.t0
+        for _ in range(20):
+            langevin_step(model, state, sched, rng)
+            expected = max(sched.t_min, sched.cooling * expected)
+            assert state.temperature == expected
+        assert expected == sched.t_min
 
     def test_divergence_guard(self):
         model = quadratic_model(h=0.0, lam=1.0)
@@ -273,13 +284,28 @@ class TestRunChain:
         t1 = run_chain(model, cfg, self.make_ref())
         t2 = run_chain(model, cfg, self.make_ref())
         np.testing.assert_array_equal(t1.retained, t2.retained)
-        np.testing.assert_array_equal(t1.retained_iterations, t2.retained_iterations)
         assert t1.retained.shape[0] == 120
         # thinned post-burn-in iterations, most recent kept
         burn = cfg.burn_in()
-        expected_last = burn + ((2000 - burn) // 7) * 7
-        assert t1.retained_iterations[-1] == expected_last
-        assert np.all(np.diff(t1.retained_iterations) == 7)
+        grid = np.asarray(cfg.retained_iterations())
+        assert grid.shape == (120,)
+        assert grid[-1] == burn + ((2000 - burn) // 7) * 7
+        assert np.all(np.diff(grid) == 7)
+
+    @pytest.mark.parametrize("engine, sched", [
+        (Engine.ISING, AnnealingSchedule(cooling=0.99, proposal_sd=0.3)),
+        (Engine.LANGEVIN, AnnealingSchedule(cooling=0.99, dt0=1e-3)),
+    ])
+    def test_snapshot_j_is_state_at_grid_j(self, engine, sched):
+        model = quadratic_model(n=6)
+        cfg = ChainConfig(engine=engine, n_iters=400, burn_in_frac=0.15, thin=7,
+                          retain_last=12, seed=5, schedule=sched)
+        trace = run_chain(model, cfg, self.make_ref())
+        for j, t in enumerate(cfg.retained_iterations()):
+            short = replace(cfg, n_iters=t, thin=1, burn_in_frac=0.0, retain_last=1)
+            last = run_chain(model, short, self.make_ref())
+            np.testing.assert_array_equal(trace.retained[j], last.retained[0])
+            assert trace.retained_energies[j] == last.retained_energies[0]
 
     def test_retain_capacity_validated(self):
         with pytest.raises(ConfigError):
@@ -302,8 +328,7 @@ class TestRunChain:
 
     def test_langevin_divergence_reports_iteration(self):
         model = quadratic_model(n=3)
-        sched = AnnealingSchedule(t0=1.0, cooling=0.999, t_min=1e-3, dt0=1e8,
-                                  mode=CoolingMode.PER_STEP)
+        sched = AnnealingSchedule(t0=1.0, cooling=0.999, t_min=1e-3, dt0=1e8)
         cfg = ChainConfig(engine=Engine.LANGEVIN, n_iters=100, seed=1, schedule=sched)
         with pytest.raises(DivergenceDetected) as err:
             run_chain(model, cfg, self.make_ref(3, Domain.RAW_PERCENT, 50.0))
@@ -361,8 +386,7 @@ class TestRunParallel:
 
     def test_per_chain_failures_reported(self):
         model = quadratic_model(n=3)
-        sched = AnnealingSchedule(t0=1.0, cooling=0.999, t_min=1e-3, dt0=1e8,
-                                  mode=CoolingMode.PER_STEP)
+        sched = AnnealingSchedule(t0=1.0, cooling=0.999, t_min=1e-3, dt0=1e8)
         cfg = ChainConfig(engine=Engine.LANGEVIN, n_iters=50, seed=0, schedule=sched)
         ref = SpinConfiguration(np.full(3, 50.0), Domain.RAW_PERCENT)
         with pytest.raises(ParallelChainError) as err:
@@ -375,41 +399,58 @@ class TestRunParallel:
 class TestPosteriorMean:
     """The estimate is the mean of the most recent pooled snapshots in percent."""
 
-    def _trace_with(self, retained, iterations, domain=Domain.RAW_PERCENT, seed=0):
-        from softspin.sampler import ChainTrace
+    # two snapshots per chain, at iterations 1 and 2
+    GRID = ChainConfig(engine=Engine.ISING, n_iters=2, burn_in_frac=0.0, thin=1,
+                       retain_last=2)
 
+    def _trace_with(self, retained, cfg=GRID, domain=Domain.RAW_PERCENT, seed=0):
         retained = np.asarray(retained, dtype=float)
-        cfg = ChainConfig(engine=Engine.ISING, n_iters=0, seed=seed)
         return ChainTrace(
             engine=Engine.ISING, domain=domain, seed=seed,
             energies=np.zeros(1), energy_iterations=np.zeros(1, dtype=np.int64),
-            retained=retained,
-            retained_iterations=np.asarray(iterations, dtype=np.int64),
-            retained_energies=np.zeros(retained.shape[0]),
-            accept_count=0, final_temperature=1.0, n_iters=0, burn_in=0, config=cfg,
+            retained=retained, retained_energies=retained[:, 0].copy(),
+            accept_count=0, final_temperature=1.0, n_iters=cfg.n_iters, burn_in=0,
+            config=replace(cfg, seed=seed),
         )
 
     def test_pool_most_recent_across_chains(self):
-        t1 = self._trace_with([np.full(2, 1.0), np.full(2, 3.0)], [10, 30])
-        t2 = self._trace_with([np.full(2, 2.0)], [20], seed=1)
-        configs, iters, _, _ = pooled_retained([t1, t2])
-        # most recent two snapshots are iterations 20 and 30
-        np.testing.assert_array_equal(iters[-2:], [20, 30])
-        np.testing.assert_array_equal(configs[-2:].mean(axis=0), np.full(2, 2.5))
+        t1 = self._trace_with([np.full(2, 1.0), np.full(2, 3.0)])
+        t2 = self._trace_with([np.full(2, 2.0), np.full(2, 4.0)], seed=1)
+        configs, energies = pooled_retained([t1, t2])
+        # the last two rows are both chains' snapshots at iteration 2
+        np.testing.assert_array_equal(energies, [1.0, 2.0, 3.0, 4.0])
+        np.testing.assert_array_equal(configs[-2:].mean(axis=0), np.full(2, 3.5))
 
     def test_ising_domain_unscaled_to_percent(self):
-        tr = self._trace_with([np.zeros(2)], [1], domain=Domain.ISING_SCALED)
-        configs, _, _, _ = pooled_retained([tr])
+        tr = self._trace_with([np.zeros(2), np.zeros(2)], domain=Domain.ISING_SCALED)
+        configs, _ = pooled_retained([tr])
         np.testing.assert_array_equal(
             unscale_values(configs, tr.domain).mean(axis=0), np.full(2, 50.0)
         )
 
     def test_pooled_retained_ordering(self):
-        t1 = self._trace_with([np.full(2, 1.0)], [10])
-        t2 = self._trace_with([np.full(2, 2.0)], [10], seed=1)
-        configs, iters, chains, _ = pooled_retained([t1, t2])
-        np.testing.assert_array_equal(iters, [10, 10])
-        np.testing.assert_array_equal(chains, [0, 1])  # tie broken by chain index
+        # row j * k + c is chain c's snapshot j
+        model = quadratic_model(n=4)
+        cfg = ChainConfig(engine=Engine.ISING, n_iters=300, thin=3, retain_last=20,
+                          seed=40)
+        ref = SpinConfiguration(np.zeros(4), Domain.ISING_SCALED)
+        traces = run_parallel(model, cfg, ref, k_chains=3)
+        configs, energies = pooled_retained(traces)
+        assert configs.shape == (60, 4) and energies.shape == (60,)
+        for j in range(20):
+            for c, trace in enumerate(traces):
+                np.testing.assert_array_equal(configs[j * 3 + c], trace.retained[j])
+                assert energies[j * 3 + c] == trace.retained_energies[j]
+
+    @pytest.mark.parametrize("other", [
+        dict(retain_last=1), dict(thin=2, n_iters=4), dict(n_iters=3),
+    ])
+    def test_mismatched_grids_rejected(self, other):
+        t1 = self._trace_with([np.zeros(2), np.ones(2)])
+        cfg = replace(self.GRID, **other)
+        t2 = self._trace_with(np.zeros((cfg.retain_last, 2)), cfg=cfg, seed=1)
+        with pytest.raises(ConfigError, match="retention grid"):
+            pooled_retained([t1, t2])
 
 
 class TestStationaryAgreement:
