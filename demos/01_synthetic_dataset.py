@@ -15,7 +15,7 @@ print(f"units: {dataset.n}")
 print(f"indicators: {len(dataset.spec)} in groups "
       f"{sorted({s.group for s in dataset.spec})}")
 
-target = dataset.target()
+target = dataset.target
 print(f"\ntarget percent: mean={target.mean():.3f} "
       f"min={target.min():.3f} max={target.max():.3f}")
 
@@ -27,20 +27,19 @@ back = unscale_values(scaled, Domain.ISING_SCALED)
 print(f"round trip error: {np.abs(back - target).max():.2e}")
 
 # profiles repeat, which is what produces the similarity cliques later
-profiles = dataset.profiles()
-unique = {tuple(p) for p in profiles.tolist()}
+unique = {tuple(p) for p in dataset.profiles.tolist()}
 print(f"\ndistinct profiles: {len(unique)} over {dataset.n} units")
 
 # determinism: same inputs, same dataset
 again = synth_dataset(300, seed=11)
 assert dataset.unit_ids == again.unit_ids
-assert np.array_equal(dataset.target(), again.target())
+assert np.array_equal(dataset.target, again.target)
 print("regenerated dataset is identical")
 
 # a correlation knob of 1.0 makes a group's indicators collinear
 tight = synth_dataset(1000, seed=3, params=SynthParams(group_correlation=1.0,
                                                        mirror_groups=()))
-x = tight.indicator_matrix()
+x = tight.indicators
 names = tight.indicator_names
 i, j = names.index("PERC_NEET"), names.index("PERC_LAUREATI")
 print(f"\ngroup_correlation=1.0 -> |r({names[i]}, {names[j]})| = "

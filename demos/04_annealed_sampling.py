@@ -40,7 +40,7 @@ def estimate(traces, last_n):
 dataset = synth_dataset(400, seed=20240811)
 graph = build_graph(dataset)
 field = external_field(pca(build_composites(dataset)))
-y_ref = dataset.target()
+y_ref = dataset.target
 
 print("=== continuous-spin Metropolis on [-1, 1] ===")
 model = EnergyModel(graph, field, lambda_reg=1.0)

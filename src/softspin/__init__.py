@@ -8,7 +8,6 @@ from .data import (
     IndicatorSpec,
     LoadResult,
     SynthParams,
-    UnitRecord,
     load_dataset,
     save_dataset,
     scale_target,

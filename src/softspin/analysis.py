@@ -15,7 +15,7 @@ from scipy.linalg import qr as _pivoted_qr
 
 from .data import Dataset
 from .errors import AllCollinear, DataError
-from .indices import CompositeMatrix
+from .indices import _as_matrix
 
 _PIVOT_TOL = 1e-10
 
@@ -113,15 +113,6 @@ class AssociationTable:
     spearman: np.ndarray
 
 
-def _composite_values(composite, names=None) -> tuple[np.ndarray, tuple[str, ...]]:
-    if isinstance(composite, CompositeMatrix):
-        return composite.values, composite.index_names
-    x = np.asarray(composite, dtype=float)
-    if names is None:
-        names = tuple(f"C{j + 1}" for j in range(x.shape[1]))
-    return x, tuple(names)
-
-
 def residual_associations(residuals, composite, names=None) -> AssociationTable:
     """Linear and rank association of the residuals with every composite.
 
@@ -129,7 +120,7 @@ def residual_associations(residuals, composite, names=None) -> AssociationTable:
     input) come back as NaN, reported downstream as missing.
     """
     r = np.asarray(residuals, dtype=float)
-    x, names = _composite_values(composite, names)
+    x, names = _as_matrix(composite, names)
     if r.shape[0] != x.shape[0] or r.shape[0] < 3:
         raise DataError("residual associations need matching vectors with N >= 3")
     r_ranks = average_ranks(r)
@@ -189,7 +180,7 @@ def ols_standardized(residuals, composite, names=None, *, tol: float = _PIVOT_TO
     exactly duplicated composite drops out of the fit.
     """
     y = np.asarray(residuals, dtype=float)
-    x, names = _composite_values(composite, names)
+    x, names = _as_matrix(composite, names)
     if y.shape[0] != x.shape[0] or y.shape[0] <= x.shape[1]:
         raise DataError("need more observations than regressors")
     zy = _zscore_columns(y.reshape(-1, 1))[:, 0]
@@ -216,7 +207,7 @@ def baseline_lm(y, composite, *, tol: float = _PIVOT_TOL) -> BaselineFit:
     and reports in-sample RMSE and MAE for the benchmark table.
     """
     y = np.asarray(y, dtype=float)
-    x, _ = _composite_values(composite)
+    x, _ = _as_matrix(composite)
     if y.shape[0] != x.shape[0] or y.shape[0] <= x.shape[1] + 1:
         raise DataError("need more observations than coefficients")
     design = np.column_stack([np.ones(y.shape[0]), x])
@@ -269,12 +260,12 @@ def group_summaries(
     plain means, and the relative difference uses the group means.
     """
     classes = dataset.profile_column(attribute)
-    types = dataset.center_periph_labels()
-    values = None if composite is None else _composite_values(composite)[0]
-    keys = sorted({(t, int(c)) for t, c in zip(types, classes)})
+    types = np.array(dataset.center_periph_labels())
+    values = None if composite is None else _as_matrix(composite)[0]
+    keys = sorted(set(zip(types.tolist(), classes.tolist())))
     rows = []
     for t, c in keys:
-        mask = np.array([ti == t and int(ci) == c for ti, ci in zip(types, classes)])
+        mask = (types == t) & (classes == c)
         n = int(mask.sum())
         ref_mean = float(results.y_ref[mask].mean())
         est_mean = float(results.y_est[mask].mean())

@@ -297,7 +297,7 @@ def resolve_config(tree: dict) -> RunConfig:
             if cfg.raw[section].get("seed") is None:
                 cfg.raw[section]["seed"] = cfg.seed + offset
         _validate(cfg)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed configuration value: {exc}") from exc
     return cfg
 
@@ -310,8 +310,10 @@ def _validate(cfg: RunConfig) -> None:
     cfg.synth_params()
     cfg.directions()
     # read only for their types; the stages use them later
-    (cfg.out, cfg.synth_seed, cfg.indices_ddof, cfg.truncate_components,
-     cfg.likelihood_temperature)
+    cfg.out, cfg.synth_seed, cfg.indices_ddof, cfg.truncate_components
+    t_like = cfg.likelihood_temperature
+    if t_like is not None and not t_like > 0:
+        raise ConfigError("model: temperature must be > 0")
     try:
         spec = cfg.batch_spec()
     except ConfigError as exc:

@@ -1,12 +1,12 @@
 """Unit-level dataset: loading, validation, target scaling, synthetic generation.
 
-A record describes one territorial unit: an opaque id, a five-attribute
-categorical profile (ALT, POP, SUP, CLITO, DEGURB), a set of real-valued
-base indicators grouped into composite indices, and an observed target
-expressed as a percentage in [0, 100]. Records with any missing required
-value are rejected at load time, never imputed. The record order of the
-input file is the canonical unit ordering used by every downstream vector
-and matrix.
+Each territorial unit has an opaque id, a five-attribute categorical profile
+(ALT, POP, SUP, CLITO, DEGURB), a set of real-valued base indicators grouped
+into composite indices, and an observed target expressed as a percentage in
+[0, 100]. A dataset holds these as columns, one entry per unit. Rows with
+any missing required value are rejected at load time, never imputed. The row
+order of the input file is the canonical unit ordering used by every
+downstream vector and matrix.
 """
 
 from __future__ import annotations
@@ -101,67 +101,49 @@ def indicator_groups(spec: Sequence[IndicatorSpec]) -> dict[str, list[IndicatorS
 
 
 @dataclass(frozen=True)
-class UnitRecord:
-    unit_id: str
-    profile: tuple[int, int, int, int, int]
-    indicators: Mapping[str, float]
-    target_observed: float
-    center_periph: str | None = None
-
-
-@dataclass
 class Dataset:
-    """Ordered collection of unit records plus the indicator table.
+    """Per-unit columns in file order, plus the indicator table.
 
-    ``target_observed`` values are raw percents; scaling into the simulation
-    domain happens lazily through :func:`scale_target`.
+    ``profiles`` is N x 5 in ``PROFILE_COLUMNS`` order, ``indicators`` is
+    N x M in ``spec`` order and ``target`` holds raw percents; scaling into
+    the simulation domain happens through :func:`scale_target`. Every reader
+    shares the three arrays, so they are read-only.
     """
 
-    records: list[UnitRecord]
-    spec: list[IndicatorSpec]
+    unit_ids: tuple[str, ...]
+    profiles: np.ndarray
+    indicators: np.ndarray
+    target: np.ndarray
+    center_periph: tuple[str | None, ...]
+    spec: tuple[IndicatorSpec, ...]
 
     def __post_init__(self):
+        for name, dtype in (("profiles", int), ("indicators", float), ("target", float)):
+            column = np.array(getattr(self, name), dtype=dtype)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
         seen = set()
-        for rec in self.records:
-            if rec.unit_id in seen:
-                raise DuplicateUnitId(rec.unit_id)
-            seen.add(rec.unit_id)
+        for unit_id in self.unit_ids:
+            if unit_id in seen:
+                raise DuplicateUnitId(unit_id)
+            seen.add(unit_id)
 
     @property
     def n(self) -> int:
-        return len(self.records)
-
-    @property
-    def unit_ids(self) -> list[str]:
-        return [rec.unit_id for rec in self.records]
+        return len(self.unit_ids)
 
     @property
     def indicator_names(self) -> list[str]:
         return [item.name for item in self.spec]
 
-    def indicator_matrix(self) -> np.ndarray:
-        """N x M matrix of base indicators, columns in spec order."""
-        names = self.indicator_names
-        return np.array(
-            [[rec.indicators[name] for name in names] for rec in self.records],
-            dtype=float,
-        )
-
-    def target(self) -> np.ndarray:
-        return np.array([rec.target_observed for rec in self.records], dtype=float)
-
-    def profiles(self) -> np.ndarray:
-        return np.array([rec.profile for rec in self.records], dtype=int)
-
     def profile_column(self, attribute: str) -> np.ndarray:
         if attribute not in PROFILE_COLUMNS:
             raise DataError(f"unknown territorial attribute {attribute!r}")
-        k = PROFILE_COLUMNS.index(attribute)
-        return self.profiles()[:, k]
+        return self.profiles[:, PROFILE_COLUMNS.index(attribute)]
 
     def center_periph_labels(self) -> list[str]:
         """Descriptive type label per unit; 'All' when the column is absent."""
-        return [rec.center_periph or "All" for rec in self.records]
+        return [label or "All" for label in self.center_periph]
 
 
 @dataclass
@@ -177,11 +159,13 @@ def _is_missing(value) -> bool:
     return value is None or str(value).strip() == ""
 
 
-def _parse_int(raw, row, column):
+def _parse_category(raw, row, column):
     try:
         value = int(str(raw).strip())
     except ValueError:
         raise BadCategory(row, column, raw) from None
+    if value not in PROFILE_DOMAINS[column]:
+        raise BadCategory(row, column, raw)
     return value
 
 
@@ -212,7 +196,7 @@ def load_dataset(
     fatal); rows with out-of-domain categories, out-of-range targets or
     duplicate ids raise. Row numbers in errors are 1-based data rows.
     """
-    spec = list(spec)
+    spec = tuple(spec)
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh, delimiter=delimiter)
@@ -225,41 +209,27 @@ def load_dataset(
                 raise MissingColumn(name)
         has_type = center_periph_column in header
 
-        records: list[UnitRecord] = []
-        seen_ids: set[str] = set()
+        ids, profiles, indicators, targets, labels = [], [], [], [], []
         rejected: list[int] = []
         for row_no, row in enumerate(reader, start=1):
             if any(_is_missing(row.get(name)) for name in required):
                 rejected.append(row_no)
                 continue
-            unit_id = str(row[unit_id_column]).strip()
-            profile = []
-            for col in PROFILE_COLUMNS:
-                value = _parse_int(row[col], row_no, col)
-                if value not in PROFILE_DOMAINS[col]:
-                    raise BadCategory(row_no, col, row[col])
-                profile.append(value)
-            indicators = {
-                item.name: _parse_float(row[item.name], row_no, item.name)
-                for item in spec
-            }
+            ids.append(str(row[unit_id_column]).strip())
+            profiles.append([_parse_category(row[col], row_no, col) for col in PROFILE_COLUMNS])
+            indicators.append([_parse_float(row[item.name], row_no, item.name) for item in spec])
             target = _parse_float(row[target_column], row_no, target_column)
             if not 0.0 <= target <= 100.0:
                 raise TargetOutOfRange(row_no, target)
-            center_periph = None
+            targets.append(target)
+            label = None
             if has_type and not _is_missing(row.get(center_periph_column)):
                 label = str(row[center_periph_column]).strip()
                 if label not in CENTER_PERIPH_LABELS:
                     raise BadCategory(row_no, center_periph_column, label)
-                center_periph = label
-            if unit_id in seen_ids:
-                raise DuplicateUnitId(unit_id)
-            seen_ids.add(unit_id)
-            records.append(
-                UnitRecord(unit_id, tuple(profile), indicators, target, center_periph)
-            )
+            labels.append(label)
 
-    dataset = Dataset(records, spec)
+    dataset = Dataset(tuple(ids), profiles, indicators, targets, tuple(labels), spec)
     return LoadResult(dataset, len(rejected), rejected)
 
 
@@ -280,16 +250,12 @@ def save_dataset(
         writer.writerow(
             [unit_id_column, *PROFILE_COLUMNS, *names, target_column, center_periph_column]
         )
-        for rec in dataset.records:
-            writer.writerow(
-                [
-                    rec.unit_id,
-                    *rec.profile,
-                    *(repr(rec.indicators[name]) for name in names),
-                    repr(rec.target_observed),
-                    rec.center_periph or "",
-                ]
-            )
+        # .tolist() gives Python floats, whose repr is the bare shortest digits
+        for unit_id, profile, values, target, label in zip(
+            dataset.unit_ids, dataset.profiles.tolist(), dataset.indicators.tolist(),
+            dataset.target.tolist(), dataset.center_periph,
+        ):
+            writer.writerow([unit_id, *profile, *map(repr, values), repr(target), label or ""])
     return path
 
 
@@ -311,7 +277,7 @@ def unscale_values(s, domain: Domain) -> np.ndarray:
 
 def scale_target(dataset: Dataset, domain: Domain) -> np.ndarray:
     """Reference configuration of the system in the requested domain."""
-    return scale_values(dataset.target(), domain)
+    return scale_values(dataset.target, domain)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +337,7 @@ class SynthParams:
 def synth_dataset(
     n_units: int, seed: int, params: SynthParams = SynthParams()
 ) -> Dataset:
-    """Generate a deterministic synthetic dataset of ``n_units`` records.
+    """Generate a deterministic synthetic dataset of ``n_units`` units.
 
     Pure function of (n_units, seed, params): profiles are drawn from the
     configured category frequencies, indicators from a one-factor-per-group
@@ -381,7 +347,7 @@ def synth_dataset(
     if n_units < 2:
         raise DataError("n_units must be >= 2")
     rng = np.random.default_rng(seed)
-    spec = list(params.indicators)
+    spec = tuple(params.indicators)
     groups = indicator_groups(spec)
 
     profiles = {
@@ -427,14 +393,11 @@ def synth_dataset(
 
     hub = rng.random(n_units) < params.center_hub_frac
     width = len(str(n_units))
-    records = [
-        UnitRecord(
-            unit_id=f"U{i + 1:0{width}d}",
-            profile=tuple(int(profiles[col][i]) for col in PROFILE_COLUMNS),
-            indicators={name: float(columns[name][i]) for name in (it.name for it in spec)},
-            target_observed=float(target[i]),
-            center_periph=CENTER_PERIPH_LABELS[0] if hub[i] else CENTER_PERIPH_LABELS[1],
-        )
-        for i in range(n_units)
-    ]
-    return Dataset(records, spec)
+    return Dataset(
+        unit_ids=tuple(f"U{i + 1:0{width}d}" for i in range(n_units)),
+        profiles=np.column_stack([profiles[col] for col in PROFILE_COLUMNS]),
+        indicators=np.column_stack([columns[item.name] for item in spec]),
+        target=target,
+        center_periph=tuple(np.where(hub, *CENTER_PERIPH_LABELS).tolist()),
+        spec=spec,
+    )

@@ -109,19 +109,21 @@ def grad(model: EnergyModel, s, sums: GroupSums | None = None) -> np.ndarray:
     return -nb - model.field + model.lambda_reg * x
 
 
-def energy_ratio(h: float, h_ref: float) -> float:
-    """Ratio of a configuration's energy to the reference energy."""
+def energy_ratio(h, h_ref: float):
+    """Ratio of configuration energies (a scalar or an array) to the
+    reference energy."""
     if h_ref == 0.0:
         raise ZeroDivisionError("reference energy is zero")
     return h / h_ref
 
 
-def log_likelihood_ratio(h: float, h_ref: float, temperature: float) -> float:
+def log_likelihood_ratio(h, h_ref: float, temperature):
     """Log of the Boltzmann probability ratio at fixed temperature.
 
     Positive when the sampled state is more probable than the reference;
-    the intractable normalizing constant cancels in the ratio.
+    the intractable normalizing constant cancels in the ratio. ``h`` and
+    ``temperature`` may be scalars or arrays of matching length.
     """
-    if not temperature > 0:
+    if not np.all(temperature > 0):
         raise DataError("temperature must be > 0")
     return -(h - h_ref) / temperature

@@ -47,11 +47,11 @@ class InteractionGraph:
 
 def build_graph(dataset: Dataset) -> InteractionGraph:
     """Group units by exact equality of all five profile attributes."""
-    ids: dict[tuple[int, ...], int] = {}
-    group_of = np.empty(dataset.n, dtype=np.int64)
-    for i, rec in enumerate(dataset.records):
-        gid = ids.setdefault(rec.profile, len(ids))
-        group_of[i] = gid
+    ids: dict[tuple[int, ...], int] = {}  # group ids in order of first appearance
+    group_of = np.array(
+        [ids.setdefault(tuple(p), len(ids)) for p in dataset.profiles.tolist()],
+        dtype=np.int64,
+    )
     n_groups = len(ids)
     sizes = np.bincount(group_of, minlength=n_groups)
     members = tuple(np.nonzero(group_of == g)[0] for g in range(n_groups))

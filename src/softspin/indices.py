@@ -105,7 +105,7 @@ def build_composites(
 ) -> CompositeMatrix:
     """Standardize the base indicators and aggregate them group by group."""
     directions = directions or {}
-    x = dataset.indicator_matrix()
+    x = dataset.indicators
     spec = dataset.spec
     groups = indicator_groups(spec)
     names = dataset.indicator_names
@@ -133,11 +133,15 @@ def build_composites(
     return CompositeMatrix(values, index_names, dirs, stats)
 
 
-def _as_matrix(c) -> tuple[np.ndarray, tuple[str, ...]]:
+def _as_matrix(c, names=None) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Values and column names of a ``CompositeMatrix`` or of a plain N x K
+    array, whose columns are named ``names`` or else C1..Ck."""
     if isinstance(c, CompositeMatrix):
         return np.asarray(c.values, dtype=float), c.index_names
     x = np.asarray(c, dtype=float)
-    return x, tuple(f"C{j + 1}" for j in range(x.shape[1]))
+    if names is None:
+        names = (f"C{j + 1}" for j in range(x.shape[1]))
+    return x, tuple(names)
 
 
 def _standardized(x: np.ndarray, names: tuple[str, ...], ddof: int) -> np.ndarray:

@@ -35,15 +35,21 @@ from .conformal import (
 from .config import RunConfig, config_hash, manifest_config
 from .data import (
     PROFILE_COLUMNS,
-    Dataset,
     Domain,
+    LoadResult,
     load_dataset,
     save_dataset,
     scale_target,
     synth_dataset,
     unscale_values,
 )
-from .energy import EnergyModel, SpinConfiguration, hamiltonian
+from .energy import (
+    EnergyModel,
+    SpinConfiguration,
+    energy_ratio,
+    hamiltonian,
+    log_likelihood_ratio,
+)
 from .errors import ConfigError, MissingArtifact
 from .graph import build_graph, spectrum_extremes
 from .indices import build_composites, correlation_matrix, external_field, pca
@@ -51,22 +57,16 @@ from .reports import (
     read_column,
     read_comparison,
     read_table,
-    write_associations,
     write_benchmark,
+    write_columns,
     write_comparison,
-    write_composites,
-    write_energy_trace,
-    write_external_field,
     write_field_diagnostics,
     write_graph_summary,
     write_group_mpi,
     write_group_summaries,
     write_group_table,
     write_json,
-    write_ols,
     write_six_number_table,
-    write_uncertainty_table,
-    write_unit_results,
 )
 from .sampler import Engine, pooled_retained, run_parallel
 
@@ -83,13 +83,14 @@ def _require(path: Path, stage: str) -> Path:
     return path
 
 
-def _load_dataset(cfg: RunConfig, out: Path) -> Dataset:
+def _dataset_path(cfg: RunConfig, out: Path) -> Path:
     if cfg.dataset_path is not None:
-        path = _require(Path(cfg.dataset_path), "dataset")
-    else:
-        path = _require(artifact(out, "dataset.csv"), "synth")
-    result = load_dataset(path, cfg.indicator_spec(), **cfg.dataset_options)
-    return result.dataset
+        return _require(Path(cfg.dataset_path), "dataset")
+    return _require(artifact(out, "dataset.csv"), "synth")
+
+
+def _load_dataset(cfg: RunConfig, out: Path) -> LoadResult:
+    return load_dataset(_dataset_path(cfg, out), cfg.indicator_spec(), **cfg.dataset_options)
 
 
 def _read_composites(cfg: RunConfig, out: Path):
@@ -135,14 +136,10 @@ def stage_synth(cfg: RunConfig, out: Path) -> list[Path]:
 
 def stage_validate(cfg: RunConfig, out: Path) -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
-    if cfg.dataset_path is not None:
-        path = _require(Path(cfg.dataset_path), "dataset")
-    else:
-        path = _require(artifact(out, "dataset.csv"), "synth")
-    result = load_dataset(path, cfg.indicator_spec(), **cfg.dataset_options)
+    result = _load_dataset(cfg, out)
     d = result.dataset
     lines = [
-        f"source: {path.name}",
+        f"source: {_dataset_path(cfg, out).name}",
         f"accepted records: {d.n}",
         f"rejected records: {result.n_rejected}",
         f"rejected rows: {','.join(map(str, result.rejected_rows)) or '-'}",
@@ -156,7 +153,7 @@ def stage_validate(cfg: RunConfig, out: Path) -> list[Path]:
 
 def stage_field(cfg: RunConfig, out: Path) -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
-    dataset = _load_dataset(cfg, out)
+    dataset = _load_dataset(cfg, out).dataset
     composites = build_composites(
         dataset, directions=cfg.directions(), ddof=cfg.indices_ddof
     )
@@ -164,16 +161,19 @@ def stage_field(cfg: RunConfig, out: Path) -> list[Path]:
     summary = pca(composites, ddof=cfg.indices_ddof)
     field = external_field(summary, cfg.truncate_components)
     return [
-        write_composites(artifact(out, "composites.csv"), dataset,
-                         composites.values, composites.index_names),
-        write_external_field(artifact(out, "external_field.csv"), dataset, field.h),
+        write_columns(artifact(out, "composites.csv"), {
+            "unit_id": dataset.unit_ids,
+            **dict(zip(composites.index_names, composites.values.T)),
+        }),
+        write_columns(artifact(out, "external_field.csv"),
+                      {"unit_id": dataset.unit_ids, "h": field.h}),
         write_field_diagnostics(artifact(out, "field_diagnostics.txt"), corr, summary),
     ]
 
 
 def stage_graph(cfg: RunConfig, out: Path) -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
-    dataset = _load_dataset(cfg, out)
+    dataset = _load_dataset(cfg, out).dataset
     graph = build_graph(dataset)
     lam_max, lam_min = spectrum_extremes(graph)
     return [
@@ -184,7 +184,7 @@ def stage_graph(cfg: RunConfig, out: Path) -> list[Path]:
 
 def stage_simulate(cfg: RunConfig, out: Path, engines=None) -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
-    dataset = _load_dataset(cfg, out)
+    dataset = _load_dataset(cfg, out).dataset
     field = _read_field(cfg, out)
     graph = build_graph(dataset)
     written: list[Path] = []
@@ -199,12 +199,10 @@ def stage_simulate(cfg: RunConfig, out: Path, engines=None) -> list[Path]:
         traces = run_parallel(model, chain_cfg, s_ref, k,
                               base_seed=chain_cfg.seed, workers=cfg.workers)
         for idx, trace in enumerate(traces):
-            written.append(
-                write_energy_trace(
-                    artifact(out, f"trace_{engine.value}_{idx:02d}.csv"),
-                    trace.energy_iterations, trace.energies,
-                )
-            )
+            written.append(write_columns(
+                artifact(out, f"trace_{engine.value}_{idx:02d}.csv"),
+                {"iteration": trace.energy_iterations, "energy": trace.energies},
+            ))
         configs, energies = pooled_retained(traces)
         for name, arr in (("configs", configs), ("energies", energies)):
             path = artifact(out, f"retained_{engine.value}_{name}.npy")
@@ -216,9 +214,9 @@ def stage_simulate(cfg: RunConfig, out: Path, engines=None) -> list[Path]:
             "n_units": dataset.n,
             "k_chains": k,
             "base_seed": chain_cfg.seed,
-            "seeds": [t.seed for t in traces],
+            "seeds": [t.config.seed for t in traces],
             "n_iters": chain_cfg.n_iters,
-            "burn_in": traces[0].burn_in,
+            "burn_in": chain_cfg.burn_in(),
             "thin": chain_cfg.thin,
             "retain_last": chain_cfg.retain_last,
             "retained_first_iteration": chain_cfg.retained_iterations().start,
@@ -251,9 +249,9 @@ def _read_retained(out: Path, engine: Engine, names: tuple[str, ...]):
 
 def stage_conformal(cfg: RunConfig, out: Path, engines=None) -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
-    dataset = _load_dataset(cfg, out)
+    dataset = _load_dataset(cfg, out).dataset
     spec = cfg.batch_spec()
-    y_obs = dataset.target()
+    y_obs = dataset.target
     written: list[Path] = []
     for engine in engines or cfg.engines:
         meta, arrays = _read_retained(out, engine, ("configs",))
@@ -271,14 +269,15 @@ def stage_conformal(cfg: RunConfig, out: Path, engines=None) -> list[Path]:
         primary = splits[0]  # seed spec.seed, the single-split interval
         summary = coverage_adaptivity(splits, y_obs)
         written += [
-            write_uncertainty_table(
-                artifact(out, f"uncertainty_{engine.value}.csv"),
-                dataset.unit_ids, y_obs, y_est, primary.lo, primary.hi, primary.covered,
-            ),
-            write_unit_results(
-                artifact(out, f"unit_results_{engine.value}.csv"),
-                dataset.unit_ids, summary.coverage, summary.adaptivity,
-            ),
+            write_columns(artifact(out, f"uncertainty_{engine.value}.csv"), {
+                "unit_id": dataset.unit_ids, "y_ref": y_obs, "y_est": y_est,
+                "lo": primary.lo, "hi": primary.hi, "width": primary.width,
+                "covered": primary.covered,
+            }),
+            write_columns(artifact(out, f"unit_results_{engine.value}.csv"), {
+                "unit_id": dataset.unit_ids, "coverage": summary.coverage,
+                "adaptivity": summary.adaptivity,
+            }),
             write_six_number_table(
                 artifact(out, f"coverage_adaptivity_{engine.value}.csv"),
                 {"coverage": summary.coverage_summary,
@@ -290,9 +289,9 @@ def stage_conformal(cfg: RunConfig, out: Path, engines=None) -> list[Path]:
 
 def stage_analyze(cfg: RunConfig, out: Path, engines=None) -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
-    dataset = _load_dataset(cfg, out)
+    dataset = _load_dataset(cfg, out).dataset
     comp_values, comp_names = _read_composites(cfg, out)
-    y_ref = dataset.target()
+    y_ref = dataset.target
     written: list[Path] = []
     benchmark_rows: list[tuple[str, float, float]] = []
     fit = baseline_lm(y_ref, comp_values)
@@ -305,18 +304,13 @@ def stage_analyze(cfg: RunConfig, out: Path, engines=None) -> list[Path]:
             write_comparison(artifact(out, f"comparison_{engine.value}.csv"), report)
         )
         residuals = y_ref - y_est
-        written.append(
-            write_associations(
-                artifact(out, f"residual_mpi_{engine.value}.csv"),
-                residual_associations(residuals, comp_values, comp_names),
-            )
-        )
-        written.append(
-            write_ols(
-                artifact(out, f"ols_{engine.value}.csv"),
-                ols_standardized(residuals, comp_values, comp_names),
-            )
-        )
+        assoc = residual_associations(residuals, comp_values, comp_names)
+        written.append(write_columns(artifact(out, f"residual_mpi_{engine.value}.csv"), {
+            "index": assoc.index_names, "pearson": assoc.pearson, "spearman": assoc.spearman,
+        }))
+        ols = ols_standardized(residuals, comp_values, comp_names)
+        written.append(write_columns(artifact(out, f"ols_{engine.value}.csv"),
+                                     {"index": ols.index_names, "beta_std": ols.beta_std}))
 
         meta, arrays = _read_retained(out, engine, ("energies",))
         h_ref = float(meta["h_ref"])
@@ -327,16 +321,15 @@ def stage_analyze(cfg: RunConfig, out: Path, engines=None) -> list[Path]:
             np.full(energies.shape[0], t_like) if t_like is not None
             else np.tile(temps, meta["retain_last"])
         )
-        log_ratio = -(energies - h_ref) / per_snapshot_t
-        if h_ref != 0.0:
-            ratios = energies / h_ref
-            table = {
-                "energy_ratio": six_number(ratios),
-                "log_likelihood_ratio": six_number(log_ratio),
-            }
-        else:  # ratio undefined at zero reference energy
-            nan6 = six_number([np.nan])
-            table = {"energy_ratio": nan6, "log_likelihood_ratio": six_number(log_ratio)}
+        table = {
+            # the ratio is undefined at zero reference energy
+            "energy_ratio": six_number(
+                energy_ratio(energies, h_ref) if h_ref != 0.0 else [np.nan]
+            ),
+            "log_likelihood_ratio": six_number(
+                log_likelihood_ratio(energies, h_ref, per_snapshot_t)
+            ),
+        }
         written.append(
             write_six_number_table(artifact(out, f"energy_ratio_{engine.value}.csv"), table)
         )

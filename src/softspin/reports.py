@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import AssociationTable, ComparisonReport, GroupSummary, OLSResult
+from .analysis import ComparisonReport, GroupSummary
 from .conformal import SixNumber
 from .data import PROFILE_COLUMNS, Dataset
 from .graph import InteractionGraph
@@ -43,6 +43,11 @@ def write_table(path, header, rows) -> Path:
         for row in rows:
             writer.writerow([_cell(v) for v in row])
     return path
+
+
+def write_columns(path, columns: dict) -> Path:
+    """A table with one column per entry of ``columns`` (header -> values)."""
+    return write_table(path, list(columns), zip(*columns.values()))
 
 
 def read_table(path) -> tuple[list[str], list[list[str]]]:
@@ -88,17 +93,6 @@ def write_field_diagnostics(path, corr: np.ndarray, summary: PCASummary) -> Path
     return path
 
 
-def write_composites(path, dataset: Dataset, values: np.ndarray, names) -> Path:
-    header = ["unit_id", *names]
-    rows = [[uid, *values[i]] for i, uid in enumerate(dataset.unit_ids)]
-    return write_table(path, header, rows)
-
-
-def write_external_field(path, dataset: Dataset, h: np.ndarray) -> Path:
-    rows = [[uid, h[i]] for i, uid in enumerate(dataset.unit_ids)]
-    return write_table(path, ["unit_id", "h"], rows)
-
-
 # ---------------------------------------------------------------------------
 # Graph exports
 
@@ -126,12 +120,7 @@ def write_graph_summary(path, graph: InteractionGraph, lam_max: float, lam_min: 
 
 
 # ---------------------------------------------------------------------------
-# Sampler exports
-
-def write_energy_trace(path, iterations, energies) -> Path:
-    rows = zip(np.asarray(iterations), np.asarray(energies))
-    return write_table(path, ["iteration", "energy"], rows)
-
+# JSON documents (retained-pool metadata, manifest)
 
 def write_json(path, payload: dict) -> Path:
     path = Path(path)
@@ -143,20 +132,6 @@ def write_json(path, payload: dict) -> Path:
 
 # ---------------------------------------------------------------------------
 # Conformal and analysis tables
-
-def write_uncertainty_table(path, unit_ids, y_ref, y_est, lo, hi, covered) -> Path:
-    header = ["unit_id", "y_ref", "y_est", "lo", "hi", "width", "covered"]
-    rows = [
-        [uid, y_ref[i], y_est[i], lo[i], hi[i], hi[i] - lo[i], bool(covered[i])]
-        for i, uid in enumerate(unit_ids)
-    ]
-    return write_table(path, header, rows)
-
-
-def write_unit_results(path, unit_ids, coverage, adaptivity) -> Path:
-    rows = [[uid, coverage[i], adaptivity[i]] for i, uid in enumerate(unit_ids)]
-    return write_table(path, ["unit_id", "coverage", "adaptivity"], rows)
-
 
 def write_six_number_table(path, rows: dict[str, SixNumber]) -> Path:
     header = ["metric", "min", "q1", "median", "mean", "q3", "max"]
@@ -188,22 +163,6 @@ def read_comparison(path) -> dict[str, float]:
     for name, value in rows:
         out[name] = math.nan if value == "NA" else float(value)
     return out
-
-
-def write_associations(path, table: AssociationTable) -> Path:
-    rows = [
-        [name, table.pearson[j], table.spearman[j]]
-        for j, name in enumerate(table.index_names)
-    ]
-    return write_table(path, ["index", "pearson", "spearman"], rows)
-
-
-def write_ols(path, result: OLSResult) -> Path:
-    rows = [
-        [name, result.beta_std[j] if result.estimated[j] else None]
-        for j, name in enumerate(result.index_names)
-    ]
-    return write_table(path, ["index", "beta_std"], rows)
 
 
 def write_group_summaries(path, rows: list[GroupSummary]) -> Path:

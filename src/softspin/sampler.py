@@ -115,16 +115,15 @@ class ChainConfig:
             raise ConfigError("chain: recompute_every must be >= 1")
         if self.retain_last < 0:
             raise ConfigError("chain: retain_last must be >= 0")
-        capacity = (self.n_iters - self.burn_in(self.n_iters)) // self.thin
+        capacity = (self.n_iters - self.burn_in()) // self.thin
         if self.retain_last > capacity:
             raise ConfigError(
                 f"chain: retain_last={self.retain_last} exceeds the "
                 f"{capacity} post-burn-in thinned snapshots available"
             )
 
-    def burn_in(self, n_iters: int | None = None) -> int:
-        n = self.n_iters if n_iters is None else n_iters
-        return int(self.burn_in_frac * n)
+    def burn_in(self) -> int:
+        return int(self.burn_in_frac * self.n_iters)
 
     def retained_iterations(self) -> range:
         """Iterations of the retained snapshots, oldest first: the last
@@ -250,29 +249,26 @@ def langevin_step(model: EnergyModel, state: ChainState,
 
 @dataclass
 class ChainTrace:
-    """Everything a finished chain leaves behind.
+    """What a finished chain leaves behind beyond its ``config``.
 
     ``energies`` is the strided energy series (iteration 0 included);
     ``retained`` holds the snapshots at ``config.retained_iterations()``
     in chronological order, with their energies in ``retained_energies``.
     """
 
-    engine: Engine
     domain: Domain
-    seed: int
     energies: np.ndarray
     energy_iterations: np.ndarray
     retained: np.ndarray
     retained_energies: np.ndarray
     accept_count: int
     final_temperature: float
-    n_iters: int
-    burn_in: int
     config: ChainConfig
 
     @property
     def acceptance_rate(self) -> float:
-        return self.accept_count / self.n_iters if self.n_iters else 0.0
+        n_iters = self.config.n_iters
+        return self.accept_count / n_iters if n_iters else 0.0
 
 
 def run_chain(model: EnergyModel, cfg: ChainConfig, s_ref: SpinConfiguration) -> ChainTrace:
@@ -335,17 +331,13 @@ def run_chain(model: EnergyModel, cfg: ChainConfig, s_ref: SpinConfiguration) ->
 
     accept_count = accepts if is_metropolis else cfg.n_iters
     return ChainTrace(
-        engine=cfg.engine,
         domain=s_ref.domain,
-        seed=cfg.seed,
         energies=energies[:rec],
         energy_iterations=energy_iters[:rec],
         retained=retained,
         retained_energies=retained_energy,
         accept_count=int(accept_count),
         final_temperature=state.temperature,
-        n_iters=cfg.n_iters,
-        burn_in=cfg.burn_in(),
         config=cfg,
     )
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from softspin.data import Dataset, IndicatorSpec, UnitRecord
+from softspin.data import Dataset, IndicatorSpec
 from softspin.graph import InteractionGraph
 
 
@@ -40,16 +40,14 @@ def tiny_dataset(profiles, targets, indicator_values=None, spec=None) -> Dataset
     if indicator_values is None:
         rng = np.random.default_rng(0)
         indicator_values = rng.normal(50.0, 10.0, size=(n, len(spec)))
-    records = [
-        UnitRecord(
-            unit_id=f"u{i}",
-            profile=tuple(profiles[i]),
-            indicators={s.name: float(indicator_values[i][j]) for j, s in enumerate(spec)},
-            target_observed=float(targets[i]),
-        )
-        for i in range(n)
-    ]
-    return Dataset(records, list(spec))
+    return Dataset(
+        unit_ids=tuple(f"u{i}" for i in range(n)),
+        profiles=profiles,
+        indicators=indicator_values,
+        target=targets,
+        center_periph=(None,) * n,
+        spec=tuple(spec),
+    )
 
 
 @pytest.fixture

@@ -115,9 +115,18 @@ class TestPipeline:
         assert main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 2
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_non_positive_temperature_fails_at_load(self, tmp_path, value):
+        tree = dict(TINY, model={"temperature": value})
+        cfg_path = write_config(tmp_path, tree)
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert not out.exists() or not any(out.iterdir())
+
     @pytest.mark.parametrize("key", [
         "ising.n_iters", "conformal.alpha", "langevin.k_chains", "workers",
         "indices.ddof", "model.temperature", "seed", "synth.group_correlation",
+        "indices.directions", "synth.profile_weights",
     ])
     def test_non_numeric_value_fails_at_load(self, tmp_path, key):
         tree = json.loads(json.dumps(TINY))

@@ -43,8 +43,8 @@ class TestLoad:
         result = load_dataset(path, SPEC)
         assert result.dataset.n == 3
         assert result.n_rejected == 0
-        assert result.dataset.unit_ids == ["u1", "u2", "u3"]
-        assert result.dataset.records[1].profile == (2, 1, 2, 0, 2)
+        assert result.dataset.unit_ids == ("u1", "u2", "u3")
+        assert result.dataset.profiles[1].tolist() == [2, 1, 2, 0, 2]
 
     def test_bad_category_names_row(self, tmp_path):
         path = write_csv(tmp_path, [
@@ -107,7 +107,7 @@ class TestLoad:
         )
         result = load_dataset(path, SPEC, delimiter=";")
         assert result.dataset.n == 1
-        assert result.dataset.records[0].indicators["A"] == 10.5
+        assert result.dataset.indicators[0, 0] == 10.5
 
     def test_center_periph_column(self, tmp_path):
         header = HEADER + ",center_periph"
@@ -116,8 +116,7 @@ class TestLoad:
             "u2,2,1,2,0,2,11.0,2.9,7.5,",
         ], header=header)
         d = load_dataset(path, SPEC).dataset
-        assert d.records[0].center_periph == "CentrHub"
-        assert d.records[1].center_periph is None
+        assert d.center_periph == ("CentrHub", None)
         assert d.center_periph_labels() == ["CentrHub", "All"]
 
 
@@ -127,8 +126,8 @@ class TestRoundTrip:
         p1 = save_dataset(d, tmp_path / "a.csv")
         back = load_dataset(p1, d.spec).dataset
         assert back.unit_ids == d.unit_ids
-        np.testing.assert_array_equal(back.target(), d.target())
-        np.testing.assert_array_equal(back.indicator_matrix(), d.indicator_matrix())
+        np.testing.assert_array_equal(back.target, d.target)
+        np.testing.assert_array_equal(back.indicators, d.indicators)
         # byte-identical re-serialization of the accepted rows
         p2 = save_dataset(back, tmp_path / "b.csv")
         assert p1.read_bytes() == p2.read_bytes()
@@ -161,7 +160,7 @@ class TestScaling:
         d = synth_dataset(10, seed=2)
         np.testing.assert_array_equal(
             scale_target(d, Domain.ISING_SCALED),
-            scale_values(d.target(), Domain.ISING_SCALED),
+            scale_values(d.target, Domain.ISING_SCALED),
         )
 
 
@@ -170,17 +169,17 @@ class TestSynth:
         a = synth_dataset(10, seed=1)
         b = synth_dataset(10, seed=1)
         assert a.unit_ids == b.unit_ids
-        np.testing.assert_array_equal(a.target(), b.target())
-        np.testing.assert_array_equal(a.indicator_matrix(), b.indicator_matrix())
-        np.testing.assert_array_equal(a.profiles(), b.profiles())
+        np.testing.assert_array_equal(a.target, b.target)
+        np.testing.assert_array_equal(a.indicators, b.indicators)
+        np.testing.assert_array_equal(a.profiles, b.profiles)
 
     def test_paper_scale_invariants(self):
         d = synth_dataset(1383, seed=7)
         assert d.n == 1383
         assert len(set(d.unit_ids)) == 1383
-        t = d.target()
+        t = d.target
         assert np.all((t >= 0) & (t <= 100))
-        profiles = d.profiles()
+        profiles = d.profiles
         assert set(np.unique(profiles[:, 3])) <= {0, 1}
         for col in (0, 1, 2, 4):
             assert set(np.unique(profiles[:, col])) <= {1, 2, 3}
@@ -188,7 +187,7 @@ class TestSynth:
     def test_correlation_knob_unity(self):
         params = SynthParams(group_correlation=1.0, mirror_groups=())
         d = synth_dataset(1000, seed=3, params=params)
-        x = d.indicator_matrix()
+        x = d.indicators
         # PERC_NEET (-1) and PERC_LAUREATI (+1) share the MPI2 factor
         names = d.indicator_names
         i, j = names.index("PERC_NEET"), names.index("PERC_LAUREATI")
@@ -203,6 +202,12 @@ class TestSynth:
         k1 = comp.index_names.index("MPI1")
         k6 = comp.index_names.index("MPI6")
         np.testing.assert_allclose(comp.values[:, k1], comp.values[:, k6], atol=1e-12)
+
+    def test_columns_are_read_only(self):
+        d = synth_dataset(10, seed=2)
+        for column in (d.profiles, d.indicators, d.target):
+            with pytest.raises(ValueError):
+                column[0] = 1
 
     def test_rejects_tiny_n(self):
         with pytest.raises(DataError):

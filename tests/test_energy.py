@@ -179,6 +179,15 @@ class TestRatios:
         with pytest.raises(DataError):
             log_likelihood_ratio(1.0, 2.0, 0.0)
 
+    def test_ratios_on_arrays(self):
+        h = np.array([8.0, 4.0])
+        np.testing.assert_array_equal(energy_ratio(h, 10.0), [0.8, 0.4])
+        np.testing.assert_array_equal(
+            log_likelihood_ratio(h, 10.0, np.array([2.0, 3.0])), [1.0, 2.0]
+        )
+        with pytest.raises(DataError):  # one non-positive temperature is enough
+            log_likelihood_ratio(h, 10.0, np.array([2.0, 0.0]))
+
 
 class TestModelValidation:
     def test_field_length_checked(self):

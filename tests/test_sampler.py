@@ -369,7 +369,7 @@ class TestRunParallel:
         b = run_parallel(model, cfg, ref, k_chains=3, base_seed=100)
         for ta, tb in zip(a, b):
             np.testing.assert_array_equal(ta.retained, tb.retained)
-        assert a[0].seed == 100 and a[2].seed == 102
+        assert a[0].config.seed == 100 and a[2].config.seed == 102
         assert not np.array_equal(a[0].retained, a[1].retained)
 
     def test_worker_count_invariance(self):
@@ -406,10 +406,10 @@ class TestPosteriorMean:
     def _trace_with(self, retained, cfg=GRID, domain=Domain.RAW_PERCENT, seed=0):
         retained = np.asarray(retained, dtype=float)
         return ChainTrace(
-            engine=Engine.ISING, domain=domain, seed=seed,
+            domain=domain,
             energies=np.zeros(1), energy_iterations=np.zeros(1, dtype=np.int64),
             retained=retained, retained_energies=retained[:, 0].copy(),
-            accept_count=0, final_temperature=1.0, n_iters=cfg.n_iters, burn_in=0,
+            accept_count=0, final_temperature=1.0,
             config=replace(cfg, seed=seed),
         )
 
