@@ -11,7 +11,6 @@ import numpy as np
 
 from softspin import (
     build_composites,
-    correlation_matrix,
     external_field,
     pca,
     synth_dataset,
@@ -25,7 +24,8 @@ print("composite columns:", names)
 print("column means (approximately 100):",
       np.round(composites.values.mean(axis=0), 2))
 
-corr = correlation_matrix(composites)
+summary = pca(composites)
+corr = summary.correlation
 print("\ncorrelation matrix:")
 header = "      " + "".join(f"{n:>8}" for n in names)
 print(header)
@@ -34,7 +34,6 @@ for i, n in enumerate(names):
 print(f"\nnote r({names[0]}, {names[-1]}) = {corr[0, -1]:.4f}: "
       "the last group mirrors the first by construction")
 
-summary = pca(composites)
 print("\nPCA summary:")
 print("component sd:        ", np.round(summary.standard_deviations, 4))
 print("variance proportion: ", np.round(summary.proportions, 4))

@@ -21,7 +21,6 @@ from .indices import (
     ExternalField,
     PCASummary,
     build_composites,
-    correlation_matrix,
     external_field,
     mpi,
     pca,

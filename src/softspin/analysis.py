@@ -196,7 +196,6 @@ class BaselineFit:
     fitted: np.ndarray
     rmse: float
     mae: float
-    coefficients: np.ndarray   # intercept first, NaN where not estimated
     estimated: np.ndarray
 
 
@@ -217,7 +216,7 @@ def baseline_lm(y, composite, *, tol: float = _PIVOT_TOL) -> BaselineFit:
     resid = y - fitted
     rmse = float(math.sqrt(np.mean(resid * resid)))
     mae = float(np.mean(np.abs(resid)))
-    return BaselineFit(fitted, rmse, mae, beta, estimated)
+    return BaselineFit(fitted, rmse, mae, estimated)
 
 
 # ---------------------------------------------------------------------------

@@ -31,12 +31,24 @@ from .pipeline import (
     stage_synth,
     stage_validate,
 )
-from .sampler import Engine
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_DIVERGENCE = 4
+
+# subcommand -> (what it runs, help text)
+_STAGES = {
+    "pipeline": (run_pipeline, "run every stage in order and write the manifest"),
+    "synth": (stage_synth, "generate the synthetic dataset"),
+    "validate": (stage_validate, "load and validate the dataset"),
+    "field": (stage_field, "build composites, PCA and the external field"),
+    "graph": (stage_graph, "build the profile-similarity graph"),
+    "simulate": (stage_simulate, "run the annealed chains"),
+    "conformal": (stage_conformal, "compute calibrated prediction intervals"),
+    "analyze": (stage_analyze, "comparison, associations and group summaries"),
+    "report": (stage_report, "assemble the consolidated report"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -60,31 +72,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="worker processes for parallel chains")
 
     sub = parser.add_subparsers(dest="command")
-    for name, text in (
-        ("pipeline", "run every stage in order and write the manifest"),
-        ("synth", "generate the synthetic dataset"),
-        ("validate", "load and validate the dataset"),
-        ("field", "build composites, PCA and the external field"),
-        ("graph", "build the profile-similarity graph"),
-        ("simulate", "run the annealed chains"),
-        ("conformal", "compute calibrated prediction intervals"),
-        ("analyze", "comparison, associations and group summaries"),
-        ("report", "assemble the consolidated report"),
-    ):
+    for name, (_, text) in _STAGES.items():
         sub.add_parser(name, parents=[common], help=text)
     return parser
-
-
-def _engines_from_flag(flag):
-    if flag in (None, "both"):
-        return None
-    return [Engine(flag)]
-
-
-_ENGINE_STAGES = {"simulate": stage_simulate, "conformal": stage_conformal,
-                  "analyze": stage_analyze}
-_PLAIN_STAGES = {"synth": stage_synth, "validate": stage_validate,
-                 "field": stage_field, "graph": stage_graph, "report": stage_report}
 
 
 def main(argv=None) -> int:
@@ -109,14 +99,8 @@ def main(argv=None) -> int:
         print(f"[config] {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    out = cfg.out
     try:
-        if stage == "pipeline":
-            written = run_pipeline(cfg, out)
-        elif stage in _ENGINE_STAGES:
-            written = _ENGINE_STAGES[stage](cfg, out, _engines_from_flag(args.engine))
-        else:
-            written = _PLAIN_STAGES[stage](cfg, out)
+        written = _STAGES[stage][0](cfg, cfg.out)
     except Exception as exc:  # stage-tagged reporting with stable exit codes
         print(f"[{stage}] {type(exc).__name__}: {exc}", file=sys.stderr)
         return _exit_code(exc)

@@ -53,18 +53,16 @@ DEFAULT_CONFIG: dict = {
         "truncate_components": None,  # null keeps all components
     },
     "model": {
-        "lambda_reg": 1.0,    # quadratic penalty in the [-1, 1] domain
         "temperature": None,  # null -> final chain temperature in likelihood ratios
     },
     "ising": {
-        "domain": "ising",
         "n_iters": 10000,
         "burn_in_frac": 0.10,
         "thin": 5,
         "retain_last": 1200,
         "k_chains": 2,
         "seed": None,
-        "lambda_reg": None,  # null -> model.lambda_reg
+        "lambda_reg": 1.0,  # quadratic penalty in the [-1, 1] domain
         "energy_stride": 10,
         "schedule": {
             "t0": 1.0,
@@ -76,7 +74,6 @@ DEFAULT_CONFIG: dict = {
         },
     },
     "langevin": {
-        "domain": "raw",
         "n_iters": 20000,
         "burn_in_frac": 0.10,
         "thin": 10,
@@ -220,7 +217,7 @@ class RunConfig:
         return None if value is None else int(value)
 
     def domain(self, engine: Engine) -> Domain:
-        return Domain(self.raw[engine.value]["domain"])
+        return engine.domain
 
     def schedule(self, engine: Engine) -> AnnealingSchedule:
         """Cooling plus the engine's own ``Engine.step_parameter``."""
@@ -251,13 +248,11 @@ class RunConfig:
     def lambda_override(self, engine: Engine):
         """Regularization weight for an engine; None means resolve at runtime.
 
-        Explicit numbers win; null falls back to model.lambda_reg; the
-        string "auto" requests the clique-spectrum rule resolved against the
-        actual graph (largest clique eigenvalue + 1).
+        A number is used as is; the string "auto" requests the
+        clique-spectrum rule resolved against the actual graph (largest
+        clique eigenvalue + 1).
         """
         value = self.raw[engine.value]["lambda_reg"]
-        if value is None:
-            value = self.raw["model"]["lambda_reg"]
         if value == "auto":
             return None
         return float(value)
@@ -319,11 +314,12 @@ def _validate(cfg: RunConfig) -> None:
     except ConfigError as exc:
         raise ConfigError(f"conformal: {exc}") from exc
     for engine in engines:
-        cfg.domain(engine)
         try:
             chain = cfg.chain_config(engine)
         except ConfigError as exc:
             raise ConfigError(f"{engine.value}: {exc}") from exc
+        if not chain.schedule.t_min > 0:
+            raise ConfigError(f"{engine.value}: schedule.t_min must be > 0")
         pooled = chain.retain_last * cfg.k_chains(engine)
         if spec.n_total > pooled:
             raise ConfigError(
@@ -347,6 +343,15 @@ def _validate(cfg: RunConfig) -> None:
         )
     if cfg.workers < 1:
         raise ConfigError("workers must be >= 1")
+    if cfg.dataset_path is not None and not isinstance(cfg.dataset_path, str):
+        raise ConfigError("dataset: path must be a string or null")
+    options = cfg.dataset_options
+    delimiter = options.pop("delimiter")
+    if not (isinstance(delimiter, str) and len(delimiter) == 1):
+        raise ConfigError("dataset: delimiter must be a one-character string")
+    for key, name in options.items():
+        if not isinstance(name, str):
+            raise ConfigError(f"dataset: {key} must be a string")
     if cfg.dataset_path is None and cfg.synth_units < 2:
         raise ConfigError("synth: n_units must be >= 2")
 

@@ -88,10 +88,6 @@ class DivergenceDetected(SoftspinError):
         return (DivergenceDetected, (self.iteration, self.detail))
 
 
-class InsufficientSamples(SoftspinError):
-    """Fewer pooled configurations than requested."""
-
-
 class InsufficientPool(SoftspinError):
     """Retained pool smaller than the requested batch size."""
 

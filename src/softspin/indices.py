@@ -25,16 +25,6 @@ class Direction(str, Enum):
     NEGATIVE = "negative"  # mean - dispersion penalty (default)
 
 
-@dataclass(frozen=True)
-class StandardizationStats:
-    """Per-indicator mean and standard deviation used for the z-scores."""
-
-    names: tuple[str, ...]
-    mean: np.ndarray
-    sd: np.ndarray
-    ddof: int = 1
-
-
 def _column_sd(x: np.ndarray, ddof: int) -> float:
     if x.shape[0] <= ddof:
         raise ZeroVariance("column with too few values")
@@ -90,11 +80,6 @@ class CompositeMatrix:
     values: np.ndarray
     index_names: tuple[str, ...]
     directions: tuple[Direction, ...]
-    stats: StandardizationStats
-
-    @property
-    def k(self) -> int:
-        return self.values.shape[1]
 
 
 def build_composites(
@@ -109,14 +94,6 @@ def build_composites(
     spec = dataset.spec
     groups = indicator_groups(spec)
     names = dataset.indicator_names
-
-    mean = x.mean(axis=0)
-    sd = np.array([_column_sd(x[:, j], ddof) for j in range(x.shape[1])])
-    for j, name in enumerate(names):
-        if sd[j] == 0.0:
-            raise ZeroVariance(name)
-    stats = StandardizationStats(tuple(names), mean, sd, ddof)
-
     z = {
         item.name: standardize(x[:, names.index(item.name)], item.polarity,
                                ddof=ddof, name=item.name)
@@ -130,7 +107,7 @@ def build_composites(
             for g, d in zip(index_names, dirs)
         ]
     )
-    return CompositeMatrix(values, index_names, dirs, stats)
+    return CompositeMatrix(values, index_names, dirs)
 
 
 def _as_matrix(c, names=None) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -159,29 +136,23 @@ def _correlation(z: np.ndarray, ddof: int) -> np.ndarray:
     return r
 
 
-def correlation_matrix(composite, *, ddof: int = 1) -> np.ndarray:
-    """Pearson correlation matrix of the composite columns."""
-    x, names = _as_matrix(composite)
-    return _correlation(_standardized(x, names, ddof), ddof)
-
-
 @dataclass
 class PCASummary:
     """Correlation-matrix PCA of the composite indices.
 
+    ``correlation`` is the Pearson correlation matrix that was decomposed,
     ``loadings`` columns are orthonormal components, ``eigenvalues`` descend,
     ``proportions`` are the eigenvalues normalized to sum one, and ``scores``
     are the projections of the column-standardized composites. Components are
-    sign-fixed so the largest-magnitude loading of each column is positive,
-    recorded in ``sign_flipped``.
+    sign-fixed so the largest-magnitude loading of each column is positive.
     """
 
+    correlation: np.ndarray
     loadings: np.ndarray
     eigenvalues: np.ndarray
     proportions: np.ndarray
     scores: np.ndarray
     index_names: tuple[str, ...]
-    sign_flipped: np.ndarray
 
     @property
     def cumulative(self) -> np.ndarray:
@@ -203,22 +174,21 @@ def pca(composite, *, ddof: int = 1) -> PCASummary:
     if n <= k:
         raise DataError(f"PCA needs more rows than columns (N={n}, K={k})")
     z = _standardized(x, names, ddof)
-    w, v = np.linalg.eigh(_correlation(z, ddof))
+    r = _correlation(z, ddof)
+    w, v = np.linalg.eigh(r)
     w = np.where(w < 0.0, 0.0, w)  # clip rounding noise below zero
     order = np.argsort(-w, kind="stable")
     w = w[order]
     v = v[:, order]
 
-    flipped = np.zeros(k, dtype=bool)
     for j in range(k):
         lead = int(np.argmax(np.abs(v[:, j])))
         if v[lead, j] < 0.0:
             v[:, j] = -v[:, j]
-            flipped[j] = True
 
     proportions = w / w.sum()
     scores = z @ v
-    return PCASummary(v, w, proportions, scores, names, flipped)
+    return PCASummary(r, v, w, proportions, scores, names)
 
 
 @dataclass

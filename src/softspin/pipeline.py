@@ -52,7 +52,7 @@ from .energy import (
 )
 from .errors import ConfigError, MissingArtifact
 from .graph import build_graph, spectrum_extremes
-from .indices import build_composites, correlation_matrix, external_field, pca
+from .indices import build_composites, external_field, pca
 from .reports import (
     read_column,
     read_comparison,
@@ -70,12 +70,6 @@ from .reports import (
 )
 from .sampler import Engine, pooled_retained, run_parallel
 
-STAGES = ("synth", "validate", "field", "graph", "simulate", "conformal", "analyze", "report")
-
-
-def artifact(out: Path, name: str) -> Path:
-    return Path(out) / name
-
 
 def _require(path: Path, stage: str) -> Path:
     if not path.exists():
@@ -86,23 +80,23 @@ def _require(path: Path, stage: str) -> Path:
 def _dataset_path(cfg: RunConfig, out: Path) -> Path:
     if cfg.dataset_path is not None:
         return _require(Path(cfg.dataset_path), "dataset")
-    return _require(artifact(out, "dataset.csv"), "synth")
+    return _require(out / "dataset.csv", "synth")
 
 
 def _load_dataset(cfg: RunConfig, out: Path) -> LoadResult:
     return load_dataset(_dataset_path(cfg, out), cfg.indicator_spec(), **cfg.dataset_options)
 
 
-def _read_composites(cfg: RunConfig, out: Path):
-    path = _require(artifact(out, "composites.csv"), "field")
+def _read_composites(out: Path):
+    path = _require(out / "composites.csv", "field")
     header, rows = read_table(path)
     names = tuple(header[1:])
     values = np.array([[float(v) for v in row[1:]] for row in rows])
     return values, names
 
 
-def _read_field(cfg: RunConfig, out: Path) -> np.ndarray:
-    path = _require(artifact(out, "external_field.csv"), "field")
+def _read_field(out: Path) -> np.ndarray:
+    path = _require(out / "external_field.csv", "field")
     return read_column(path, "h")
 
 
@@ -125,7 +119,7 @@ def stage_synth(cfg: RunConfig, out: Path) -> list[Path]:
     opts = cfg.dataset_options
     path = save_dataset(
         dataset,
-        artifact(out, "dataset.csv"),
+        out / "dataset.csv",
         delimiter=opts["delimiter"],
         unit_id_column=opts["unit_id_column"],
         target_column=opts["target_column"],
@@ -146,7 +140,7 @@ def stage_validate(cfg: RunConfig, out: Path) -> list[Path]:
         f"indicators: {len(d.spec)}",
         f"composite groups: {len({s.group for s in d.spec})}",
     ]
-    report = artifact(out, "validation.txt")
+    report = out / "validation.txt"
     report.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return [report]
 
@@ -157,17 +151,16 @@ def stage_field(cfg: RunConfig, out: Path) -> list[Path]:
     composites = build_composites(
         dataset, directions=cfg.directions(), ddof=cfg.indices_ddof
     )
-    corr = correlation_matrix(composites, ddof=cfg.indices_ddof)
     summary = pca(composites, ddof=cfg.indices_ddof)
     field = external_field(summary, cfg.truncate_components)
     return [
-        write_columns(artifact(out, "composites.csv"), {
+        write_columns(out / "composites.csv", {
             "unit_id": dataset.unit_ids,
             **dict(zip(composites.index_names, composites.values.T)),
         }),
-        write_columns(artifact(out, "external_field.csv"),
+        write_columns(out / "external_field.csv",
                       {"unit_id": dataset.unit_ids, "h": field.h}),
-        write_field_diagnostics(artifact(out, "field_diagnostics.txt"), corr, summary),
+        write_field_diagnostics(out / "field_diagnostics.txt", summary),
     ]
 
 
@@ -177,35 +170,34 @@ def stage_graph(cfg: RunConfig, out: Path) -> list[Path]:
     graph = build_graph(dataset)
     lam_max, lam_min = spectrum_extremes(graph)
     return [
-        write_group_table(artifact(out, "groups.csv"), dataset, graph),
-        write_graph_summary(artifact(out, "graph_summary.txt"), graph, lam_max, lam_min),
+        write_group_table(out / "groups.csv", dataset, graph),
+        write_graph_summary(out / "graph_summary.txt", graph, lam_max, lam_min),
     ]
 
 
-def stage_simulate(cfg: RunConfig, out: Path, engines=None) -> list[Path]:
+def stage_simulate(cfg: RunConfig, out: Path) -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
     dataset = _load_dataset(cfg, out).dataset
-    field = _read_field(cfg, out)
+    field = _read_field(out)
     graph = build_graph(dataset)
     written: list[Path] = []
-    for engine in engines or cfg.engines:
+    for engine in cfg.engines:
         lam = _resolve_lambda(cfg, engine, graph)
         model = EnergyModel(graph, field, lambda_reg=lam)
-        domain = cfg.domain(engine)
+        domain = engine.domain
         s_ref = SpinConfiguration(scale_target(dataset, domain), domain)
         h_ref = hamiltonian(model, s_ref)
         chain_cfg = cfg.chain_config(engine)
         k = cfg.k_chains(engine)
-        traces = run_parallel(model, chain_cfg, s_ref, k,
-                              base_seed=chain_cfg.seed, workers=cfg.workers)
+        traces = run_parallel(model, chain_cfg, s_ref, k, workers=cfg.workers)
         for idx, trace in enumerate(traces):
             written.append(write_columns(
-                artifact(out, f"trace_{engine.value}_{idx:02d}.csv"),
-                {"iteration": trace.energy_iterations, "energy": trace.energies},
+                out / f"trace_{engine.value}_{idx:02d}.csv",
+                {"iteration": chain_cfg.energy_iterations(), "energy": trace.energies},
             ))
         configs, energies = pooled_retained(traces)
         for name, arr in (("configs", configs), ("energies", energies)):
-            path = artifact(out, f"retained_{engine.value}_{name}.npy")
+            path = out / f"retained_{engine.value}_{name}.npy"
             np.save(path, arr)
             written.append(path)
         meta = {
@@ -232,28 +224,28 @@ def stage_simulate(cfg: RunConfig, out: Path, engines=None) -> list[Path]:
             "final_temperatures": [t.final_temperature for t in traces],
             "accept_counts": [t.accept_count for t in traces],
         }
-        written.append(write_json(artifact(out, f"retained_{engine.value}.json"), meta))
+        written.append(write_json(out / f"retained_{engine.value}.json", meta))
     return written
 
 
 def _read_retained(out: Path, engine: Engine, names: tuple[str, ...]):
     """The retained metadata plus only the named arrays of ``engine``."""
-    meta_path = _require(artifact(out, f"retained_{engine.value}.json"), "simulate")
+    meta_path = _require(out / f"retained_{engine.value}.json", "simulate")
     meta = json.loads(meta_path.read_text(encoding="utf-8"))
     arrays = {}
     for name in names:
-        path = _require(artifact(out, f"retained_{engine.value}_{name}.npy"), "simulate")
+        path = _require(out / f"retained_{engine.value}_{name}.npy", "simulate")
         arrays[name] = np.load(path)
     return meta, arrays
 
 
-def stage_conformal(cfg: RunConfig, out: Path, engines=None) -> list[Path]:
+def stage_conformal(cfg: RunConfig, out: Path) -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
     dataset = _load_dataset(cfg, out).dataset
     spec = cfg.batch_spec()
     y_obs = dataset.target
     written: list[Path] = []
-    for engine in engines or cfg.engines:
+    for engine in cfg.engines:
         meta, arrays = _read_retained(out, engine, ("configs",))
         domain = Domain(meta["domain"])
         pool = unscale_values(arrays["configs"], domain)
@@ -269,17 +261,17 @@ def stage_conformal(cfg: RunConfig, out: Path, engines=None) -> list[Path]:
         primary = splits[0]  # seed spec.seed, the single-split interval
         summary = coverage_adaptivity(splits, y_obs)
         written += [
-            write_columns(artifact(out, f"uncertainty_{engine.value}.csv"), {
+            write_columns(out / f"uncertainty_{engine.value}.csv", {
                 "unit_id": dataset.unit_ids, "y_ref": y_obs, "y_est": y_est,
                 "lo": primary.lo, "hi": primary.hi, "width": primary.width,
                 "covered": primary.covered,
             }),
-            write_columns(artifact(out, f"unit_results_{engine.value}.csv"), {
+            write_columns(out / f"unit_results_{engine.value}.csv", {
                 "unit_id": dataset.unit_ids, "coverage": summary.coverage,
                 "adaptivity": summary.adaptivity,
             }),
             write_six_number_table(
-                artifact(out, f"coverage_adaptivity_{engine.value}.csv"),
+                out / f"coverage_adaptivity_{engine.value}.csv",
                 {"coverage": summary.coverage_summary,
                  "adaptivity": summary.adaptivity_summary},
             ),
@@ -287,29 +279,29 @@ def stage_conformal(cfg: RunConfig, out: Path, engines=None) -> list[Path]:
     return written
 
 
-def stage_analyze(cfg: RunConfig, out: Path, engines=None) -> list[Path]:
+def stage_analyze(cfg: RunConfig, out: Path) -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
     dataset = _load_dataset(cfg, out).dataset
-    comp_values, comp_names = _read_composites(cfg, out)
+    comp_values, comp_names = _read_composites(out)
     y_ref = dataset.target
     written: list[Path] = []
     benchmark_rows: list[tuple[str, float, float]] = []
     fit = baseline_lm(y_ref, comp_values)
     benchmark_rows.append(("Linear Regression (LM)", fit.rmse, fit.mae))
-    for engine in engines or cfg.engines:
-        unc_path = _require(artifact(out, f"uncertainty_{engine.value}.csv"), "conformal")
+    for engine in cfg.engines:
+        unc_path = _require(out / f"uncertainty_{engine.value}.csv", "conformal")
         y_est = read_column(unc_path, "y_est")
         report = compare(y_ref, y_est)
         written.append(
-            write_comparison(artifact(out, f"comparison_{engine.value}.csv"), report)
+            write_comparison(out / f"comparison_{engine.value}.csv", report)
         )
         residuals = y_ref - y_est
         assoc = residual_associations(residuals, comp_values, comp_names)
-        written.append(write_columns(artifact(out, f"residual_mpi_{engine.value}.csv"), {
+        written.append(write_columns(out / f"residual_mpi_{engine.value}.csv", {
             "index": assoc.index_names, "pearson": assoc.pearson, "spearman": assoc.spearman,
         }))
         ols = ols_standardized(residuals, comp_values, comp_names)
-        written.append(write_columns(artifact(out, f"ols_{engine.value}.csv"),
+        written.append(write_columns(out / f"ols_{engine.value}.csv",
                                      {"index": ols.index_names, "beta_std": ols.beta_std}))
 
         meta, arrays = _read_retained(out, engine, ("energies",))
@@ -331,10 +323,10 @@ def stage_analyze(cfg: RunConfig, out: Path, engines=None) -> list[Path]:
             ),
         }
         written.append(
-            write_six_number_table(artifact(out, f"energy_ratio_{engine.value}.csv"), table)
+            write_six_number_table(out / f"energy_ratio_{engine.value}.csv", table)
         )
 
-        res_path = _require(artifact(out, f"unit_results_{engine.value}.csv"), "conformal")
+        res_path = _require(out / f"unit_results_{engine.value}.csv", "conformal")
         results = UnitResults(
             y_ref=y_ref,
             y_est=y_est,
@@ -345,12 +337,12 @@ def stage_analyze(cfg: RunConfig, out: Path, engines=None) -> list[Path]:
             rows = group_summaries(results, dataset, attribute, comp_values)
             written.append(
                 write_group_summaries(
-                    artifact(out, f"group_summary_{engine.value}_{attribute}.csv"), rows
+                    out / f"group_summary_{engine.value}_{attribute}.csv", rows
                 )
             )
             written.append(
                 write_group_mpi(
-                    artifact(out, f"group_mpi_{engine.value}_{attribute}.csv"),
+                    out / f"group_mpi_{engine.value}_{attribute}.csv",
                     rows, comp_names,
                 )
             )
@@ -358,24 +350,23 @@ def stage_analyze(cfg: RunConfig, out: Path, engines=None) -> list[Path]:
             ("Continuous Ising" if engine is Engine.ISING else "Langevin dynamics",
              report.rmse, report.mae)
         )
-    written.append(write_benchmark(artifact(out, "benchmark.csv"), benchmark_rows))
+    written.append(write_benchmark(out / "benchmark.csv", benchmark_rows))
     return written
 
 
 def stage_report(cfg: RunConfig, out: Path) -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
     lines = ["run report", "=" * 60, ""]
-    validation = _require(artifact(out, "validation.txt"), "validate")
+    validation = _require(out / "validation.txt", "validate")
     lines += ["[dataset]", validation.read_text(encoding="utf-8").rstrip(), ""]
-    graph_summary = _require(artifact(out, "graph_summary.txt"), "graph")
+    graph_summary = _require(out / "graph_summary.txt", "graph")
     lines += ["[similarity graph]", graph_summary.read_text(encoding="utf-8").rstrip(), ""]
-    field_diag = _require(artifact(out, "field_diagnostics.txt"), "field")
+    field_diag = _require(out / "field_diagnostics.txt", "field")
     lines += ["[external field]", field_diag.read_text(encoding="utf-8").rstrip(), ""]
     for engine in cfg.engines:
-        meta_path = _require(artifact(out, f"retained_{engine.value}.json"), "simulate")
-        comp_path = _require(artifact(out, f"comparison_{engine.value}.csv"), "analyze")
-        cov_path = _require(artifact(out, f"coverage_adaptivity_{engine.value}.csv"), "conformal")
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        meta, _ = _read_retained(out, engine, ())
+        comp_path = _require(out / f"comparison_{engine.value}.csv", "analyze")
+        cov_path = _require(out / f"coverage_adaptivity_{engine.value}.csv", "conformal")
         comp = read_comparison(comp_path)
         lines.append(f"[{engine.value}]")
         lines.append(
@@ -400,12 +391,12 @@ def stage_report(cfg: RunConfig, out: Path) -> list[Path]:
                 + "  ".join(f"{h}={float(v):.4f}" for h, v in zip(header[1:], row[1:]))
             )
         lines.append("")
-    bench = _require(artifact(out, "benchmark.csv"), "analyze")
+    bench = _require(out / "benchmark.csv", "analyze")
     lines += ["[benchmark]"]
     header, rows = read_table(bench)
     for row in rows:
         lines.append(f"{row[0]}: rmse={float(row[1]):.4f} mae={float(row[2]):.4f}")
-    path = artifact(out, "report.txt")
+    path = out / "report.txt"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return [path]
 
@@ -434,5 +425,5 @@ def run_pipeline(cfg: RunConfig, out: Path) -> list[Path]:
         },
         "artifacts": sorted(p.name for p in written),
     }
-    manifest_path = write_json(artifact(out, "manifest.json"), manifest)
+    manifest_path = write_json(out / "manifest.json", manifest)
     return written + [manifest_path]

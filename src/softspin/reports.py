@@ -66,7 +66,8 @@ def read_column(path, name) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Field diagnostics (correlation matrix + PCA summary)
 
-def write_field_diagnostics(path, corr: np.ndarray, summary: PCASummary) -> Path:
+def write_field_diagnostics(path, summary: PCASummary) -> Path:
+    corr = summary.correlation
     names = summary.index_names
     k = len(names)
     width = max(8, max(len(n) for n in names) + 2)

@@ -36,6 +36,11 @@ class Engine(str, Enum):
         """The one ``AnnealingSchedule`` step field this engine reads."""
         return "proposal_sd" if self is Engine.ISING else "dt0"
 
+    @property
+    def domain(self) -> Domain:
+        """The one scale this engine runs on: [-1, 1] or the raw percent."""
+        return Domain.ISING_SCALED if self is Engine.ISING else Domain.RAW_PERCENT
+
 
 def make_rng(seed: int) -> np.random.Generator:
     """Counter-based 64-bit generator; distinct seeds give independent streams."""
@@ -75,16 +80,12 @@ class AnnealingSchedule:
         return max(self.t_min, self.cooling * temperature)
 
 
-AUTO_BOUNDS = "auto"
-
-
 @dataclass(frozen=True)
 class ChainConfig:
     """Run-length, retention and reproducibility settings of one chain.
 
-    ``bounds`` is the state-space boundary policy: the default "auto"
-    derives it from the configuration's domain ([-1, 1] or [0, 100]),
-    an explicit pair overrides it, and None lifts it entirely (used by
+    ``bounded`` keeps the state inside the reference configuration's domain
+    ([-1, 1] or [0, 100]); False lifts the boundary entirely (used by
     unbounded diagnostics). Metropolis proposals are reflected at the
     bounds, which preserves proposal symmetry; Langevin states are clamped,
     with a divergence guard ten domain-widths out.
@@ -97,8 +98,7 @@ class ChainConfig:
     retain_last: int = 0
     seed: int = 0
     schedule: AnnealingSchedule = AnnealingSchedule()
-    init: np.ndarray | None = None  # None starts from the reference configuration
-    bounds: tuple[float, float] | None | str = AUTO_BOUNDS
+    bounded: bool = True
     energy_stride: int = 10
     recompute_every: int = 100_000
 
@@ -132,15 +132,9 @@ class ChainConfig:
         last = burn + (self.n_iters - burn) // self.thin * self.thin
         return range(last - (self.retain_last - 1) * self.thin, last + 1, self.thin)
 
-    def resolve_bounds(self, domain: Domain) -> tuple[float, float] | None:
-        if self.bounds == AUTO_BOUNDS:
-            return DOMAIN_BOUNDS[domain]
-        if self.bounds is None:
-            return None
-        lo, hi = self.bounds
-        if not lo < hi:
-            raise ConfigError("chain: bounds must satisfy lo < hi")
-        return float(lo), float(hi)
+    def energy_iterations(self) -> range:
+        """Iterations of the strided energy series, iteration 0 included."""
+        return range(0, self.n_iters + 1, self.energy_stride)
 
 
 @dataclass
@@ -251,14 +245,13 @@ def langevin_step(model: EnergyModel, state: ChainState,
 class ChainTrace:
     """What a finished chain leaves behind beyond its ``config``.
 
-    ``energies`` is the strided energy series (iteration 0 included);
+    ``energies`` is the energy series at ``config.energy_iterations()``;
     ``retained`` holds the snapshots at ``config.retained_iterations()``
     in chronological order, with their energies in ``retained_energies``.
     """
 
     domain: Domain
     energies: np.ndarray
-    energy_iterations: np.ndarray
     retained: np.ndarray
     retained_energies: np.ndarray
     accept_count: int
@@ -274,29 +267,23 @@ class ChainTrace:
 def run_chain(model: EnergyModel, cfg: ChainConfig, s_ref: SpinConfiguration) -> ChainTrace:
     """Run one chain: burn-in, thinned retention of the last snapshots.
 
-    The chain starts at ``cfg.init`` if given, otherwise at the reference
-    configuration. Energies are recorded every ``energy_stride`` iterations;
-    the group-sum cache and running energy are fully recomputed every
-    ``recompute_every`` iterations to cancel float drift. Divergence is
-    re-raised with the iteration index attached.
+    The chain starts at the reference configuration. Energies are recorded
+    every ``energy_stride`` iterations; the group-sum cache and running
+    energy are fully recomputed every ``recompute_every`` iterations to
+    cancel float drift. Divergence is re-raised with the iteration index
+    attached.
     """
     n = model.graph.n
-    s0 = cfg.init if cfg.init is not None else s_ref.s
-    s0 = np.asarray(s0, dtype=float)
-    if s0.shape != (n,):
-        raise ConfigError("chain: initial configuration length does not match N")
-    bounds = cfg.resolve_bounds(s_ref.domain)
+    if s_ref.s.shape != (n,):
+        raise ConfigError("chain: reference configuration length does not match N")
+    bounds = DOMAIN_BOUNDS[s_ref.domain] if cfg.bounded else None
     schedule = cfg.schedule
     rng = make_rng(cfg.seed)
-    state = init_state(model, s0, schedule, bounds)
+    state = init_state(model, s_ref.s, schedule, bounds)
 
     stride = cfg.energy_stride
-    n_rec = cfg.n_iters // stride + 1
-    energies = np.empty(n_rec)
-    energy_iters = np.empty(n_rec, dtype=np.int64)
+    energies = np.empty(len(cfg.energy_iterations()))
     energies[0] = state.energy
-    energy_iters[0] = 0
-    rec = 1
 
     grid = cfg.retained_iterations()
     first, thin = grid.start, grid.step
@@ -321,9 +308,7 @@ def run_chain(model: EnergyModel, cfg: ChainConfig, s_ref: SpinConfiguration) ->
         if record or keep:
             energy = state.energy if is_metropolis else hamiltonian(model, state.s)
             if record:
-                energies[rec] = energy
-                energy_iters[rec] = t
-                rec += 1
+                energies[t // stride] = energy
             if keep:
                 j = (t - first) // thin
                 retained[j] = state.s
@@ -332,8 +317,7 @@ def run_chain(model: EnergyModel, cfg: ChainConfig, s_ref: SpinConfiguration) ->
     accept_count = accepts if is_metropolis else cfg.n_iters
     return ChainTrace(
         domain=s_ref.domain,
-        energies=energies[:rec],
-        energy_iterations=energy_iters[:rec],
+        energies=energies,
         retained=retained,
         retained_energies=retained_energy,
         accept_count=int(accept_count),
@@ -352,10 +336,9 @@ def run_parallel(
     cfg: ChainConfig,
     s_ref: SpinConfiguration,
     k_chains: int,
-    base_seed: int | None = None,
     workers: int = 1,
 ) -> list[ChainTrace]:
-    """Run ``k_chains`` independent chains with seeds base_seed + index.
+    """Run ``k_chains`` independent chains with seeds ``cfg.seed`` + index.
 
     Each chain owns its configuration, cache and random stream, so the
     result is invariant to the worker count and scheduling; traces come back
@@ -364,8 +347,7 @@ def run_parallel(
     """
     if k_chains < 1:
         raise ConfigError("k_chains must be >= 1")
-    base = cfg.seed if base_seed is None else base_seed
-    configs = [replace(cfg, seed=base + i) for i in range(k_chains)]
+    configs = [replace(cfg, seed=cfg.seed + i) for i in range(k_chains)]
 
     results: list[ChainTrace | None] = [None] * k_chains
     failures: list[tuple[int, Exception]] = []

@@ -287,7 +287,8 @@ class TestCriterion7AnnealingBehavior:
                                        proposal_sd=0.05),
         )
         trace = run_chain(model, cfg, s_ref)
-        post = trace.energies[trace.energy_iterations > trace.config.burn_in()]
+        iterations = np.asarray(trace.config.energy_iterations())
+        post = trace.energies[iterations > trace.config.burn_in()]
         initial = trace.energies[0]
         median_post = float(np.median(post))
         decile = post.shape[0] // 10

@@ -40,6 +40,30 @@ def read_bytes_map(out_dir, names):
     return {name: (out_dir / name).read_bytes() for name in names}
 
 
+def _leaves(tree, path=()):
+    for key, value in tree.items():
+        if isinstance(value, dict) and value:
+            yield from _leaves(value, (*path, key))
+        else:
+            yield ".".join((*path, key))
+
+
+# every default-tree leaf that must hold a number, enum name or structure;
+# the output directory, the dataset path and the column names are free text
+_TYPED_LEAVES = [
+    key for key in _leaves(DEFAULT_CONFIG)
+    if key not in ("out", "dataset.path", "dataset.unit_id_column",
+                   "dataset.target_column", "dataset.center_periph_column")
+]
+
+
+def assert_fails_at_load(tmp_path, tree):
+    cfg_path = write_config(tmp_path, tree)
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert not out.exists() or not any(out.iterdir())
+
+
 class TestPipeline:
     def test_smoke_all_artifacts_and_manifest(self, tmp_path):
         cfg_path = write_config(tmp_path)
@@ -76,6 +100,18 @@ class TestPipeline:
         assert (out / "trace_ising_00.csv").exists()
         assert not (out / "trace_langevin_00.csv").exists()
 
+    def test_engine_flag_restricts_stages(self, tmp_path):
+        cfg_path = write_config(tmp_path)
+        out = tmp_path / "run"
+        for stage in ("synth", "validate", "field", "graph"):
+            assert main([stage, "--config", str(cfg_path), "--out", str(out)]) == 0, stage
+        for stage in ("simulate", "conformal", "analyze", "report"):
+            assert main([stage, "--config", str(cfg_path), "--out", str(out),
+                         "--engine", "langevin"]) == 0, stage
+        assert (out / "trace_langevin_00.csv").exists()
+        assert (out / "report.txt").exists()
+        assert not list(out.glob("*ising*"))
+
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg_path = write_config(tmp_path)
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -107,27 +143,15 @@ class TestPipeline:
         assert code == 2
         assert not (out / "trace_ising_00.csv").exists()
 
-    @pytest.mark.parametrize("value", [-1, "abc"])
+    @pytest.mark.parametrize("value", [-1, "abc", None])
     def test_bad_lambda_reg_fails_at_load(self, tmp_path, value):
-        tree = dict(TINY, ising=dict(TINY["ising"], lambda_reg=value))
-        cfg_path = write_config(tmp_path, tree)
-        out = tmp_path / "run"
-        assert main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 2
-        assert not out.exists() or not any(out.iterdir())
+        assert_fails_at_load(tmp_path, dict(TINY, ising=dict(TINY["ising"], lambda_reg=value)))
 
     @pytest.mark.parametrize("value", [0, -1])
     def test_non_positive_temperature_fails_at_load(self, tmp_path, value):
-        tree = dict(TINY, model={"temperature": value})
-        cfg_path = write_config(tmp_path, tree)
-        out = tmp_path / "run"
-        assert main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 2
-        assert not out.exists() or not any(out.iterdir())
+        assert_fails_at_load(tmp_path, dict(TINY, model={"temperature": value}))
 
-    @pytest.mark.parametrize("key", [
-        "ising.n_iters", "conformal.alpha", "langevin.k_chains", "workers",
-        "indices.ddof", "model.temperature", "seed", "synth.group_correlation",
-        "indices.directions", "synth.profile_weights",
-    ])
+    @pytest.mark.parametrize("key", _TYPED_LEAVES)
     def test_non_numeric_value_fails_at_load(self, tmp_path, key):
         tree = json.loads(json.dumps(TINY))
         *sections, leaf = key.split(".")
@@ -135,10 +159,24 @@ class TestPipeline:
         for name in sections:
             node = node.setdefault(name, {})
         node[leaf] = "abc"
-        cfg_path = write_config(tmp_path, tree)
-        out = tmp_path / "run"
-        assert main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 2
-        assert not out.exists() or not any(out.iterdir())
+        assert_fails_at_load(tmp_path, tree)
+
+    def test_sweep_covers_every_typed_leaf(self):
+        assert {"ising.n_iters", "conformal.alpha", "langevin.k_chains", "workers",
+                "indices.ddof", "model.temperature", "seed", "synth.group_correlation",
+                "indices.directions", "synth.profile_weights"} <= set(_TYPED_LEAVES)
+
+    @pytest.mark.parametrize("engine", ["ising", "langevin"])
+    def test_zero_temperature_floor_fails_at_load(self, tmp_path, engine):
+        tree = dict(TINY, **{engine: dict(TINY[engine],
+                                          schedule={"cooling": 0.9, "t_min": 0})})
+        assert_fails_at_load(tmp_path, tree)
+
+    @pytest.mark.parametrize("dataset", [
+        {"delimiter": ";;"}, {"path": 123}, {"unit_id_column": 5},
+    ], ids=["delimiter", "path", "unit_id_column"])
+    def test_malformed_dataset_option_fails_at_load(self, tmp_path, dataset):
+        assert_fails_at_load(tmp_path, dict(TINY, dataset=dataset))
 
     def test_simulate_artifacts_independent_of_workers(self, tmp_path):
         cfg_path = write_config(tmp_path)

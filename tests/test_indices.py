@@ -10,7 +10,6 @@ from softspin.errors import DataError, DegenerateRow, ZeroVariance
 from softspin.indices import (
     Direction,
     build_composites,
-    correlation_matrix,
     external_field,
     mpi,
     pca,
@@ -91,27 +90,27 @@ class TestCorrelation:
     def test_diagonal_and_duplicates(self, rng):
         x = rng.normal(size=(100, 3))
         x = np.column_stack([x, x[:, 0]])  # duplicated column pair
-        r = correlation_matrix(x)
+        r = pca(x).correlation
         np.testing.assert_array_equal(np.diag(r), np.ones(4))
         assert r[0, 3] == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(r, r.T, atol=0)
 
     def test_independent_columns_weak(self):
         x = np.random.default_rng(77).normal(size=(100, 2))
-        r = correlation_matrix(x)
+        r = pca(x).correlation
         assert abs(r[0, 1]) < 0.3
 
     def test_oracle_against_numpy(self, rng):
         x = rng.normal(size=(60, 5))
         np.testing.assert_allclose(
-            correlation_matrix(x), np.corrcoef(x, rowvar=False), atol=1e-12
+            pca(x).correlation, np.corrcoef(x, rowvar=False), atol=1e-12
         )
 
     def test_zero_variance_column(self, rng):
         x = rng.normal(size=(50, 2))
         x[:, 1] = 4.2
         with pytest.raises(ZeroVariance):
-            correlation_matrix(x)
+            pca(x)
 
 
 def _random_composites(rng, n=200, k=6):
