@@ -67,9 +67,11 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", type=Path, default=None,
                         help="override the output directory")
     common.add_argument("--engine", choices=["ising", "langevin", "both"],
-                        default=None, help="restrict the engines to run")
+                        default=None,
+                        help="engines to run instead of the configured ones")
     common.add_argument("--workers", type=int, default=None,
-                        help="worker processes for parallel chains")
+                        help="worker processes for parallel chains, and threads "
+                             "for the conformal batch means")
 
     sub = parser.add_subparsers(dest="command")
     for name, (_, text) in _STAGES.items():
@@ -92,8 +94,9 @@ def main(argv=None) -> int:
         overrides = {"seed": args.seed, "workers": args.workers}
         if args.out is not None:
             overrides["out"] = str(args.out)
-        if args.engine not in (None, "both"):
-            overrides["engines"] = [args.engine]
+        if args.engine is not None:
+            overrides["engines"] = (["ising", "langevin"] if args.engine == "both"
+                                    else [args.engine])
         cfg = load_config(args.config, overrides)
     except (ConfigError, OSError) as exc:
         print(f"[config] {exc}", file=sys.stderr)

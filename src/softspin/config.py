@@ -301,6 +301,8 @@ def _validate(cfg: RunConfig) -> None:
     engines = cfg.engines
     if not engines:
         raise ConfigError("engines: at least one engine must be enabled")
+    if len(set(engines)) != len(engines):
+        raise ConfigError("engines: each engine may be listed only once")
     cfg.indicator_spec()
     cfg.synth_params()
     cfg.directions()

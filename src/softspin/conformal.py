@@ -11,6 +11,7 @@ test units under exchangeability.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -52,11 +53,15 @@ class BatchSpec:
             raise ConfigError("BatchSpec: repeats must be >= 1")
 
 
-def batch_means(pool, spec: BatchSpec) -> np.ndarray:
+def batch_means(pool, spec: BatchSpec, workers: int = 1) -> np.ndarray:
     """B x N matrix of per-unit means over seeded bootstrap batches.
 
     Each batch draws ``batch_size`` configurations uniformly with
-    replacement from the pool and averages them per unit.
+    replacement from the pool and averages them per unit. All batches'
+    indices are drawn first, in batch order from one stream; contiguous
+    ranges of batches are then averaged on ``workers`` threads (numpy's
+    gather and reduction release the GIL). Each row is computed the same way
+    on any thread, so the result is bit-identical for every ``workers``.
     """
     pool = np.asarray(pool, dtype=float)
     if pool.ndim != 2:
@@ -65,10 +70,19 @@ def batch_means(pool, spec: BatchSpec) -> np.ndarray:
     if p < spec.batch_size:
         raise InsufficientPool(f"pool of {p} configs < batch size {spec.batch_size}")
     rng = make_rng(spec.seed)
-    out = np.empty((spec.n_batches, pool.shape[1]))
+    idx = np.empty((spec.n_batches, spec.batch_size), dtype=np.int64)
     for b in range(spec.n_batches):
-        idx = rng.integers(0, p, size=spec.batch_size)
-        out[b] = pool[idx].mean(axis=0)
+        idx[b] = rng.integers(0, p, size=spec.batch_size)
+    out = np.empty((spec.n_batches, pool.shape[1]))
+
+    def fill(start: int, stop: int) -> None:
+        for b in range(start, stop):
+            out[b] = pool[idx[b]].mean(axis=0)
+
+    workers = max(1, min(workers, spec.n_batches))
+    bounds = np.linspace(0, spec.n_batches, workers + 1).astype(int)
+    with ThreadPoolExecutor(max_workers=workers) as threads:
+        list(threads.map(fill, bounds[:-1], bounds[1:]))
     return out
 
 

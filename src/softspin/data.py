@@ -269,10 +269,15 @@ def scale_values(y, domain: Domain) -> np.ndarray:
 
 def unscale_values(s, domain: Domain) -> np.ndarray:
     """Inverse of :func:`scale_values`; returns raw percent values."""
-    s = np.asarray(s, dtype=float)
+    return unscale_inplace(np.array(s, dtype=float), domain)
+
+
+def unscale_inplace(s: np.ndarray, domain: Domain) -> np.ndarray:
+    """:func:`unscale_values` written over the float array ``s``; returns ``s``."""
     if domain is Domain.ISING_SCALED:
-        return 50.0 * (s + 1.0)
-    return s.copy()
+        s += 1.0  # then *= 50: bit-equal to 50 * (s + 1)
+        s *= 50.0
+    return s
 
 
 def scale_target(dataset: Dataset, domain: Domain) -> np.ndarray:

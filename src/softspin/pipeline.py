@@ -11,6 +11,7 @@ every numeric output.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -41,7 +42,7 @@ from .data import (
     save_dataset,
     scale_target,
     synth_dataset,
-    unscale_values,
+    unscale_inplace,
 )
 from .energy import (
     EnergyModel,
@@ -68,7 +69,7 @@ from .reports import (
     write_json,
     write_six_number_table,
 )
-from .sampler import Engine, pooled_retained, run_parallel
+from .sampler import Engine, run_parallel
 
 
 def _require(path: Path, stage: str) -> Path:
@@ -182,49 +183,70 @@ def stage_simulate(cfg: RunConfig, out: Path) -> list[Path]:
     graph = build_graph(dataset)
     written: list[Path] = []
     for engine in cfg.engines:
-        lam = _resolve_lambda(cfg, engine, graph)
-        model = EnergyModel(graph, field, lambda_reg=lam)
-        domain = engine.domain
-        s_ref = SpinConfiguration(scale_target(dataset, domain), domain)
-        h_ref = hamiltonian(model, s_ref)
-        chain_cfg = cfg.chain_config(engine)
-        k = cfg.k_chains(engine)
-        traces = run_parallel(model, chain_cfg, s_ref, k, workers=cfg.workers)
-        for idx, trace in enumerate(traces):
-            written.append(write_columns(
-                out / f"trace_{engine.value}_{idx:02d}.csv",
-                {"iteration": chain_cfg.energy_iterations(), "energy": trace.energies},
-            ))
-        configs, energies = pooled_retained(traces)
-        for name, arr in (("configs", configs), ("energies", energies)):
-            path = out / f"retained_{engine.value}_{name}.npy"
-            np.save(path, arr)
-            written.append(path)
-        meta = {
-            "engine": engine.value,
-            "domain": domain.value,
-            "n_units": dataset.n,
-            "k_chains": k,
-            "base_seed": chain_cfg.seed,
-            "seeds": [t.config.seed for t in traces],
-            "n_iters": chain_cfg.n_iters,
-            "burn_in": chain_cfg.burn_in(),
-            "thin": chain_cfg.thin,
-            "retain_last": chain_cfg.retain_last,
-            "retained_first_iteration": chain_cfg.retained_iterations().start,
-            "energy_stride": chain_cfg.energy_stride,
-            "lambda_reg": lam,
-            "schedule": {
-                "t0": chain_cfg.schedule.t0,
-                "cooling": chain_cfg.schedule.cooling,
-                "t_min": chain_cfg.schedule.t_min,
-                engine.step_parameter: getattr(chain_cfg.schedule, engine.step_parameter),
-            },
-            "h_ref": h_ref,
-            "final_temperatures": [t.final_temperature for t in traces],
-            "accept_counts": [t.accept_count for t in traces],
-        }
-        written.append(write_json(out / f"retained_{engine.value}.json", meta))
+        written += _simulate_engine(cfg, out, dataset, field, graph, engine)
+    return written
+
+
+def _simulate_engine(cfg: RunConfig, out: Path, dataset, field, graph,
+                     engine: Engine) -> list[Path]:
+    """Run one engine's chains and write its artifacts.
+
+    The chains write the retained pool in place into a temporary file, which
+    becomes ``retained_<engine>_configs.npy`` only once every chain has
+    finished, so a failed run leaves no pool behind.
+    """
+    lam = _resolve_lambda(cfg, engine, graph)
+    model = EnergyModel(graph, field, lambda_reg=lam)
+    domain = engine.domain
+    s_ref = SpinConfiguration(scale_target(dataset, domain), domain)
+    h_ref = hamiltonian(model, s_ref)
+    chain_cfg = cfg.chain_config(engine)
+    k = cfg.k_chains(engine)
+    configs_path = out / f"retained_{engine.value}_configs.npy"
+    partial = configs_path.with_name(configs_path.name + ".tmp")
+    try:
+        traces = run_parallel(model, chain_cfg, s_ref, k, workers=cfg.workers,
+                              pool_path=partial)
+        os.replace(partial, configs_path)
+    finally:
+        partial.unlink(missing_ok=True)  # left only if a chain failed
+    written = [
+        write_columns(
+            out / f"trace_{engine.value}_{idx:02d}.csv",
+            {"iteration": chain_cfg.energy_iterations(), "energy": trace.energies},
+        )
+        for idx, trace in enumerate(traces)
+    ]
+    # row j * k + c is chain c's snapshot j, as in the configs file
+    energies = np.stack([t.retained_energies for t in traces], axis=1).reshape(-1)
+    energies_path = out / f"retained_{engine.value}_energies.npy"
+    np.save(energies_path, energies)
+    written += [configs_path, energies_path]
+    meta = {
+        "engine": engine.value,
+        "domain": domain.value,
+        "n_units": dataset.n,
+        "k_chains": k,
+        "base_seed": chain_cfg.seed,
+        "seeds": [t.config.seed for t in traces],
+        "n_iters": chain_cfg.n_iters,
+        "burn_in": chain_cfg.burn_in(),
+        "thin": chain_cfg.thin,
+        "retain_last": chain_cfg.retain_last,
+        "retained_first_iteration": chain_cfg.retained_iterations().start,
+        "energy_stride": chain_cfg.energy_stride,
+        "lambda_reg": lam,
+        "schedule": {
+            "t0": chain_cfg.schedule.t0,
+            "cooling": chain_cfg.schedule.cooling,
+            "t_min": chain_cfg.schedule.t_min,
+            engine.step_parameter: getattr(chain_cfg.schedule, engine.step_parameter),
+        },
+        "h_ref": h_ref,
+        "final_temperatures": [t.final_temperature for t in traces],
+        "accept_counts": [t.accept_count for t in traces],
+    }
+    written.append(write_json(out / f"retained_{engine.value}.json", meta))
     return written
 
 
@@ -242,41 +264,46 @@ def _read_retained(out: Path, engine: Engine, names: tuple[str, ...]):
 def stage_conformal(cfg: RunConfig, out: Path) -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
     dataset = _load_dataset(cfg, out).dataset
-    spec = cfg.batch_spec()
-    y_obs = dataset.target
     written: list[Path] = []
     for engine in cfg.engines:
-        meta, arrays = _read_retained(out, engine, ("configs",))
-        domain = Domain(meta["domain"])
-        pool = unscale_values(arrays["configs"], domain)
-        if pool.shape[0] < spec.n_total:
-            raise ConfigError(
-                f"conformal: retained pool {pool.shape[0]} of engine "
-                f"{engine.value} is smaller than n_total={spec.n_total}"
-            )
-        pool = pool[-spec.n_total:]
-        y_est = pool[-cfg.estimate_last_n:].mean(axis=0)
-        batches = batch_means(pool, spec)
-        splits = repeat_splits(batches, y_obs, spec)
-        primary = splits[0]  # seed spec.seed, the single-split interval
-        summary = coverage_adaptivity(splits, y_obs)
-        written += [
-            write_columns(out / f"uncertainty_{engine.value}.csv", {
-                "unit_id": dataset.unit_ids, "y_ref": y_obs, "y_est": y_est,
-                "lo": primary.lo, "hi": primary.hi, "width": primary.width,
-                "covered": primary.covered,
-            }),
-            write_columns(out / f"unit_results_{engine.value}.csv", {
-                "unit_id": dataset.unit_ids, "coverage": summary.coverage,
-                "adaptivity": summary.adaptivity,
-            }),
-            write_six_number_table(
-                out / f"coverage_adaptivity_{engine.value}.csv",
-                {"coverage": summary.coverage_summary,
-                 "adaptivity": summary.adaptivity_summary},
-            ),
-        ]
+        written += _conformal_engine(cfg, out, dataset, engine)
     return written
+
+
+def _conformal_engine(cfg: RunConfig, out: Path, dataset, engine: Engine) -> list[Path]:
+    """Intervals of one engine; its pool is freed before the next one loads."""
+    spec = cfg.batch_spec()
+    y_obs = dataset.target
+    meta, arrays = _read_retained(out, engine, ("configs",))
+    pool = arrays.pop("configs")
+    if pool.shape[0] < spec.n_total:
+        raise ConfigError(
+            f"conformal: retained pool {pool.shape[0]} of engine "
+            f"{engine.value} is smaller than n_total={spec.n_total}"
+        )
+    pool = unscale_inplace(pool[-spec.n_total:], Domain(meta["domain"]))
+    y_est = pool[-cfg.estimate_last_n:].mean(axis=0)
+    batches = batch_means(pool, spec, workers=cfg.workers)
+    del pool  # freed before repeat_splits sorts a copy of the batches
+    splits = repeat_splits(batches, y_obs, spec)
+    primary = splits[0]  # seed spec.seed, the single-split interval
+    summary = coverage_adaptivity(splits, y_obs)
+    return [
+        write_columns(out / f"uncertainty_{engine.value}.csv", {
+            "unit_id": dataset.unit_ids, "y_ref": y_obs, "y_est": y_est,
+            "lo": primary.lo, "hi": primary.hi, "width": primary.width,
+            "covered": primary.covered,
+        }),
+        write_columns(out / f"unit_results_{engine.value}.csv", {
+            "unit_id": dataset.unit_ids, "coverage": summary.coverage,
+            "adaptivity": summary.adaptivity,
+        }),
+        write_six_number_table(
+            out / f"coverage_adaptivity_{engine.value}.csv",
+            {"coverage": summary.coverage_summary,
+             "adaptivity": summary.adaptivity_summary},
+        ),
+    ]
 
 
 def stage_analyze(cfg: RunConfig, out: Path) -> list[Path]:

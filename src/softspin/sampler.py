@@ -17,6 +17,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -248,11 +249,13 @@ class ChainTrace:
     ``energies`` is the energy series at ``config.energy_iterations()``;
     ``retained`` holds the snapshots at ``config.retained_iterations()``
     in chronological order, with their energies in ``retained_energies``.
+    ``retained`` is None when the chain wrote its snapshots into a pool file
+    (see :func:`run_parallel`).
     """
 
     domain: Domain
     energies: np.ndarray
-    retained: np.ndarray
+    retained: np.ndarray | None
     retained_energies: np.ndarray
     accept_count: int
     final_temperature: float
@@ -264,14 +267,16 @@ class ChainTrace:
         return self.accept_count / n_iters if n_iters else 0.0
 
 
-def run_chain(model: EnergyModel, cfg: ChainConfig, s_ref: SpinConfiguration) -> ChainTrace:
+def run_chain(model: EnergyModel, cfg: ChainConfig, s_ref: SpinConfiguration,
+              retained: np.ndarray | None = None) -> ChainTrace:
     """Run one chain: burn-in, thinned retention of the last snapshots.
 
     The chain starts at the reference configuration. Energies are recorded
     every ``energy_stride`` iterations; the group-sum cache and running
     energy are fully recomputed every ``recompute_every`` iterations to
     cancel float drift. Divergence is re-raised with the iteration index
-    attached.
+    attached. The snapshots go into ``retained``, a (retain_last, N) output
+    array such as a view of a memory-mapped pool, or into a new array.
     """
     n = model.graph.n
     if s_ref.s.shape != (n,):
@@ -287,7 +292,8 @@ def run_chain(model: EnergyModel, cfg: ChainConfig, s_ref: SpinConfiguration) ->
 
     grid = cfg.retained_iterations()
     first, thin = grid.start, grid.step
-    retained = np.empty((len(grid), n))
+    if retained is None:
+        retained = np.empty((len(grid), n))
     retained_energy = np.empty(len(grid))
     accepts = 0
     is_metropolis = cfg.engine is Engine.ISING
@@ -326,9 +332,17 @@ def run_chain(model: EnergyModel, cfg: ChainConfig, s_ref: SpinConfiguration) ->
     )
 
 
-def _chain_job(args):
-    model, cfg, s_ref = args
-    return run_chain(model, cfg, s_ref)
+def _chain_job(model: EnergyModel, cfg: ChainConfig, s_ref: SpinConfiguration,
+               pool_path: Path | None, c: int, k: int) -> ChainTrace:
+    """Run chain ``c`` of ``k``; with a ``pool_path``, into rows ``j * k + c``
+    of that .npy file, leaving only the energies in the returned trace."""
+    if pool_path is None:
+        return run_chain(model, cfg, s_ref)
+    pool = np.load(pool_path, mmap_mode="r+")
+    view = pool.reshape(cfg.retain_last, k, model.graph.n)[:, c]
+    trace = run_chain(model, cfg, s_ref, retained=view)
+    trace.retained = None  # the rows are in the file: unmap, and pickle nothing back
+    return trace
 
 
 def run_parallel(
@@ -337,6 +351,7 @@ def run_parallel(
     s_ref: SpinConfiguration,
     k_chains: int,
     workers: int = 1,
+    pool_path: Path | None = None,
 ) -> list[ChainTrace]:
     """Run ``k_chains`` independent chains with seeds ``cfg.seed`` + index.
 
@@ -344,22 +359,31 @@ def run_parallel(
     result is invariant to the worker count and scheduling; traces come back
     in chain-index order. A failing chain does not abort its siblings: all
     failures are collected and raised together afterwards.
+
+    With ``pool_path``, a new .npy file of ``k_chains x retain_last`` rows
+    is created there and every chain writes its snapshots into it in place,
+    in the layout of :func:`pooled_retained`; the traces then carry no
+    snapshots. Otherwise each trace holds its own.
     """
     if k_chains < 1:
         raise ConfigError("k_chains must be >= 1")
     configs = [replace(cfg, seed=cfg.seed + i) for i in range(k_chains)]
+    if pool_path is not None:  # create the file; each chain maps it on its own
+        np.lib.format.open_memmap(pool_path, mode="w+", dtype=float,
+                                  shape=(cfg.retain_last * k_chains, model.graph.n))
 
     results: list[ChainTrace | None] = [None] * k_chains
     failures: list[tuple[int, Exception]] = []
+    jobs = [(model, c, s_ref, pool_path, i, k_chains) for i, c in enumerate(configs)]
     if workers <= 1 or k_chains == 1:
-        for i, c in enumerate(configs):
+        for i, job in enumerate(jobs):
             try:
-                results[i] = run_chain(model, c, s_ref)
+                results[i] = _chain_job(*job)
             except Exception as exc:  # collected, reported per chain below
                 failures.append((i, exc))
     else:
         with ProcessPoolExecutor(max_workers=min(workers, k_chains)) as pool:
-            futures = [pool.submit(_chain_job, (model, c, s_ref)) for c in configs]
+            futures = [pool.submit(_chain_job, *job) for job in jobs]
             for i, fut in enumerate(futures):
                 try:
                     results[i] = fut.result()

@@ -27,6 +27,14 @@ TINY = {
     },
 }
 
+# Langevin steps so large that the first chain step leaves the domain guard
+DIVERGING = dict(
+    TINY,
+    engines=["langevin"],
+    langevin=dict(TINY["langevin"],
+                  schedule={"t0": 1.0, "cooling": 0.999, "t_min": 0.001, "dt0": 1e9}),
+)
+
 
 def write_config(tmp_path, tree=None, **extra):
     tree = dict(tree or TINY)
@@ -99,6 +107,19 @@ class TestPipeline:
                      "--engine", "ising"]) == 0
         assert (out / "trace_ising_00.csv").exists()
         assert not (out / "trace_langevin_00.csv").exists()
+
+    def test_engine_flag_both_runs_both(self, tmp_path):
+        cfg_path = write_config(tmp_path, engines=["ising"])
+        out = tmp_path / "run"
+        for stage in ("synth", "field"):
+            assert main([stage, "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out),
+                     "--engine", "both"]) == 0
+        assert (out / "trace_ising_00.csv").exists()
+        assert (out / "trace_langevin_00.csv").exists()
+
+    def test_repeated_engine_fails_at_load(self, tmp_path):
+        assert_fails_at_load(tmp_path, dict(TINY, engines=["ising", "ising"]))
 
     def test_engine_flag_restricts_stages(self, tmp_path):
         cfg_path = write_config(tmp_path)
@@ -185,26 +206,33 @@ class TestPipeline:
             assert main([stage, "--config", str(cfg_path), "--out", str(one)]) == 0
         shutil.copytree(one, two)
         for out, workers in ((one, "1"), (two, "2")):
-            assert main(["simulate", "--config", str(cfg_path), "--out", str(out),
-                         "--workers", workers]) == 0
-        names = sorted(p.name for p in one.iterdir()
-                       if p.name.startswith(("retained_", "trace_")))
-        assert len(names) == 2 * (2 + 3)  # per engine: 2 traces, json, configs, energies
-        assert names == sorted(p.name for p in two.iterdir()
-                               if p.name.startswith(("retained_", "trace_")))
+            for stage in ("simulate", "conformal"):  # workers are conformal threads too
+                assert main([stage, "--config", str(cfg_path), "--out", str(out),
+                             "--workers", workers]) == 0
+        prefixes = ("retained_", "trace_", "uncertainty_", "unit_results_",
+                    "coverage_adaptivity_")
+        names = sorted(p.name for p in one.iterdir() if p.name.startswith(prefixes))
+        # per engine: 2 traces, json, configs, energies and 3 conformal tables
+        assert len(names) == 2 * (2 + 3 + 3)
+        assert names == sorted(p.name for p in two.iterdir() if p.name.startswith(prefixes))
         for name in names:
             assert (one / name).read_bytes() == (two / name).read_bytes(), name
 
     def test_divergence_exit_code(self, tmp_path):
-        tree = dict(TINY)
-        tree["engines"] = ["langevin"]
-        tree["langevin"] = dict(
-            TINY["langevin"],
-            schedule={"t0": 1.0, "cooling": 0.999, "t_min": 0.001, "dt0": 1e9},
-        )
-        cfg_path = write_config(tmp_path, tree)
+        cfg_path = write_config(tmp_path, DIVERGING)
         out = tmp_path / "run"
         assert main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 4
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_divergence_leaves_no_pool(self, tmp_path, workers):
+        cfg_path = write_config(tmp_path, DIVERGING)
+        out = tmp_path / "run"
+        for stage in ("synth", "validate", "field"):
+            assert main([stage, "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out),
+                     "--workers", workers]) == 4
+        assert not list(out.glob("retained_langevin_configs*"))
+        assert main(["conformal", "--config", str(cfg_path), "--out", str(out)]) == 3
 
 
 class TestStages:

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from softspin.conformal import (
     six_number,
 )
 from softspin.errors import ConfigError, EmptyCalibration, InsufficientPool
+from softspin.sampler import make_rng
 
 
 def exchangeable_fixture(n_units, b=800, seed=0):
@@ -47,6 +50,22 @@ class TestBatchMeans:
         out = batch_means(pool, spec)
         tol = 3.0 * pool.std(axis=0) / np.sqrt(400 * 50)
         assert np.all(np.abs(out.mean(axis=0) - pool.mean(axis=0)) <= 3 * tol + 1e-3)
+
+    def test_bit_equal_for_any_worker_count(self, rng):
+        # 101 batches: neither 2 nor 3 threads split them evenly
+        pool = rng.normal(size=(300, 5))
+        spec = BatchSpec(n_total=300, n_batches=101, batch_size=25, seed=4)
+        stream = make_rng(spec.seed)  # draw, then average, one batch at a time
+        serial = np.array([pool[stream.integers(0, 300, size=25)].mean(axis=0)
+                           for _ in range(101)])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for workers in (1, 2, 3):
+                out = batch_means(pool, spec, workers=workers)
+                np.testing.assert_array_equal(out.view(np.uint64), serial.view(np.uint64))
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_insufficient_pool(self, rng):
         spec = BatchSpec(n_total=100, n_batches=5, batch_size=50, seed=0)

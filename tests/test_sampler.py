@@ -378,6 +378,23 @@ class TestRunParallel:
             np.testing.assert_array_equal(ts.energies, tp.energies)
             assert ts.final_temperature == tp.final_temperature
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pool_file_written_in_place(self, tmp_path, workers):
+        model = quadratic_model(n=5)
+        cfg = ChainConfig(engine=Engine.ISING, n_iters=300, thin=3, retain_last=20,
+                          seed=11)
+        ref = SpinConfiguration(np.zeros(5), Domain.ISING_SCALED)
+        in_memory = run_parallel(model, cfg, ref, k_chains=3)
+        path = tmp_path / "pool.npy"
+        traces = run_parallel(model, cfg, ref, k_chains=3, workers=workers,
+                              pool_path=path)
+        configs, energies = pooled_retained(in_memory)
+        np.testing.assert_array_equal(np.load(path), configs)
+        assert all(t.retained is None for t in traces)
+        for tf, tm in zip(traces, in_memory):
+            np.testing.assert_array_equal(tf.retained_energies, tm.retained_energies)
+            np.testing.assert_array_equal(tf.energies, tm.energies)
+
     def test_per_chain_failures_reported(self):
         model = quadratic_model(n=3)
         sched = AnnealingSchedule(t0=1.0, cooling=0.999, t_min=1e-3, dt0=1e8)
