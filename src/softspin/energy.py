@@ -98,15 +98,23 @@ def delta_h(model: EnergyModel, s, i: int, s_new: float, sums: GroupSums | None 
     )
 
 
-def grad(model: EnergyModel, s, sums: GroupSums | None = None) -> np.ndarray:
-    """Gradient of the energy: (grad H)_i = -sum_j J_ij s_j - h_i + lambda s_i."""
+def grad(model: EnergyModel, s, sums: GroupSums | None = None,
+         out: np.ndarray | None = None) -> np.ndarray:
+    """Gradient of the energy: (grad H)_i = -sum_j J_ij s_j - h_i + lambda s_i.
+
+    With ``out`` the gradient is written into that length-N array.
+    """
     x = _spins(s)
     if sums is not None:
         gsum = sums.sums
     else:
         gsum = np.bincount(model.graph.group_of, weights=x, minlength=model.graph.n_groups)
-    nb = gsum[model.graph.group_of] - x
-    return -nb - model.field + model.lambda_reg * x
+    out = np.take(gsum, model.graph.group_of, out=out)
+    out -= x  # neighbour sums
+    np.negative(out, out=out)
+    out -= model.field
+    out += model.lambda_reg * x
+    return out
 
 
 def energy_ratio(h, h_ref: float):

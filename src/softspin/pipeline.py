@@ -191,10 +191,13 @@ def _simulate_engine(cfg: RunConfig, out: Path, dataset, field, graph,
                      engine: Engine) -> list[Path]:
     """Run one engine's chains and write its artifacts.
 
-    The chains write the retained pool in place into a temporary file, which
-    becomes ``retained_<engine>_configs.npy`` only once every chain has
-    finished, so a failed run leaves no pool behind.
+    The engine's ``retained_<engine>*`` files from an earlier run are deleted
+    first. The chains write the retained pool in place into a temporary file,
+    which becomes ``retained_<engine>_configs.npy`` only once every chain has
+    finished, so a failed run leaves no pool and no metadata behind.
     """
+    for stale in out.glob(f"retained_{engine.value}*"):
+        stale.unlink()
     lam = _resolve_lambda(cfg, engine, graph)
     model = EnergyModel(graph, field, lambda_reg=lam)
     domain = engine.domain
@@ -250,15 +253,28 @@ def _simulate_engine(cfg: RunConfig, out: Path, dataset, field, graph,
     return written
 
 
-def _read_retained(out: Path, engine: Engine, names: tuple[str, ...]):
+def _read_retained(out: Path, engine: Engine, names: tuple[str, ...], mmap_mode=None):
     """The retained metadata plus only the named arrays of ``engine``."""
     meta_path = _require(out / f"retained_{engine.value}.json", "simulate")
     meta = json.loads(meta_path.read_text(encoding="utf-8"))
     arrays = {}
     for name in names:
         path = _require(out / f"retained_{engine.value}_{name}.npy", "simulate")
-        arrays[name] = np.load(path)
+        arrays[name] = np.load(path, mmap_mode=mmap_mode)
     return meta, arrays
+
+
+def _read_last_rows(mapped: np.memmap, n_rows: int) -> np.ndarray:
+    """A copy of the last ``n_rows`` rows of a mapped C-order .npy file.
+
+    The rows are read from the file, not through the mapping: touched pages
+    of a mapping count in the resident set on top of the copy.
+    """
+    rows = np.empty((n_rows, *mapped.shape[1:]), dtype=mapped.dtype)
+    with open(mapped.filename, "rb") as fh:
+        fh.seek(mapped.offset + (mapped.shape[0] - n_rows) * mapped.strides[0])
+        fh.readinto(rows)
+    return rows
 
 
 def stage_conformal(cfg: RunConfig, out: Path) -> list[Path]:
@@ -274,14 +290,15 @@ def _conformal_engine(cfg: RunConfig, out: Path, dataset, engine: Engine) -> lis
     """Intervals of one engine; its pool is freed before the next one loads."""
     spec = cfg.batch_spec()
     y_obs = dataset.target
-    meta, arrays = _read_retained(out, engine, ("configs",))
-    pool = arrays.pop("configs")
-    if pool.shape[0] < spec.n_total:
+    meta, arrays = _read_retained(out, engine, ("configs",), mmap_mode="r")
+    mapped = arrays.pop("configs")
+    if mapped.shape[0] < spec.n_total:
         raise ConfigError(
-            f"conformal: retained pool {pool.shape[0]} of engine "
+            f"conformal: retained pool {mapped.shape[0]} of engine "
             f"{engine.value} is smaller than n_total={spec.n_total}"
         )
-    pool = unscale_inplace(pool[-spec.n_total:], Domain(meta["domain"]))
+    # only the last n_total rows are used, so only they are read
+    pool = unscale_inplace(_read_last_rows(mapped, spec.n_total), Domain(meta["domain"]))
     y_est = pool[-cfg.estimate_last_n:].mean(axis=0)
     batches = batch_means(pool, spec, workers=cfg.workers)
     del pool  # freed before repeat_splits sorts a copy of the batches

@@ -35,19 +35,43 @@ def _cell(value) -> str:
     return str(value)
 
 
-def write_table(path, header, rows) -> Path:
+def _write_cells(path, header, rows) -> Path:
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
+        writer.writerows(rows)
     return path
+
+
+def write_table(path, header, rows) -> Path:
+    return _write_cells(path, header, ([_cell(v) for v in row] for row in rows))
+
+
+def _column_cells(values) -> list[str]:
+    """The cells of one column, as :func:`_cell` writes them.
+
+    A numpy column is converted with one ``tolist()`` and formatted by its
+    dtype; anything else goes through :func:`_cell` value by value.
+    """
+    if isinstance(values, np.ndarray):
+        kind = values.dtype.kind
+        values = values.tolist()
+        if kind == "f":
+            return ["NA" if v != v else repr(v) for v in values]
+        if kind == "b":
+            return ["1" if v else "0" for v in values]
+        if kind in "iu":
+            return list(map(str, values))
+    elif isinstance(values, range):
+        return list(map(str, values))
+    return [_cell(v) for v in values]
 
 
 def write_columns(path, columns: dict) -> Path:
     """A table with one column per entry of ``columns`` (header -> values)."""
-    return write_table(path, list(columns), zip(*columns.values()))
+    cells = [_column_cells(values) for values in columns.values()]
+    return _write_cells(path, list(columns), zip(*cells))
 
 
 def read_table(path) -> tuple[list[str], list[list[str]]]:

@@ -8,7 +8,8 @@ gradient steps with temperature-scaled noise and a step size proportional
 to the current temperature, cooling every step, so drift and noise shrink
 together. Chains are reproducible: each one owns a counter-based Philox
 stream keyed by its seed, and parallel runs assign stream keys by chain
-index so results do not depend on scheduling.
+index so results do not depend on scheduling. A Metropolis chain draws its
+variates from that stream in fixed-size blocks (``METROPOLIS_BLOCK``).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import chain, islice
 from pathlib import Path
 from typing import Sequence
 
@@ -140,13 +142,18 @@ class ChainConfig:
 
 @dataclass
 class ChainState:
-    """Mutable state owned by exactly one chain."""
+    """Mutable state owned by exactly one chain.
+
+    ``work`` holds the Langevin step's three preallocated length-N buffers
+    (noise, drift, next state), created on the first step.
+    """
 
     s: np.ndarray
     temperature: float
     sums: GroupSums
     energy: float
     bounds: tuple[float, float] | None
+    work: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
 
 def init_state(model: EnergyModel, s0, schedule: AnnealingSchedule,
@@ -174,39 +181,121 @@ def accept_probability(delta: float, temperature: float) -> float:
     return math.exp(-delta / temperature)
 
 
+# Variates a Metropolis chain draws from its stream at a time: this many
+# sites, then as many normals, then as many uniforms. Chains draw whole
+# blocks only, so a chain of n steps uses the first n variates of any longer
+# chain with the same seed.
+METROPOLIS_BLOCK = 4096
+
+
+def metropolis_kernel(spins, mirror, sums, group_of, field, lambda_reg: float,
+                      schedule: AnnealingSchedule,
+                      bounds: tuple[float, float] | None, variates,
+                      temperature: float, energy: float,
+                      stop: int = 0, on_stop=None) -> tuple[float, float, int]:
+    """Single-site Metropolis updates, one per (site, normal, uniform) triple.
+
+    The one home of the update rule. Spin ``site`` is perturbed by
+    ``normal * proposal_sd`` (reflected at the bounds, if any), the energy
+    increment comes from the group-sum cache ``sums`` in O(1), and the move
+    is accepted when ``uniform < accept_probability(dH, T)``. On acceptance
+    the spin is written to ``spins`` and ``mirror``, its group sum and the
+    running energy take the change, and the temperature cools.
+
+    ``spins``, ``sums``, ``group_of`` and ``field`` are indexed per unit or
+    group: plain lists on the chain's fast path, numpy arrays in
+    :func:`metropolis_step`. After the step numbered ``stop`` (counting from
+    1), ``on_stop(stop, energy)`` runs and returns the next stop and the
+    energy to carry on with. Returns (temperature, energy, accepted moves).
+    """
+    sd = schedule.proposal_sd
+    half_lambda = 0.5 * lambda_reg
+    cooled = schedule.cooled
+    accepted = 0
+    t = 0
+    for i, z, u in variates:
+        s_i = spins[i]
+        s_new = s_i + z * sd
+        if bounds is not None:
+            s_new = _reflect(s_new, bounds[0], bounds[1])
+        g = group_of[i]
+        diff = s_new - s_i
+        delta = (
+            -diff * (sums[g] - s_i)
+            - field[i] * diff
+            + half_lambda * (s_new * s_new - s_i * s_i)
+        )
+        if u < accept_probability(delta, temperature):
+            spins[i] = mirror[i] = s_new
+            sums[g] += diff
+            energy += delta
+            temperature = cooled(temperature)
+            accepted += 1
+        t += 1
+        if t == stop:
+            stop, energy = on_stop(t, energy)
+    return temperature, energy, accepted
+
+
 def metropolis_step(model: EnergyModel, state: ChainState,
                     schedule: AnnealingSchedule, rng) -> bool:
     """One single-site Metropolis update; returns whether it was accepted.
 
-    Draws a uniform site, perturbs it with Gaussian noise of scale
-    ``proposal_sd`` (reflected at the bounds if any), and accepts with
-    min{1, exp(-dH/T)}. On acceptance the spin, the group-sum cache and the
-    running energy are updated and the temperature cools.
-    One uniform variate is consumed per step regardless of the branch so the
-    random stream is aligned across runs.
+    The readable one-step form of the chain's update: draws a uniform site,
+    a standard normal and a uniform variate from ``rng``, in that order, and
+    runs :func:`metropolis_kernel` on that one triple and the state's
+    arrays. All three variates are drawn whatever the outcome, so the
+    random stream stays aligned across runs.
     """
-    s = state.s
-    i = int(rng.integers(0, s.shape[0]))
-    s_i = float(s[i])
-    s_new = s_i + float(rng.standard_normal()) * schedule.proposal_sd
-    if state.bounds is not None:
-        s_new = _reflect(s_new, state.bounds[0], state.bounds[1])
-    g = model.graph.group_of[i]
-    nb = float(state.sums.sums[g]) - s_i
-    diff = s_new - s_i
-    # energy.delta_h inlined: the call costs about an eighth of a step
-    delta = (
-        -diff * nb
-        - float(model.field[i]) * diff
-        + 0.5 * model.lambda_reg * (s_new * s_new - s_i * s_i)
+    i = int(rng.integers(0, state.s.shape[0]))
+    z = float(rng.standard_normal())
+    u = float(rng.random())
+    state.temperature, state.energy, accepted = metropolis_kernel(
+        state.s, state.s, state.sums.sums, model.graph.group_of, model.field,
+        model.lambda_reg, schedule, state.bounds, ((i, z, u),),
+        state.temperature, state.energy,
     )
-    temperature = state.temperature
-    accepted = float(rng.random()) < accept_probability(delta, temperature)
-    if accepted:
-        s[i] = s_new
-        state.sums.sums[g] += diff
-        state.energy += delta
-        state.temperature = schedule.cooled(temperature)
+    return accepted == 1
+
+
+def _metropolis_blocks(rng, n: int):
+    """Endless (site, normal, uniform) blocks of one chain's stream."""
+    while True:
+        sites = rng.integers(0, n, size=METROPOLIS_BLOCK).tolist()
+        normals = rng.standard_normal(METROPOLIS_BLOCK).tolist()
+        uniforms = rng.random(METROPOLIS_BLOCK).tolist()
+        yield zip(sites, normals, uniforms)
+
+
+def _run_metropolis(model: EnergyModel, cfg: ChainConfig, state: ChainState,
+                    rng, stops, emit) -> int:
+    """Run a Metropolis chain; return its number of accepted moves.
+
+    Spins and group sums are held as Python lists, which index and add much
+    faster than numpy scalars. ``state.s`` mirrors the spins, written only
+    on acceptance, so a snapshot is still one array copy. After each step in
+    ``stops``, ``emit(t, energy)`` records it; every ``recompute_every``
+    steps the group sums and the running energy are recomputed from
+    ``state.s`` first, which cancels float drift.
+    """
+    every = cfg.recompute_every
+    spins, sums = state.s.tolist(), state.sums.sums.tolist()
+    pending = iter(sorted(set(stops).union(range(every, cfg.n_iters + 1, every))))
+
+    def on_stop(t: int, energy: float) -> tuple[int, float]:
+        if t % every == 0:
+            state.sums.recompute(state.s)
+            sums[:] = state.sums.sums.tolist()
+            energy = hamiltonian(model, state.s)
+        emit(t, energy)
+        return next(pending, 0), energy
+
+    variates = islice(chain.from_iterable(_metropolis_blocks(rng, len(spins))), cfg.n_iters)
+    state.temperature, state.energy, accepted = metropolis_kernel(
+        spins, state.s, sums, model.graph.group_of.tolist(), model.field.tolist(),
+        model.lambda_reg, cfg.schedule, state.bounds, variates,
+        state.temperature, state.energy, next(pending, 0), on_stop,
+    )
     return accepted
 
 
@@ -217,29 +306,51 @@ def langevin_step(model: EnergyModel, state: ChainState,
     s <- s - dt * grad H(s) + sqrt(2 T dt) * eta with eta standard normal
     and dt = dt0 * T/t0, so the drift and noise scales shrink together as
     the temperature drops. States leaving the divergence guard (ten domain
-    widths beyond the bounds, or non-finite anywhere) raise; bounded states
-    are clamped back into the domain. Cools every step.
+    widths beyond the bounds, 1e12 without bounds, or non-finite anywhere)
+    raise and leave the state as it was; bounded states are clamped back
+    into the domain. Cools every step. Works in ``state.work``.
     """
     temperature = state.temperature
     dt = schedule.dt0 * (temperature / schedule.t0)
     s = state.s
-    noise = rng.standard_normal(s.shape[0])
-    s_new = s - dt * grad(model, s, state.sums) + math.sqrt(2.0 * temperature * dt) * noise
+    if state.work is None:
+        state.work = (np.empty_like(s), np.empty_like(s), np.empty_like(s))
+    noise, drift, s_new = state.work
+    rng.standard_normal(out=noise)
+    grad(model, s, state.sums, out=drift)
+    drift *= dt
+    np.subtract(s, drift, out=s_new)
+    noise *= math.sqrt(2.0 * temperature * dt)
+    s_new += noise
 
-    if not np.all(np.isfinite(s_new)):
-        raise DivergenceDetected(detail="non-finite state")
-    if state.bounds is not None:
-        lo, hi = state.bounds
+    bounds = state.bounds
+    if bounds is not None:
+        lo, hi = bounds
         guard = 10.0 * (hi - lo)
-        if float(s_new.min()) < lo - guard or float(s_new.max()) > hi + guard:
-            raise DivergenceDetected(detail="state escaped the domain guard")
+        floor, ceiling = lo - guard, hi + guard
+    else:
+        floor, ceiling = -1e12, 1e12
+    if not (s_new.min() >= floor and s_new.max() <= ceiling):  # NaN fails too
+        if not np.all(np.isfinite(s_new)):
+            raise DivergenceDetected(detail="non-finite state")
+        raise DivergenceDetected(detail="state escaped the domain guard"
+                                 if bounds is not None else "unbounded state exceeded 1e12")
+    if bounds is not None:
         np.clip(s_new, lo, hi, out=s_new)
-    elif float(np.abs(s_new).max()) > 1e12:
-        raise DivergenceDetected(detail="unbounded state exceeded 1e12")
 
-    state.s = s_new
+    state.s, state.work = s_new, (noise, drift, s)
     state.sums.recompute(s_new)
     state.temperature = schedule.cooled(temperature)
+
+
+def _langevin_steps(model: EnergyModel, state: ChainState,
+                    schedule: AnnealingSchedule, rng, t: int, stop: int) -> None:
+    """Run iterations ``t + 1`` to ``stop``, naming the one that diverges."""
+    for it in range(t + 1, stop + 1):
+        try:
+            langevin_step(model, state, schedule, rng)
+        except DivergenceDetected as exc:
+            raise DivergenceDetected(it, exc.detail) from None
 
 
 @dataclass
@@ -272,9 +383,9 @@ def run_chain(model: EnergyModel, cfg: ChainConfig, s_ref: SpinConfiguration,
     """Run one chain: burn-in, thinned retention of the last snapshots.
 
     The chain starts at the reference configuration. Energies are recorded
-    every ``energy_stride`` iterations; the group-sum cache and running
-    energy are fully recomputed every ``recompute_every`` iterations to
-    cancel float drift. Divergence is re-raised with the iteration index
+    every ``energy_stride`` iterations; the Metropolis group-sum cache and
+    running energy are fully recomputed every ``recompute_every`` iterations
+    to cancel float drift. Divergence is re-raised with the iteration index
     attached. The snapshots go into ``retained``, a (retain_last, N) output
     array such as a view of a memory-mapped pool, or into a new array.
     """
@@ -282,51 +393,45 @@ def run_chain(model: EnergyModel, cfg: ChainConfig, s_ref: SpinConfiguration,
     if s_ref.s.shape != (n,):
         raise ConfigError("chain: reference configuration length does not match N")
     bounds = DOMAIN_BOUNDS[s_ref.domain] if cfg.bounded else None
-    schedule = cfg.schedule
     rng = make_rng(cfg.seed)
-    state = init_state(model, s_ref.s, schedule, bounds)
+    state = init_state(model, s_ref.s, cfg.schedule, bounds)
 
     stride = cfg.energy_stride
     energies = np.empty(len(cfg.energy_iterations()))
     energies[0] = state.energy
 
     grid = cfg.retained_iterations()
-    first, thin = grid.start, grid.step
     if retained is None:
         retained = np.empty((len(grid), n))
     retained_energy = np.empty(len(grid))
-    accepts = 0
-    is_metropolis = cfg.engine is Engine.ISING
 
-    for t in range(1, cfg.n_iters + 1):
-        try:
-            if is_metropolis:
-                accepts += metropolis_step(model, state, schedule, rng)
-            else:
-                langevin_step(model, state, schedule, rng)
-        except DivergenceDetected as exc:
-            raise DivergenceDetected(t, exc.detail) from None
-        if t % cfg.recompute_every == 0:
-            state.sums.recompute(state.s)
-            state.energy = hamiltonian(model, state.s)
-        record = t % stride == 0
-        keep = t >= first and (t - first) % thin == 0
-        if record or keep:
-            energy = state.energy if is_metropolis else hamiltonian(model, state.s)
-            if record:
-                energies[t // stride] = energy
-            if keep:
-                j = (t - first) // thin
-                retained[j] = state.s
-                retained_energy[j] = energy
+    def emit(t: int, energy: float) -> None:
+        if t % stride == 0:
+            energies[t // stride] = energy
+        if t in grid:
+            j = grid.index(t)
+            retained[j] = state.s
+            retained_energy[j] = energy
 
-    accept_count = accepts if is_metropolis else cfg.n_iters
+    # only the iterations that record an energy or keep a snapshot stop the run
+    stops = sorted(set(cfg.energy_iterations()[1:]).union(grid))
+    if cfg.engine is Engine.ISING:
+        accepts = _run_metropolis(model, cfg, state, rng, stops, emit)
+    else:
+        t = 0
+        for stop in stops:
+            _langevin_steps(model, state, cfg.schedule, rng, t, stop)
+            emit(stop, hamiltonian(model, state.s))
+            t = stop
+        _langevin_steps(model, state, cfg.schedule, rng, t, cfg.n_iters)
+        accepts = cfg.n_iters
+
     return ChainTrace(
         domain=s_ref.domain,
         energies=energies,
         retained=retained,
         retained_energies=retained_energy,
-        accept_count=int(accept_count),
+        accept_count=accepts,
         final_temperature=state.temperature,
         config=cfg,
     )

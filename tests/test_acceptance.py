@@ -88,6 +88,19 @@ class TestCriterion1AnalyticStationarity:
 class TestCriterion2GibbsAgreement:
     """Two-unit clique: empirical bins vs normalized Boltzmann masses."""
 
+    @staticmethod
+    def total_variation(traj):
+        centers = -1 + (np.arange(21) + 0.5) * (2 / 21)
+        s1, s2 = np.meshgrid(centers, centers, indexing="ij")
+        energy = -s1 * s2 - 0.3 * s1 + 0.3 * s2 + 0.5 * (s1**2 + s2**2)
+        target = np.exp(-energy / 1.0)
+        target /= target.sum()
+        b1 = np.clip(((traj[:, 0] + 1) / 2 * 21).astype(int), 0, 20)
+        b2 = np.clip(((traj[:, 1] + 1) / 2 * 21).astype(int), 0, 20)
+        counts = np.zeros((21, 21))
+        np.add.at(counts, (b1, b2), 1)
+        return 0.5 * np.abs(counts / counts.sum() - target).sum()
+
     def test_total_variation(self):
         graph = make_clique_graph([2])
         model = EnergyModel(graph, np.array([0.3, -0.3]), lambda_reg=1.0)
@@ -99,20 +112,24 @@ class TestCriterion2GibbsAgreement:
         for k in range(n_steps):
             metropolis_step(model, state, sched, rng)
             traj[k] = state.s
-        traj = traj[burn:]
-
-        centers = -1 + (np.arange(21) + 0.5) * (2 / 21)
-        s1, s2 = np.meshgrid(centers, centers, indexing="ij")
-        energy = -s1 * s2 - 0.3 * s1 + 0.3 * s2 + 0.5 * (s1**2 + s2**2)
-        target = np.exp(-energy / 1.0)
-        target /= target.sum()
-        b1 = np.clip(((traj[:, 0] + 1) / 2 * 21).astype(int), 0, 20)
-        b2 = np.clip(((traj[:, 1] + 1) / 2 * 21).astype(int), 0, 20)
-        counts = np.zeros((21, 21))
-        np.add.at(counts, (b1, b2), 1)
-        tv = 0.5 * np.abs(counts / counts.sum() - target).sum()
+        tv = self.total_variation(traj[burn:])
         check(
             "criterion 2 (Gibbs agreement)", tv <= 0.05,
+            f"total variation {tv:.4f} <= 0.05 on the 21x21 grid at 10^6 steps",
+        )
+
+    def test_total_variation_block_kernel(self):
+        # the same check on the chain's block-drawn path through run_chain
+        graph = make_clique_graph([2])
+        model = EnergyModel(graph, np.array([0.3, -0.3]), lambda_reg=1.0)
+        cfg = ChainConfig(
+            engine=Engine.ISING, n_iters=1_000_000, burn_in_frac=0.01, thin=1,
+            retain_last=990_000, seed=0, schedule=fixed_t(1.0, proposal_sd=0.8),
+        )
+        trace = run_chain(model, cfg, SpinConfiguration(np.zeros(2), Domain.ISING_SCALED))
+        tv = self.total_variation(trace.retained)
+        check(
+            "criterion 2 (Gibbs agreement, block kernel)", tv <= 0.05,
             f"total variation {tv:.4f} <= 0.05 on the 21x21 grid at 10^6 steps",
         )
 

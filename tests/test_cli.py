@@ -13,6 +13,7 @@ from softspin.cli import main
 from softspin.config import DEFAULT_CONFIG, config_hash, load_config
 from softspin.conformal import six_number
 from softspin.errors import ConfigError
+from softspin.pipeline import _read_last_rows
 from softspin.reports import read_table
 
 TINY = {
@@ -235,7 +236,26 @@ class TestPipeline:
         assert main(["conformal", "--config", str(cfg_path), "--out", str(out)]) == 3
 
 
+    def test_failed_rerun_removes_previous_pool(self, tmp_path):
+        out = tmp_path / "run"
+        finished = write_config(tmp_path, DIVERGING, langevin=TINY["langevin"])
+        assert main(["pipeline", "--config", str(finished), "--out", str(out)]) == 0
+        diverging = write_config(tmp_path, DIVERGING)
+        assert main(["simulate", "--config", str(diverging), "--out", str(out)]) == 4
+        assert not list(out.glob("retained_langevin*"))
+        assert main(["conformal", "--config", str(diverging), "--out", str(out)]) == 3
+
+
 class TestStages:
+    def test_read_last_rows_equals_load_slice(self, tmp_path):
+        pool = np.random.default_rng(0).normal(size=(37, 5))
+        np.save(tmp_path / "pool.npy", pool)
+        mapped = np.load(tmp_path / "pool.npy", mmap_mode="r")
+        for n_rows in (1, 20, 37):
+            rows = _read_last_rows(mapped, n_rows)
+            assert rows.flags.writeable and not isinstance(rows, np.memmap)
+            np.testing.assert_array_equal(rows, pool[-n_rows:])
+
     def test_report_requires_upstream(self, tmp_path):
         cfg_path = write_config(tmp_path)
         out = tmp_path / "run"

@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 
 from conftest import make_clique_graph
 from softspin.data import Domain, unscale_values
-from softspin.energy import EnergyModel, SpinConfiguration, hamiltonian
+from softspin.energy import EnergyModel, SpinConfiguration, grad, hamiltonian
 from softspin.errors import (
     ConfigError,
     DivergenceDetected,
     ParallelChainError,
 )
 from softspin.sampler import (
+    METROPOLIS_BLOCK,
     AnnealingSchedule,
     ChainConfig,
     ChainTrace,
@@ -24,6 +25,7 @@ from softspin.sampler import (
     init_state,
     langevin_step,
     make_rng,
+    metropolis_kernel,
     metropolis_step,
     pooled_retained,
     run_chain,
@@ -175,7 +177,145 @@ class TestMetropolisStep:
             assert -1.0 <= state.s[0] <= 1.0
 
 
+class ScriptedRng:
+    """Test double: hands out given (site, normal, uniform) triples in turn."""
+
+    def __init__(self, triples):
+        self.values = iter([v for triple in triples for v in triple])
+
+    def integers(self, lo, hi):
+        return next(self.values)
+
+    def standard_normal(self):
+        return next(self.values)
+
+    def random(self):
+        return next(self.values)
+
+
+class TestMetropolisKernel:
+    @pytest.mark.parametrize("t0, bounds", [
+        (1.0, (-1.0, 1.0)), (1.0, None), (0.0, (-1.0, 1.0)),
+    ])
+    def test_list_kernel_equals_metropolis_step(self, t0, bounds):
+        # the chain's fast path (lists plus a numpy mirror, one call over all
+        # variates) and the one-step reference see the same variates
+        g = make_clique_graph([3, 1, 4, 2])
+        rng = np.random.default_rng(6)
+        model = EnergyModel(g, rng.normal(size=g.n), lambda_reg=1.5)
+        sched = AnnealingSchedule(t0=max(t0, 1e-3), cooling=0.99,
+                                  t_min=min(t0, 0.05), proposal_sd=0.4)
+        s0 = rng.uniform(-0.9, 0.9, size=g.n)
+        steps = 3000
+        triples = list(zip(rng.integers(0, g.n, steps).tolist(),
+                           (3.0 * rng.standard_normal(steps)).tolist(),
+                           rng.random(steps).tolist()))
+
+        state = init_state(model, s0, sched, bounds)
+        state.temperature = t0
+        scripted = ScriptedRng(triples)
+        reference = []
+        for _ in range(steps):
+            accepted = metropolis_step(model, state, sched, scripted)
+            reference.append((accepted, state.s.copy(), state.temperature, state.energy))
+
+        fast = init_state(model, s0, sched, bounds)
+        spins, sums = fast.s.tolist(), fast.sums.sums.tolist()
+        seen = []
+
+        def on_stop(t, energy):
+            seen.append((np.array(spins), fast.s.copy(), energy))
+            return t + 1, energy
+
+        temperature, energy, accepts = metropolis_kernel(
+            spins, fast.s, sums, g.group_of.tolist(), model.field.tolist(),
+            model.lambda_reg, sched, bounds, triples, t0, fast.energy, 1, on_stop,
+        )
+        assert accepts == sum(acc for acc, *_ in reference)
+        assert 0 < accepts < steps or t0 == 0.0
+        assert temperature == reference[-1][2]
+        assert energy == reference[-1][3]
+        for (_, s_ref, _, e_ref), (s_list, mirror, e) in zip(reference, seen):
+            np.testing.assert_array_equal(s_list, s_ref)
+            np.testing.assert_array_equal(mirror, s_ref)
+            assert e == e_ref
+
+    def test_zero_temperature_rejects_uphill(self):
+        model = quadratic_model(h=0.0, lam=1.0)
+        sched = AnnealingSchedule(t0=1.0, cooling=0.5, t_min=0.0, proposal_sd=1.0)
+        state = init_state(model, np.array([0.0]), sched, None)
+        state.temperature = 0.0
+        # away from the minimum at 0 is uphill; u = 0 still rejects it
+        assert not metropolis_step(model, state, sched, ScriptedRng([(0, 0.5, 0.0)]))
+        assert state.s[0] == 0.0 and state.energy == 0.0
+
+    @pytest.mark.parametrize("n_iters", [
+        METROPOLIS_BLOCK - 1, METROPOLIS_BLOCK, METROPOLIS_BLOCK + 1,
+    ])
+    def test_chain_is_prefix_across_block_boundary(self, n_iters):
+        model = quadratic_model(n=5)
+        sched = AnnealingSchedule(cooling=0.999, t_min=0.01, proposal_sd=0.3)
+        ref = SpinConfiguration(np.full(5, 0.1), Domain.ISING_SCALED)
+        long_n = 2 * METROPOLIS_BLOCK + 3
+        long = run_chain(model, ChainConfig(
+            engine=Engine.ISING, n_iters=long_n, burn_in_frac=0.0, thin=1,
+            retain_last=long_n, seed=13, schedule=sched, energy_stride=1,
+        ), ref)
+        short = run_chain(model, ChainConfig(
+            engine=Engine.ISING, n_iters=n_iters, burn_in_frac=0.0, thin=1,
+            retain_last=1, seed=13, schedule=sched, energy_stride=1,
+        ), ref)
+        np.testing.assert_array_equal(short.retained[0], long.retained[n_iters - 1])
+        np.testing.assert_array_equal(short.energies, long.energies[:n_iters + 1])
+
+
 class TestLangevinStep:
+    def test_buffered_step_equals_direct_formula(self):
+        g = make_clique_graph([3, 2, 4])
+        rng = np.random.default_rng(3)
+        model = EnergyModel(g, rng.normal(size=g.n), lambda_reg=2.5)
+        sched = AnnealingSchedule(t0=1.0, cooling=0.9, t_min=0.1, dt0=0.05)
+        state = init_state(model, rng.uniform(10, 90, size=g.n), sched, (0.0, 100.0))
+        stream, replay = make_rng(21), make_rng(21)
+        s = state.s.copy()
+        temperature = sched.t0
+        for _ in range(25):
+            langevin_step(model, state, sched, stream)
+            dt = sched.dt0 * (temperature / sched.t0)
+            s = np.clip(s - dt * grad(model, s)
+                        + math.sqrt(2.0 * temperature * dt) * replay.standard_normal(g.n),
+                        0.0, 100.0)
+            temperature = sched.cooled(temperature)
+            np.testing.assert_array_equal(state.s, s)
+            np.testing.assert_array_equal(state.sums.sums,
+                                          np.bincount(g.group_of, weights=s))
+
+    def test_grad_out_keeps_operation_order(self):
+        g = make_clique_graph([3, 1, 5, 40])
+        rng = np.random.default_rng(9)
+        model = EnergyModel(g, rng.normal(size=g.n), lambda_reg=1.7)
+        s = rng.uniform(-1, 1, size=g.n)
+        nb = np.bincount(g.group_of, weights=s)[g.group_of] - s
+        expected = -nb - model.field + model.lambda_reg * s  # bit for bit
+        out = np.empty(g.n)
+        assert grad(model, s, out=out) is out
+        np.testing.assert_array_equal(out, expected)
+        np.testing.assert_array_equal(grad(model, s), expected)
+
+    @pytest.mark.parametrize("bounds, start, detail", [
+        ((0.0, 100.0), 50.0, "state escaped the domain guard"),
+        (None, 50.0, "unbounded state exceeded 1e12"),
+        ((0.0, 100.0), np.nan, "non-finite state"),
+    ])
+    def test_divergence_detail_and_state_kept(self, bounds, start, detail):
+        model = quadratic_model(h=0.0, lam=1.0)
+        sched = fixed_t(1.0, dt0=1e30)
+        state = init_state(model, np.array([start]), sched, bounds)
+        with pytest.raises(DivergenceDetected) as err:
+            langevin_step(model, state, sched, make_rng(1))
+        assert err.value.detail == detail
+        np.testing.assert_array_equal(state.s, [start])
+
     def test_frozen_at_stationary_point(self):
         # temperature ~ 0 at the decoupled minimum: zero drift, zero noise
         model = quadratic_model(h=0.5, lam=1.0)
