@@ -5,8 +5,12 @@ cools on acceptance; the Langevin engine takes full-vector gradient steps
 with temperature-scaled noise on the raw percent scale and cools every
 step. Both start at the observed configuration and drift toward
 energetically more favorable states nearby, which is the point: local
-exploration, not global optimization.
+exploration, not global optimization. The chains write their retained
+snapshots into one pool file per engine, here in a temporary directory.
 """
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -22,7 +26,6 @@ from softspin import (
     external_field,
     hamiltonian,
     pca,
-    pooled_retained,
     run_parallel,
     scale_target,
     spectrum_extremes,
@@ -31,10 +34,14 @@ from softspin import (
 )
 
 
-def estimate(traces, last_n):
+def estimate(pool_path, engine, last_n):
     """Mean of the most recent pooled snapshots, in raw percent."""
-    configs = pooled_retained(traces)[0][-last_n:]
-    return unscale_values(configs.mean(axis=0), traces[0].domain)
+    configs = np.load(pool_path)[-last_n:]
+    return unscale_values(configs.mean(axis=0), engine.domain)
+
+
+work = tempfile.TemporaryDirectory()  # removed when the script exits
+pools = Path(work.name)
 
 
 dataset = synth_dataset(400, seed=20240811)
@@ -52,11 +59,11 @@ cfg = ChainConfig(
     schedule=AnnealingSchedule(t0=1.0, cooling=0.999, t_min=1e-3,
                                proposal_sd=0.005),
 )
-traces = run_parallel(model, cfg, s_ref, k_chains=2, workers=1)
+traces = run_parallel(model, cfg, s_ref, 2, pools / "ising.npy", workers=1)
 for k, tr in enumerate(traces):
     print(f"chain {k}: H {tr.energies[0]:9.1f} -> {tr.energies[-1]:9.1f}  "
           f"acceptance {tr.acceptance_rate:.2f}  final T {tr.final_temperature:.2e}")
-est = estimate(traces, 2000)
+est = estimate(pools / "ising.npy", Engine.ISING, 2000)
 print(f"reference mean {y_ref.mean():.3f} | estimated mean {est.mean():.3f} | "
       f"MAE {np.abs(est - y_ref).mean():.3f} | "
       f"r {np.corrcoef(est, y_ref)[0, 1]:.4f}")
@@ -70,10 +77,11 @@ cfg_raw = ChainConfig(
     engine=Engine.LANGEVIN, n_iters=20_000, thin=10, retain_last=1500, seed=202,
     schedule=AnnealingSchedule(t0=1.0, cooling=0.9995, t_min=1e-3, dt0=1e-6),
 )
-traces_raw = run_parallel(model_raw, cfg_raw, s_raw, k_chains=2, workers=1)
+traces_raw = run_parallel(model_raw, cfg_raw, s_raw, 2, pools / "langevin.npy",
+                          workers=1)
 for k, tr in enumerate(traces_raw):
     print(f"chain {k}: H {tr.energies[0]:11.1f} -> {tr.energies[-1]:11.1f}")
-est_raw = estimate(traces_raw, 2000)
+est_raw = estimate(pools / "langevin.npy", Engine.LANGEVIN, 2000)
 print(f"reference mean {y_ref.mean():.3f} | estimated mean {est_raw.mean():.3f} | "
       f"MAE {np.abs(est_raw - y_ref).mean():.3f} | "
       f"r {np.corrcoef(est_raw, y_ref)[0, 1]:.4f}")

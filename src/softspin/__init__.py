@@ -44,7 +44,6 @@ from .sampler import (
     langevin_step,
     make_rng,
     metropolis_step,
-    pooled_retained,
     run_chain,
     run_parallel,
 )

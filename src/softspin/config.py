@@ -17,7 +17,7 @@ from pathlib import Path
 import yaml
 
 from .conformal import BatchSpec
-from .data import DEFAULT_INDICATORS, Domain, IndicatorSpec, SynthParams
+from .data import DEFAULT_INDICATORS, Domain, IndicatorSpec, SynthParams, indicator_groups
 from .errors import ConfigError
 from .indices import Direction
 from .sampler import AnnealingSchedule, ChainConfig, Engine
@@ -303,11 +303,17 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("engines: at least one engine must be enabled")
     if len(set(engines)) != len(engines):
         raise ConfigError("engines: each engine may be listed only once")
-    cfg.indicator_spec()
-    cfg.synth_params()
+    n_groups = len(indicator_groups(cfg.indicator_spec()))
     cfg.directions()
     # read only for their types; the stages use them later
-    cfg.out, cfg.synth_seed, cfg.indices_ddof, cfg.truncate_components
+    cfg.out, cfg.indices_ddof
+    for name, seed in (("seed", cfg.seed),
+                       *((f"{s}.seed", int(cfg.raw[s]["seed"])) for s in _SEED_OFFSETS)):
+        if seed < 0:
+            raise ConfigError(f"{name} must be >= 0")
+    if cfg.truncate_components is not None and not 1 <= cfg.truncate_components <= n_groups:
+        raise ConfigError(f"indices: truncate_components must be in 1..{n_groups}, "
+                          f"the number of composite groups")
     t_like = cfg.likelihood_temperature
     if t_like is not None and not t_like > 0:
         raise ConfigError("model: temperature must be > 0")
@@ -315,6 +321,11 @@ def _validate(cfg: RunConfig) -> None:
         spec = cfg.batch_spec()
     except ConfigError as exc:
         raise ConfigError(f"conformal: {exc}") from exc
+    if spec.seed + spec.repeats - 1 >= 2**128:  # a Philox key is 128 bits
+        raise ConfigError("conformal: seed + repeats - 1 must be < 2**128")
+    if not 1 <= cfg.estimate_last_n <= spec.n_total:
+        raise ConfigError(f"conformal: estimate_last_n={cfg.estimate_last_n} is outside "
+                          f"1..n_total={spec.n_total}, the rows the estimate averages")
     for engine in engines:
         try:
             chain = cfg.chain_config(engine)
@@ -322,6 +333,8 @@ def _validate(cfg: RunConfig) -> None:
             raise ConfigError(f"{engine.value}: {exc}") from exc
         if not chain.schedule.t_min > 0:
             raise ConfigError(f"{engine.value}: schedule.t_min must be > 0")
+        if chain.seed + cfg.k_chains(engine) - 1 >= 2**128:
+            raise ConfigError(f"{engine.value}: seed + k_chains - 1 must be < 2**128")
         pooled = chain.retain_last * cfg.k_chains(engine)
         if spec.n_total > pooled:
             raise ConfigError(
@@ -329,20 +342,9 @@ def _validate(cfg: RunConfig) -> None:
                 f"retained pool {pooled} of engine {engine.value} "
                 f"(k_chains x retain_last)"
             )
-        if cfg.estimate_last_n > pooled:
-            raise ConfigError(
-                f"conformal: estimate_last_n={cfg.estimate_last_n} exceeds the "
-                f"pooled retained pool {pooled} of engine {engine.value}"
-            )
         lam = cfg.lambda_override(engine)
         if lam is not None and not lam > 0:
             raise ConfigError(f"{engine.value}: lambda_reg must be > 0")
-    if cfg.estimate_last_n > spec.n_total:
-        raise ConfigError(
-            f"conformal: estimate_last_n={cfg.estimate_last_n} exceeds "
-            f"n_total={spec.n_total} (the estimation pool is the last n_total "
-            f"retained configurations)"
-        )
     if cfg.workers < 1:
         raise ConfigError("workers must be >= 1")
     if cfg.dataset_path is not None and not isinstance(cfg.dataset_path, str):
@@ -354,8 +356,10 @@ def _validate(cfg: RunConfig) -> None:
     for key, name in options.items():
         if not isinstance(name, str):
             raise ConfigError(f"dataset: {key} must be a string")
-    if cfg.dataset_path is None and cfg.synth_units < 2:
-        raise ConfigError("synth: n_units must be >= 2")
+    if cfg.dataset_path is None:  # the synth section is read only to synthesize
+        if cfg.synth_units < 2:
+            raise ConfigError("synth: n_units must be >= 2")
+        cfg.synth_params()
 
 
 def load_config(path=None, overrides: dict | None = None) -> RunConfig:

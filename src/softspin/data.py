@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import (
     BadCategory,
+    ConfigError,
     DataError,
     DuplicateUnitId,
     MissingColumn,
@@ -322,21 +323,37 @@ class SynthParams:
     target_noise_sd: float = 0.35
     center_hub_frac: float = 0.85
 
+    def __post_init__(self):
+        table = self.profile_weights
+        if table is not None and set(table) != set(PROFILE_COLUMNS):
+            raise ConfigError(f"synth: profile_weights must list exactly {PROFILE_COLUMNS}")
+        for column, weights in (table or {}).items():
+            w = np.asarray(weights, dtype=float)
+            if w.shape != (len(PROFILE_DOMAINS[column]),) or not (
+                    (w >= 0).all() and 0 < w.sum() < np.inf):
+                raise ConfigError(f"synth: profile_weights.{column} needs one weight >= 0 "
+                                  f"per category and a positive finite sum")
+        corr = self.group_correlation
+        corrs = [*(corr.values() if isinstance(corr, Mapping) else [corr]), self.cross_correlation]
+        if not all(0.0 <= c <= 1.0 for c in corrs):
+            raise ConfigError("synth: group_correlation and cross_correlation must be in [0, 1]")
+        if not 0.0 < self.target_base_percent < 100.0:
+            raise ConfigError("synth: target_base_percent must be in (0, 100)")
+        groups = indicator_groups(self.indicators)
+        copies = {dst for dst, _ in self.mirror_groups}
+        for dst, src in self.mirror_groups:
+            if (dst not in groups or src not in groups or src in copies
+                    or len(groups[dst]) != len(groups[src])):
+                raise ConfigError(f"synth: cannot mirror group {dst!r} from {src!r}")
+
     def weights_for(self, column: str) -> tuple[float, ...]:
-        table = self.profile_weights or DEFAULT_PROFILE_WEIGHTS
-        w = np.asarray(table[column], dtype=float)
-        if len(w) != len(PROFILE_DOMAINS[column]) or w.min() < 0:
-            raise DataError(f"bad profile weights for {column!r}")
+        w = np.asarray((self.profile_weights or DEFAULT_PROFILE_WEIGHTS)[column], dtype=float)
         return tuple(w / w.sum())
 
     def correlation_for(self, group: str) -> float:
         if isinstance(self.group_correlation, Mapping):
-            c = float(self.group_correlation.get(group, 0.45))
-        else:
-            c = float(self.group_correlation)
-        if not 0.0 <= c <= 1.0:
-            raise DataError(f"group correlation for {group!r} must be in [0, 1]")
-        return c
+            return float(self.group_correlation.get(group, 0.45))
+        return float(self.group_correlation)
 
 
 def synth_dataset(
@@ -380,10 +397,7 @@ def synth_dataset(
             scale = 3.0 + 0.5 * k
             columns[item.name] = loc + scale * base
     for dst, src in mirrored.items():
-        src_items, dst_items = groups.get(src), groups.get(dst)
-        if src_items is None or dst_items is None or len(src_items) != len(dst_items):
-            raise DataError(f"cannot mirror group {dst!r} from {src!r}")
-        for s_item, d_item in zip(src_items, dst_items):
+        for s_item, d_item in zip(groups[src], groups[dst]):
             # sign-matched copy keeps the standardized columns identical
             columns[d_item.name] = (
                 s_item.polarity * d_item.polarity * columns[s_item.name]

@@ -11,7 +11,6 @@ every numeric output.
 from __future__ import annotations
 
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -36,7 +35,6 @@ from .conformal import (
 from .config import RunConfig, config_hash, manifest_config
 from .data import (
     PROFILE_COLUMNS,
-    Domain,
     LoadResult,
     load_dataset,
     save_dataset,
@@ -192,9 +190,9 @@ def _simulate_engine(cfg: RunConfig, out: Path, dataset, field, graph,
     """Run one engine's chains and write its artifacts.
 
     The engine's ``retained_<engine>*`` files from an earlier run are deleted
-    first. The chains write the retained pool in place into a temporary file,
-    which becomes ``retained_<engine>_configs.npy`` only once every chain has
-    finished, so a failed run leaves no pool and no metadata behind.
+    first. ``run_parallel`` writes ``retained_<engine>_configs.npy`` only once
+    every chain has finished, so a failed run leaves no pool and no metadata
+    behind.
     """
     for stale in out.glob(f"retained_{engine.value}*"):
         stale.unlink()
@@ -206,13 +204,7 @@ def _simulate_engine(cfg: RunConfig, out: Path, dataset, field, graph,
     chain_cfg = cfg.chain_config(engine)
     k = cfg.k_chains(engine)
     configs_path = out / f"retained_{engine.value}_configs.npy"
-    partial = configs_path.with_name(configs_path.name + ".tmp")
-    try:
-        traces = run_parallel(model, chain_cfg, s_ref, k, workers=cfg.workers,
-                              pool_path=partial)
-        os.replace(partial, configs_path)
-    finally:
-        partial.unlink(missing_ok=True)  # left only if a chain failed
+    traces = run_parallel(model, chain_cfg, s_ref, k, configs_path, workers=cfg.workers)
     written = [
         write_columns(
             out / f"trace_{engine.value}_{idx:02d}.csv",
@@ -290,7 +282,7 @@ def _conformal_engine(cfg: RunConfig, out: Path, dataset, engine: Engine) -> lis
     """Intervals of one engine; its pool is freed before the next one loads."""
     spec = cfg.batch_spec()
     y_obs = dataset.target
-    meta, arrays = _read_retained(out, engine, ("configs",), mmap_mode="r")
+    _, arrays = _read_retained(out, engine, ("configs",), mmap_mode="r")
     mapped = arrays.pop("configs")
     if mapped.shape[0] < spec.n_total:
         raise ConfigError(
@@ -298,7 +290,7 @@ def _conformal_engine(cfg: RunConfig, out: Path, dataset, engine: Engine) -> lis
             f"{engine.value} is smaller than n_total={spec.n_total}"
         )
     # only the last n_total rows are used, so only they are read
-    pool = unscale_inplace(_read_last_rows(mapped, spec.n_total), Domain(meta["domain"]))
+    pool = unscale_inplace(_read_last_rows(mapped, spec.n_total), engine.domain)
     y_est = pool[-cfg.estimate_last_n:].mean(axis=0)
     batches = batch_means(pool, spec, workers=cfg.workers)
     del pool  # freed before repeat_splits sorts a copy of the batches

@@ -15,12 +15,12 @@ variates from that stream in fixed-size blocks (``METROPOLIS_BLOCK``).
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import chain, islice
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -364,7 +364,6 @@ class ChainTrace:
     (see :func:`run_parallel`).
     """
 
-    domain: Domain
     energies: np.ndarray
     retained: np.ndarray | None
     retained_energies: np.ndarray
@@ -427,7 +426,6 @@ def run_chain(model: EnergyModel, cfg: ChainConfig, s_ref: SpinConfiguration,
         accepts = cfg.n_iters
 
     return ChainTrace(
-        domain=s_ref.domain,
         energies=energies,
         retained=retained,
         retained_energies=retained_energy,
@@ -438,11 +436,9 @@ def run_chain(model: EnergyModel, cfg: ChainConfig, s_ref: SpinConfiguration,
 
 
 def _chain_job(model: EnergyModel, cfg: ChainConfig, s_ref: SpinConfiguration,
-               pool_path: Path | None, c: int, k: int) -> ChainTrace:
-    """Run chain ``c`` of ``k``; with a ``pool_path``, into rows ``j * k + c``
-    of that .npy file, leaving only the energies in the returned trace."""
-    if pool_path is None:
-        return run_chain(model, cfg, s_ref)
+               pool_path: Path, c: int, k: int) -> ChainTrace:
+    """Run chain ``c`` of ``k`` into rows ``j * k + c`` of the .npy file at
+    ``pool_path``, leaving only the energies in the returned trace."""
     pool = np.load(pool_path, mmap_mode="r+")
     view = pool.reshape(cfg.retain_last, k, model.graph.n)[:, c]
     trace = run_chain(model, cfg, s_ref, retained=view)
@@ -455,8 +451,8 @@ def run_parallel(
     cfg: ChainConfig,
     s_ref: SpinConfiguration,
     k_chains: int,
+    pool_path: Path,
     workers: int = 1,
-    pool_path: Path | None = None,
 ) -> list[ChainTrace]:
     """Run ``k_chains`` independent chains with seeds ``cfg.seed`` + index.
 
@@ -465,51 +461,43 @@ def run_parallel(
     in chain-index order. A failing chain does not abort its siblings: all
     failures are collected and raised together afterwards.
 
-    With ``pool_path``, a new .npy file of ``k_chains x retain_last`` rows
-    is created there and every chain writes its snapshots into it in place,
-    in the layout of :func:`pooled_retained`; the traces then carry no
-    snapshots. Otherwise each trace holds its own.
+    The chains write their snapshots in place into one .npy file of
+    ``k_chains x retain_last`` rows: row ``j * k + c`` is chain ``c``'s
+    snapshot ``j``, so rows run oldest first by (iteration, chain index).
+    The file is created as ``<pool_path>.tmp`` and renamed to ``pool_path``
+    once every chain has finished; when any chain fails it is deleted, so
+    a file at ``pool_path`` is always complete. The traces carry no
+    snapshots.
     """
     if k_chains < 1:
         raise ConfigError("k_chains must be >= 1")
     configs = [replace(cfg, seed=cfg.seed + i) for i in range(k_chains)]
-    if pool_path is not None:  # create the file; each chain maps it on its own
-        np.lib.format.open_memmap(pool_path, mode="w+", dtype=float,
-                                  shape=(cfg.retain_last * k_chains, model.graph.n))
+    partial = Path(f"{pool_path}.tmp")
+    # create the file; each chain maps it on its own
+    np.lib.format.open_memmap(partial, mode="w+", dtype=float,
+                              shape=(cfg.retain_last * k_chains, model.graph.n))
 
     results: list[ChainTrace | None] = [None] * k_chains
     failures: list[tuple[int, Exception]] = []
-    jobs = [(model, c, s_ref, pool_path, i, k_chains) for i, c in enumerate(configs)]
-    if workers <= 1 or k_chains == 1:
-        for i, job in enumerate(jobs):
-            try:
-                results[i] = _chain_job(*job)
-            except Exception as exc:  # collected, reported per chain below
-                failures.append((i, exc))
-    else:
-        with ProcessPoolExecutor(max_workers=min(workers, k_chains)) as pool:
-            futures = [pool.submit(_chain_job, *job) for job in jobs]
-            for i, fut in enumerate(futures):
+    jobs = [(model, c, s_ref, partial, i, k_chains) for i, c in enumerate(configs)]
+    try:
+        if workers <= 1 or k_chains == 1:
+            for i, job in enumerate(jobs):
                 try:
-                    results[i] = fut.result()
-                except Exception as exc:
+                    results[i] = _chain_job(*job)
+                except Exception as exc:  # collected, reported per chain below
                     failures.append((i, exc))
-    if failures:
-        raise ParallelChainError(failures)
+        else:
+            with ProcessPoolExecutor(max_workers=min(workers, k_chains)) as pool:
+                futures = [pool.submit(_chain_job, *job) for job in jobs]
+                for i, fut in enumerate(futures):
+                    try:
+                        results[i] = fut.result()
+                    except Exception as exc:
+                        failures.append((i, exc))
+        if failures:
+            raise ParallelChainError(failures)
+        os.replace(partial, pool_path)
+    finally:
+        partial.unlink(missing_ok=True)  # left only if a chain failed
     return results  # type: ignore[return-value]
-
-
-def pooled_retained(traces: Sequence[ChainTrace]) -> tuple[np.ndarray, np.ndarray]:
-    """Pool the retained snapshots of chains that share one retention grid.
-
-    Row ``j * k + c`` of the pool is chain ``c``'s snapshot ``j`` (k chains),
-    so rows run oldest first by (iteration, chain index) and "most recent" is
-    well defined and deterministic across runs. Returns (configs, energies).
-    """
-    grid = traces[0].config.retained_iterations()
-    if any(t.config.retained_iterations() != grid for t in traces):
-        raise ConfigError("pooled_retained: the chains do not share one retention grid")
-    configs = np.stack([t.retained for t in traces], axis=1)
-    energies = np.stack([t.retained_energies for t in traces], axis=1)
-    return configs.reshape(-1, configs.shape[2]), energies.reshape(-1)
-

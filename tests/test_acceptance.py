@@ -327,7 +327,7 @@ class TestCriterion7AnnealingBehavior:
 
 
 class TestCriterion8PerformanceEnvelope:
-    def test_ising_six_chains(self):
+    def test_ising_six_chains(self, tmp_path):
         model, s_ref = paper_scale_setup()
         cfg = ChainConfig(
             engine=Engine.ISING, n_iters=600_000, burn_in_frac=0.10,
@@ -336,7 +336,7 @@ class TestCriterion8PerformanceEnvelope:
                                        proposal_sd=0.05),
         )
         t0 = time.perf_counter()
-        traces = run_parallel(model, cfg, s_ref, k_chains=6, workers=2)
+        traces = run_parallel(model, cfg, s_ref, 6, tmp_path / "pool.npy", workers=2)
         elapsed = time.perf_counter() - t0
         ok = elapsed <= 600.0 and len(traces) == 6
         check(

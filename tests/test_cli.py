@@ -12,6 +12,7 @@ import yaml
 from softspin.cli import main
 from softspin.config import DEFAULT_CONFIG, config_hash, load_config
 from softspin.conformal import six_number
+from softspin.data import DEFAULT_PROFILE_WEIGHTS
 from softspin.errors import ConfigError
 from softspin.pipeline import _read_last_rows
 from softspin.reports import read_table
@@ -66,11 +67,42 @@ _TYPED_LEAVES = [
 ]
 
 
-def assert_fails_at_load(tmp_path, tree):
+def assert_fails_at_load(tmp_path, tree, *flags):
     cfg_path = write_config(tmp_path, tree)
     out = tmp_path / "run"
-    assert main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert main(["pipeline", "--config", str(cfg_path), "--out", str(out), *flags]) == 2
     assert not out.exists() or not any(out.iterdir())
+
+
+def _weights(**columns):
+    table = {k: list(v) for k, v in DEFAULT_PROFILE_WEIGHTS.items()}
+    table.update(columns)
+    return table
+
+
+def _section(name, **values):
+    return dict(TINY, **{name: dict(TINY.get(name, {}), **values)})
+
+
+# (tree, extra CLI flags) that are in range for their type but not for the run
+_OUT_OF_RANGE = {
+    "estimate_last_n=0": (_section("conformal", estimate_last_n=0), ()),
+    "estimate_last_n=-500": (_section("conformal", estimate_last_n=-500), ()),
+    "truncate_components=0": (_section("indices", truncate_components=0), ()),
+    "truncate_components=9": (_section("indices", truncate_components=9), ()),
+    "--seed=-1000": (TINY, ("--seed", "-1000")),
+    "synth.seed=-3": (_section("synth", seed=-3), ()),
+    "ising.seed=-1": (_section("ising", seed=-1), ()),
+    "ising.seed+k_chains>2**128": (_section("ising", seed=2**128 - 1), ()),
+    "conformal.seed+repeats>2**128": (_section("conformal", seed=2**128 - 4), ()),
+    "profile_weights_length": (_section("synth", profile_weights=_weights(ALT=[0.5, 0.5])), ()),
+    "profile_weights_partial": (_section("synth", profile_weights={"ALT": [0.5, 0.3, 0.2]}), ()),
+    "profile_weights_zero": (_section("synth", profile_weights=_weights(POP=[0, 0, 0])), ()),
+    "group_correlation=1.5": (_section("synth", group_correlation=1.5), ()),
+    "cross_correlation=1.5": (_section("synth", cross_correlation=1.5), ()),
+    "target_base_percent=120": (_section("synth", target_base_percent=120), ()),
+    "mirror_unknown_group": (_section("synth", mirror_groups=[["MPI9", "MPI1"]]), ()),
+}
 
 
 class TestPipeline:
@@ -172,6 +204,10 @@ class TestPipeline:
     @pytest.mark.parametrize("value", [0, -1])
     def test_non_positive_temperature_fails_at_load(self, tmp_path, value):
         assert_fails_at_load(tmp_path, dict(TINY, model={"temperature": value}))
+
+    @pytest.mark.parametrize("tree, flags", _OUT_OF_RANGE.values(), ids=list(_OUT_OF_RANGE))
+    def test_out_of_range_value_fails_at_load(self, tmp_path, tree, flags):
+        assert_fails_at_load(tmp_path, tree, *flags)
 
     @pytest.mark.parametrize("key", _TYPED_LEAVES)
     def test_non_numeric_value_fails_at_load(self, tmp_path, key):
@@ -452,6 +488,20 @@ class TestConfig:
         cfg = load_config(None)
         assert cfg.seed == DEFAULT_CONFIG["seed"]
         assert [e.value for e in cfg.engines] == ["ising", "langevin"]
+
+    def test_range_edges_run(self, tmp_path):
+        # the largest Philox keys (k_chains 2, repeats 5) and the end points
+        # of estimate_last_n and truncate_components pass load and run
+        tree = dict(
+            _section("conformal", seed=2**128 - 5, estimate_last_n=1),
+            ising=dict(TINY["ising"], seed=2**128 - 2),
+            synth=dict(TINY["synth"], seed=0),
+            indices={"truncate_components": 6},
+        )
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(write_config(tmp_path, tree)),
+                     "--out", str(out)]) == 0
+        assert json.loads((out / "retained_ising.json").read_text())["seeds"][-1] == 2**128 - 1
 
     def test_estimate_last_n_guard(self, tmp_path):
         tree = dict(TINY)

@@ -18,7 +18,6 @@ from softspin.sampler import (
     METROPOLIS_BLOCK,
     AnnealingSchedule,
     ChainConfig,
-    ChainTrace,
     Engine,
     _reflect,
     accept_probability,
@@ -27,7 +26,6 @@ from softspin.sampler import (
     make_rng,
     metropolis_kernel,
     metropolis_step,
-    pooled_retained,
     run_chain,
     run_parallel,
 )
@@ -484,64 +482,81 @@ class TestRunChain:
 
 
 class TestRunParallel:
-    def test_single_chain_equals_run_chain(self):
+    """Chains write rows ``j * k + c`` of one pool file in place."""
+
+    REF = SpinConfiguration(np.zeros(5), Domain.ISING_SCALED)
+
+    def test_single_chain_equals_run_chain(self, tmp_path):
         model = quadratic_model(n=5)
         cfg = ChainConfig(engine=Engine.ISING, n_iters=500, thin=5, retain_last=50,
                           seed=9)
-        ref = SpinConfiguration(np.zeros(5), Domain.ISING_SCALED)
-        solo = run_chain(model, cfg, ref)
-        par = run_parallel(model, cfg, ref, k_chains=1)
-        np.testing.assert_array_equal(solo.retained, par[0].retained)
+        solo = run_chain(model, cfg, self.REF)
+        par = run_parallel(model, cfg, self.REF, 1, tmp_path / "pool.npy")
+        np.testing.assert_array_equal(solo.retained, np.load(tmp_path / "pool.npy"))
         np.testing.assert_array_equal(solo.energies, par[0].energies)
 
-    def test_repeatable_and_seed_distinct(self):
+    def test_repeatable_and_seed_distinct(self, tmp_path):
         model = quadratic_model(n=5)
         cfg = ChainConfig(engine=Engine.ISING, n_iters=500, thin=5, retain_last=50,
                           seed=100)
-        ref = SpinConfiguration(np.zeros(5), Domain.ISING_SCALED)
-        a = run_parallel(model, cfg, ref, k_chains=3)
-        b = run_parallel(model, cfg, ref, k_chains=3)
-        for ta, tb in zip(a, b):
-            np.testing.assert_array_equal(ta.retained, tb.retained)
+        a = run_parallel(model, cfg, self.REF, 3, tmp_path / "a.npy")
+        run_parallel(model, cfg, self.REF, 3, tmp_path / "b.npy")
+        pool = np.load(tmp_path / "a.npy")
+        np.testing.assert_array_equal(pool, np.load(tmp_path / "b.npy"))
         assert a[0].config.seed == 100 and a[2].config.seed == 102
-        assert not np.array_equal(a[0].retained, a[1].retained)
+        assert not np.array_equal(pool[0::3], pool[1::3])
 
-    def test_worker_count_invariance(self):
+    def test_worker_count_invariance(self, tmp_path):
         model = quadratic_model(n=5)
         cfg = ChainConfig(engine=Engine.ISING, n_iters=400, thin=4, retain_last=40,
                           seed=7)
-        ref = SpinConfiguration(np.zeros(5), Domain.ISING_SCALED)
-        seq = run_parallel(model, cfg, ref, k_chains=3, workers=1)
-        par = run_parallel(model, cfg, ref, k_chains=3, workers=2)
+        seq = run_parallel(model, cfg, self.REF, 3, tmp_path / "seq.npy", workers=1)
+        par = run_parallel(model, cfg, self.REF, 3, tmp_path / "par.npy", workers=2)
+        np.testing.assert_array_equal(np.load(tmp_path / "seq.npy"),
+                                      np.load(tmp_path / "par.npy"))
         for ts, tp in zip(seq, par):
-            np.testing.assert_array_equal(ts.retained, tp.retained)
+            np.testing.assert_array_equal(ts.retained_energies, tp.retained_energies)
             np.testing.assert_array_equal(ts.energies, tp.energies)
             assert ts.final_temperature == tp.final_temperature
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_pool_file_written_in_place(self, tmp_path, workers):
+        # row j * k + c is snapshot j of the chain run alone with seed + c
         model = quadratic_model(n=5)
         cfg = ChainConfig(engine=Engine.ISING, n_iters=300, thin=3, retain_last=20,
                           seed=11)
-        ref = SpinConfiguration(np.zeros(5), Domain.ISING_SCALED)
-        in_memory = run_parallel(model, cfg, ref, k_chains=3)
         path = tmp_path / "pool.npy"
-        traces = run_parallel(model, cfg, ref, k_chains=3, workers=workers,
-                              pool_path=path)
-        configs, energies = pooled_retained(in_memory)
-        np.testing.assert_array_equal(np.load(path), configs)
-        assert all(t.retained is None for t in traces)
-        for tf, tm in zip(traces, in_memory):
-            np.testing.assert_array_equal(tf.retained_energies, tm.retained_energies)
-            np.testing.assert_array_equal(tf.energies, tm.energies)
+        k = 3
+        traces = run_parallel(model, cfg, self.REF, k, path, workers=workers)
+        pool = np.load(path)
+        assert pool.shape == (k * cfg.retain_last, 5)
+        assert list(tmp_path.iterdir()) == [path]  # the .tmp name is gone
+        for c, trace in enumerate(traces):
+            solo = run_chain(model, replace(cfg, seed=cfg.seed + c), self.REF)
+            assert trace.retained is None
+            np.testing.assert_array_equal(trace.retained_energies, solo.retained_energies)
+            np.testing.assert_array_equal(trace.energies, solo.energies)
+            for j in range(cfg.retain_last):
+                np.testing.assert_array_equal(pool[j * k + c], solo.retained[j])
 
-    def test_per_chain_failures_reported(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_divergence_leaves_no_pool_file(self, tmp_path, workers):
+        model = quadratic_model(n=3)
+        sched = AnnealingSchedule(t0=1.0, cooling=0.999, t_min=1e-3, dt0=1e8)
+        cfg = ChainConfig(engine=Engine.LANGEVIN, n_iters=50, retain_last=5,
+                          schedule=sched)
+        ref = SpinConfiguration(np.full(3, 50.0), Domain.RAW_PERCENT)
+        with pytest.raises(ParallelChainError):
+            run_parallel(model, cfg, ref, 2, tmp_path / "pool.npy", workers=workers)
+        assert list(tmp_path.iterdir()) == []  # neither pool.npy nor pool.npy.tmp
+
+    def test_per_chain_failures_reported(self, tmp_path):
         model = quadratic_model(n=3)
         sched = AnnealingSchedule(t0=1.0, cooling=0.999, t_min=1e-3, dt0=1e8)
         cfg = ChainConfig(engine=Engine.LANGEVIN, n_iters=50, seed=0, schedule=sched)
         ref = SpinConfiguration(np.full(3, 50.0), Domain.RAW_PERCENT)
         with pytest.raises(ParallelChainError) as err:
-            run_parallel(model, cfg, ref, k_chains=2)
+            run_parallel(model, cfg, ref, 2, tmp_path / "pool.npy")
         indices = [i for i, _ in err.value.failures]
         assert indices == [0, 1]
         assert all(isinstance(e, DivergenceDetected) for _, e in err.value.failures)
@@ -550,58 +565,24 @@ class TestRunParallel:
 class TestPosteriorMean:
     """The estimate is the mean of the most recent pooled snapshots in percent."""
 
-    # two snapshots per chain, at iterations 1 and 2
-    GRID = ChainConfig(engine=Engine.ISING, n_iters=2, burn_in_frac=0.0, thin=1,
-                       retain_last=2)
-
-    def _trace_with(self, retained, cfg=GRID, domain=Domain.RAW_PERCENT, seed=0):
-        retained = np.asarray(retained, dtype=float)
-        return ChainTrace(
-            domain=domain,
-            energies=np.zeros(1),
-            retained=retained, retained_energies=retained[:, 0].copy(),
-            accept_count=0, final_temperature=1.0,
-            config=replace(cfg, seed=seed),
-        )
-
-    def test_pool_most_recent_across_chains(self):
-        t1 = self._trace_with([np.full(2, 1.0), np.full(2, 3.0)])
-        t2 = self._trace_with([np.full(2, 2.0), np.full(2, 4.0)], seed=1)
-        configs, energies = pooled_retained([t1, t2])
-        # the last two rows are both chains' snapshots at iteration 2
-        np.testing.assert_array_equal(energies, [1.0, 2.0, 3.0, 4.0])
-        np.testing.assert_array_equal(configs[-2:].mean(axis=0), np.full(2, 3.5))
-
-    def test_ising_domain_unscaled_to_percent(self):
-        tr = self._trace_with([np.zeros(2), np.zeros(2)], domain=Domain.ISING_SCALED)
-        configs, _ = pooled_retained([tr])
-        np.testing.assert_array_equal(
-            unscale_values(configs, tr.domain).mean(axis=0), np.full(2, 50.0)
-        )
-
-    def test_pooled_retained_ordering(self):
-        # row j * k + c is chain c's snapshot j
+    def test_pool_most_recent_across_chains(self, tmp_path):
+        # the last k rows are every chain's snapshot at the last retained iteration
         model = quadratic_model(n=4)
-        cfg = ChainConfig(engine=Engine.ISING, n_iters=300, thin=3, retain_last=20,
+        cfg = ChainConfig(engine=Engine.ISING, n_iters=200, thin=2, retain_last=10,
                           seed=40)
         ref = SpinConfiguration(np.zeros(4), Domain.ISING_SCALED)
-        traces = run_parallel(model, cfg, ref, k_chains=3)
-        configs, energies = pooled_retained(traces)
-        assert configs.shape == (60, 4) and energies.shape == (60,)
-        for j in range(20):
-            for c, trace in enumerate(traces):
-                np.testing.assert_array_equal(configs[j * 3 + c], trace.retained[j])
-                assert energies[j * 3 + c] == trace.retained_energies[j]
+        run_parallel(model, cfg, ref, 2, tmp_path / "pool.npy")
+        last = [run_chain(model, replace(cfg, seed=cfg.seed + c), ref).retained[-1]
+                for c in range(2)]
+        np.testing.assert_array_equal(np.load(tmp_path / "pool.npy")[-2:], last)
 
-    @pytest.mark.parametrize("other", [
-        dict(retain_last=1), dict(thin=2, n_iters=4), dict(n_iters=3),
-    ])
-    def test_mismatched_grids_rejected(self, other):
-        t1 = self._trace_with([np.zeros(2), np.ones(2)])
-        cfg = replace(self.GRID, **other)
-        t2 = self._trace_with(np.zeros((cfg.retain_last, 2)), cfg=cfg, seed=1)
-        with pytest.raises(ConfigError, match="retention grid"):
-            pooled_retained([t1, t2])
+    def test_ising_domain_unscaled_to_percent(self):
+        # the conformal stage unscales each engine's pool by ``engine.domain``
+        zeros = np.zeros((2, 2))
+        np.testing.assert_array_equal(
+            unscale_values(zeros, Engine.ISING.domain).mean(axis=0), np.full(2, 50.0)
+        )
+        np.testing.assert_array_equal(unscale_values(zeros, Engine.LANGEVIN.domain), zeros)
 
 
 class TestStationaryAgreement:
