@@ -584,6 +584,23 @@ class TestPosteriorMean:
         )
         np.testing.assert_array_equal(unscale_values(zeros, Engine.LANGEVIN.domain), zeros)
 
+    def test_pooled_retained_ordering(self, tmp_path):
+        # the per-chain energies stacked as the pipeline stacks them line up
+        # with the pool file: row j * k + c is chain c's snapshot j in both
+        model = quadratic_model(n=4)
+        cfg = ChainConfig(engine=Engine.ISING, n_iters=300, thin=3, retain_last=20,
+                          seed=40)
+        ref = SpinConfiguration(np.zeros(4), Domain.ISING_SCALED)
+        traces = run_parallel(model, cfg, ref, 3, tmp_path / "pool.npy")
+        configs = np.load(tmp_path / "pool.npy")
+        energies = np.stack([t.retained_energies for t in traces], axis=1).reshape(-1)
+        assert configs.shape == (60, 4) and energies.shape == (60,)
+        for j in range(20):
+            for c, trace in enumerate(traces):
+                assert energies[j * 3 + c] == trace.retained_energies[j]
+                assert hamiltonian(model, configs[j * 3 + c]) == pytest.approx(
+                    energies[j * 3 + c], rel=1e-9, abs=1e-9)
+
 
 class TestStationaryAgreement:
     def test_metropolis_langevin_same_law(self):
