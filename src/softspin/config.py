@@ -18,7 +18,7 @@ import yaml
 
 from .conformal import BatchSpec
 from .data import DEFAULT_INDICATORS, Domain, IndicatorSpec, SynthParams, indicator_groups
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .indices import Direction
 from .sampler import AnnealingSchedule, ChainConfig, Engine
 
@@ -292,7 +292,7 @@ def resolve_config(tree: dict) -> RunConfig:
             if cfg.raw[section].get("seed") is None:
                 cfg.raw[section]["seed"] = cfg.seed + offset
         _validate(cfg)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, DataError) as exc:
         raise ConfigError(f"malformed configuration value: {exc}") from exc
     return cfg
 
@@ -303,8 +303,10 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("engines: at least one engine must be enabled")
     if len(set(engines)) != len(engines):
         raise ConfigError("engines: each engine may be listed only once")
-    n_groups = len(indicator_groups(cfg.indicator_spec()))
-    cfg.directions()
+    groups = indicator_groups(cfg.indicator_spec())
+    n_groups = len(groups)
+    if unknown := set(cfg.directions()) - set(groups):
+        raise ConfigError(f"indices: directions names unknown composite groups {sorted(unknown)}")
     # read only for their types; the stages use them later
     cfg.out, cfg.indices_ddof
     for name, seed in (("seed", cfg.seed),

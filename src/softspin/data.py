@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -53,6 +55,22 @@ DOMAIN_BOUNDS = {
     Domain.ISING_SCALED: (-1.0, 1.0),
     Domain.RAW_PERCENT: (0.0, 100.0),
 }
+
+
+@contextmanager
+def replaced(path) -> Iterator[Path]:
+    """Yield ``<path>.tmp`` to write; rename it onto ``path`` when the block
+    succeeds, delete it when the block raises.
+
+    Every artifact is written through this, so a file at ``path`` is always
+    complete: a failed or killed writer leaves the previous file or none.
+    """
+    tmp = Path(f"{path}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 @dataclass(frozen=True)
@@ -244,9 +262,8 @@ def save_dataset(
     center_periph_column: str = "center_periph",
 ) -> Path:
     """Write a dataset back to delimited text at full float precision."""
-    path = Path(path)
     names = dataset.indicator_names
-    with path.open("w", newline="", encoding="utf-8") as fh:
+    with replaced(path) as tmp, tmp.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
         writer.writerow(
             [unit_id_column, *PROFILE_COLUMNS, *names, target_column, center_periph_column]
@@ -257,7 +274,7 @@ def save_dataset(
             dataset.target.tolist(), dataset.center_periph,
         ):
             writer.writerow([unit_id, *profile, *map(repr, values), repr(target), label or ""])
-    return path
+    return Path(path)
 
 
 def scale_values(y, domain: Domain) -> np.ndarray:
@@ -333,13 +350,16 @@ class SynthParams:
                     (w >= 0).all() and 0 < w.sum() < np.inf):
                 raise ConfigError(f"synth: profile_weights.{column} needs one weight >= 0 "
                                   f"per category and a positive finite sum")
+        groups = indicator_groups(self.indicators)
         corr = self.group_correlation
+        if isinstance(corr, Mapping) and not set(corr) <= set(groups):
+            raise ConfigError(f"synth: group_correlation names unknown groups "
+                              f"{sorted(set(corr) - set(groups))}")
         corrs = [*(corr.values() if isinstance(corr, Mapping) else [corr]), self.cross_correlation]
         if not all(0.0 <= c <= 1.0 for c in corrs):
             raise ConfigError("synth: group_correlation and cross_correlation must be in [0, 1]")
         if not 0.0 < self.target_base_percent < 100.0:
             raise ConfigError("synth: target_base_percent must be in (0, 100)")
-        groups = indicator_groups(self.indicators)
         copies = {dst for dst, _ in self.mirror_groups}
         for dst, src in self.mirror_groups:
             if (dst not in groups or src not in groups or src in copies

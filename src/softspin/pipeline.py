@@ -37,6 +37,7 @@ from .data import (
     PROFILE_COLUMNS,
     LoadResult,
     load_dataset,
+    replaced,
     save_dataset,
     scale_target,
     synth_dataset,
@@ -65,6 +66,7 @@ from .reports import (
     write_group_summaries,
     write_group_table,
     write_json,
+    write_lines,
     write_six_number_table,
 )
 from .sampler import Engine, run_parallel
@@ -115,16 +117,7 @@ def stage_synth(cfg: RunConfig, out: Path) -> list[Path]:
     if cfg.dataset_path is not None:
         raise ConfigError("synth: dataset.path is set; nothing to synthesize")
     dataset = synth_dataset(cfg.synth_units, cfg.synth_seed, cfg.synth_params())
-    opts = cfg.dataset_options
-    path = save_dataset(
-        dataset,
-        out / "dataset.csv",
-        delimiter=opts["delimiter"],
-        unit_id_column=opts["unit_id_column"],
-        target_column=opts["target_column"],
-        center_periph_column=opts["center_periph_column"],
-    )
-    return [path]
+    return [save_dataset(dataset, out / "dataset.csv", **cfg.dataset_options)]
 
 
 def stage_validate(cfg: RunConfig, out: Path) -> list[Path]:
@@ -139,9 +132,7 @@ def stage_validate(cfg: RunConfig, out: Path) -> list[Path]:
         f"indicators: {len(d.spec)}",
         f"composite groups: {len({s.group for s in d.spec})}",
     ]
-    report = out / "validation.txt"
-    report.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return [report]
+    return [write_lines(out / "validation.txt", lines)]
 
 
 def stage_field(cfg: RunConfig, out: Path) -> list[Path]:
@@ -215,7 +206,8 @@ def _simulate_engine(cfg: RunConfig, out: Path, dataset, field, graph,
     # row j * k + c is chain c's snapshot j, as in the configs file
     energies = np.stack([t.retained_energies for t in traces], axis=1).reshape(-1)
     energies_path = out / f"retained_{engine.value}_energies.npy"
-    np.save(energies_path, energies)
+    with replaced(energies_path) as tmp, tmp.open("wb") as fh:
+        np.save(fh, energies)  # to a handle: np.save appends .npy to a path
     written += [configs_path, energies_path]
     meta = {
         "engine": engine.value,
@@ -432,9 +424,7 @@ def stage_report(cfg: RunConfig, out: Path) -> list[Path]:
     header, rows = read_table(bench)
     for row in rows:
         lines.append(f"{row[0]}: rmse={float(row[1]):.4f} mae={float(row[2]):.4f}")
-    path = out / "report.txt"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return [path]
+    return [write_lines(out / "report.txt", lines)]
 
 
 def run_pipeline(cfg: RunConfig, out: Path) -> list[Path]:

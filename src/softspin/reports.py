@@ -17,7 +17,7 @@ import numpy as np
 
 from .analysis import ComparisonReport, GroupSummary
 from .conformal import SixNumber
-from .data import PROFILE_COLUMNS, Dataset
+from .data import PROFILE_COLUMNS, Dataset, replaced
 from .graph import InteractionGraph
 from .indices import PCASummary
 
@@ -33,19 +33,6 @@ def _cell(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return str(value)
-
-
-def _write_cells(path, header, rows) -> Path:
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-    return path
-
-
-def write_table(path, header, rows) -> Path:
-    return _write_cells(path, header, ([_cell(v) for v in row] for row in rows))
 
 
 def _column_cells(values) -> list[str]:
@@ -71,7 +58,18 @@ def _column_cells(values) -> list[str]:
 def write_columns(path, columns: dict) -> Path:
     """A table with one column per entry of ``columns`` (header -> values)."""
     cells = [_column_cells(values) for values in columns.values()]
-    return _write_cells(path, list(columns), zip(*cells))
+    with replaced(path) as tmp, tmp.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(list(columns))
+        writer.writerows(zip(*cells))
+    return Path(path)
+
+
+def write_lines(path, lines) -> Path:
+    """A text file of ``lines``, each ended by a newline."""
+    with replaced(path) as tmp:
+        tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return Path(path)
 
 
 def read_table(path) -> tuple[list[str], list[list[str]]]:
@@ -113,9 +111,7 @@ def write_field_diagnostics(path, summary: PCASummary) -> Path:
         lines.append(
             f"{label:<{label_w}}" + "".join(f"{v:>{width}.4f}" for v in values)
         )
-    path = Path(path)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+    return write_lines(path, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -123,12 +119,12 @@ def write_field_diagnostics(path, summary: PCASummary) -> Path:
 
 def write_group_table(path, dataset: Dataset, graph: InteractionGraph) -> Path:
     ids = dataset.unit_ids
-    header = ["group_id", *PROFILE_COLUMNS, "size", "member_ids"]
-    rows = []
-    for g in range(graph.n_groups):
-        members = ";".join(ids[i] for i in graph.members[g])
-        rows.append([g, *graph.profile_keys[g], int(graph.group_sizes[g]), members])
-    return write_table(path, header, rows)
+    return write_columns(path, {
+        "group_id": range(graph.n_groups),
+        **dict(zip(PROFILE_COLUMNS, zip(*graph.profile_keys))),
+        "size": graph.group_sizes,
+        "member_ids": [";".join(ids[i] for i in members) for members in graph.members],
+    })
 
 
 def write_graph_summary(path, graph: InteractionGraph, lam_max: float, lam_min: float) -> Path:
@@ -139,20 +135,14 @@ def write_graph_summary(path, graph: InteractionGraph, lam_max: float, lam_min: 
         f"edges: {int((graph.group_sizes * (graph.group_sizes - 1)).sum()) // 2}",
         f"coupling spectrum extremes: lambda_max={lam_max!r} lambda_min={lam_min!r}",
     ]
-    path = Path(path)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+    return write_lines(path, lines)
 
 
 # ---------------------------------------------------------------------------
 # JSON documents (retained-pool metadata, manifest)
 
 def write_json(path, payload: dict) -> Path:
-    path = Path(path)
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    return path
+    return write_lines(path, [json.dumps(payload, indent=2, sort_keys=True)])
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +151,7 @@ def write_json(path, payload: dict) -> Path:
 def write_six_number_table(path, rows: dict[str, SixNumber]) -> Path:
     header = ["metric", "min", "q1", "median", "mean", "q3", "max"]
     data = [[name, *summary] for name, summary in rows.items()]
-    return write_table(path, header, data)
+    return write_columns(path, dict(zip(header, zip(*data))))
 
 
 def write_comparison(path, report: ComparisonReport) -> Path:
@@ -179,7 +169,7 @@ def write_comparison(path, report: ComparisonReport) -> Path:
         ["ci95_lo", report.ci95_lo],
         ["ci95_hi", report.ci95_hi],
     ]
-    return write_table(path, ["statistic", "value"], rows)
+    return write_columns(path, dict(zip(("statistic", "value"), zip(*rows))))
 
 
 def read_comparison(path) -> dict[str, float]:
@@ -196,7 +186,7 @@ def write_group_summaries(path, rows: list[GroupSummary]) -> Path:
         [r.type_label, r.attr_class, r.n, r.coverage, r.adaptivity, r.y_ref, r.y_est, r.delta]
         for r in rows
     ]
-    return write_table(path, header, data)
+    return write_columns(path, dict(zip(header, zip(*data))))
 
 
 def write_group_mpi(path, rows: list[GroupSummary], index_names) -> Path:
@@ -205,8 +195,8 @@ def write_group_mpi(path, rows: list[GroupSummary], index_names) -> Path:
         [r.type_label, r.attr_class, r.y_ref, *(r.mpi_means or ())]
         for r in rows
     ]
-    return write_table(path, header, data)
+    return write_columns(path, dict(zip(header, zip(*data))))
 
 
 def write_benchmark(path, rows: list[tuple[str, float, float]]) -> Path:
-    return write_table(path, ["model", "rmse", "mae"], rows)
+    return write_columns(path, dict(zip(("model", "rmse", "mae"), zip(*rows))))

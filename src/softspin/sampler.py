@@ -15,7 +15,6 @@ variates from that stream in fixed-size blocks (``METROPOLIS_BLOCK``).
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -24,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DOMAIN_BOUNDS, Domain
+from .data import DOMAIN_BOUNDS, Domain, replaced
 from .energy import EnergyModel, SpinConfiguration, grad, hamiltonian
 from .errors import ConfigError, DivergenceDetected, ParallelChainError
 from .graph import GroupSums
@@ -464,23 +463,20 @@ def run_parallel(
     The chains write their snapshots in place into one .npy file of
     ``k_chains x retain_last`` rows: row ``j * k + c`` is chain ``c``'s
     snapshot ``j``, so rows run oldest first by (iteration, chain index).
-    The file is created as ``<pool_path>.tmp`` and renamed to ``pool_path``
-    once every chain has finished; when any chain fails it is deleted, so
-    a file at ``pool_path`` is always complete. The traces carry no
-    snapshots.
+    The file is written through :func:`~softspin.data.replaced`, so it
+    appears at ``pool_path`` only once every chain has finished; when any
+    chain fails it is deleted. The traces carry no snapshots.
     """
     if k_chains < 1:
         raise ConfigError("k_chains must be >= 1")
     configs = [replace(cfg, seed=cfg.seed + i) for i in range(k_chains)]
-    partial = Path(f"{pool_path}.tmp")
-    # create the file; each chain maps it on its own
-    np.lib.format.open_memmap(partial, mode="w+", dtype=float,
-                              shape=(cfg.retain_last * k_chains, model.graph.n))
-
     results: list[ChainTrace | None] = [None] * k_chains
     failures: list[tuple[int, Exception]] = []
-    jobs = [(model, c, s_ref, partial, i, k_chains) for i, c in enumerate(configs)]
-    try:
+    with replaced(pool_path) as partial:
+        # create the file; each chain maps it on its own
+        np.lib.format.open_memmap(partial, mode="w+", dtype=float,
+                                  shape=(cfg.retain_last * k_chains, model.graph.n))
+        jobs = [(model, c, s_ref, partial, i, k_chains) for i, c in enumerate(configs)]
         if workers <= 1 or k_chains == 1:
             for i, job in enumerate(jobs):
                 try:
@@ -497,7 +493,4 @@ def run_parallel(
                         failures.append((i, exc))
         if failures:
             raise ParallelChainError(failures)
-        os.replace(partial, pool_path)
-    finally:
-        partial.unlink(missing_ok=True)  # left only if a chain failed
     return results  # type: ignore[return-value]

@@ -387,10 +387,12 @@ class TestCriterion9EndToEndDeterminism:
         identical = names == sorted(p.name for p in out2.iterdir()) and all(
             (out1 / n).read_bytes() == (out2 / n).read_bytes() for n in names
         )
-        ok = code1 == 0 and code2 == 0 and identical
+        no_tmp = not list(out1.glob("*.tmp")) and not list(out2.glob("*.tmp"))
+        ok = code1 == 0 and code2 == 0 and identical and no_tmp
         check(
             "criterion 9 (end-to-end determinism)", ok,
-            f"two pipeline runs, {len(names)} artifacts byte-identical: {identical}",
+            f"two pipeline runs, {len(names)} artifacts byte-identical: {identical}, "
+            f"no *.tmp file left: {no_tmp}",
         )
 
 

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import shutil
@@ -102,6 +104,61 @@ _OUT_OF_RANGE = {
     "cross_correlation=1.5": (_section("synth", cross_correlation=1.5), ()),
     "target_base_percent=120": (_section("synth", target_base_percent=120), ()),
     "mirror_unknown_group": (_section("synth", mirror_groups=[["MPI9", "MPI1"]]), ()),
+    # with a dataset path the synth section, which would also reject the table, is not read
+    "polarity=2": (dict(TINY, dataset={"path": "absent.csv"},
+                        indicators=[{"name": "A", "polarity": 2, "group": "G1"}]), ()),
+    "directions_unknown_group": (_section("indices", directions={"MPI7": "positive"}), ()),
+    "group_correlation_unknown_group": (_section("synth", group_correlation={"MPI9": 0.9}), ()),
+}
+
+_CSV_WRITER, _NP_SAVE = csv.writer, np.save
+
+
+class _HalfCsvWriter:
+    """A csv writer that writes the header and one row, then fails."""
+
+    def __init__(self, fh, **kwargs):
+        self._writer, self._rows_left = _CSV_WRITER(fh, **kwargs), 2
+
+    def writerow(self, row):
+        if not self._rows_left:
+            raise OSError("injected write failure")
+        self._rows_left -= 1
+        self._writer.writerow(row)
+
+    def writerows(self, rows):
+        for row in rows:
+            self.writerow(row)
+
+
+def _half_write_text(path, text, **kwargs):
+    with path.open("w", **kwargs) as fh:
+        fh.write(text[: len(text) // 2])
+    raise OSError("injected write failure")
+
+
+def _half_save(file, arr, **kwargs):
+    """np.save, to a file name or a handle, that writes half its bytes and fails."""
+    buf = io.BytesIO()
+    _NP_SAVE(buf, arr, **kwargs)
+    with open(file, "wb") if isinstance(file, (str, Path)) else file as fh:
+        fh.write(buf.getvalue()[: buf.tell() // 2])
+    raise OSError("injected write failure")
+
+
+# one writer of each kind: (stages run first, failing stage, artifact,
+# patched writer, a later stage that needs the artifact)
+_FAULTS = {
+    "dataset.csv": ((), "synth", "dataset.csv",
+                    (csv, "writer", _HalfCsvWriter), "validate"),
+    "write_columns": (("synth",), "field", "composites.csv",
+                      (csv, "writer", _HalfCsvWriter), "analyze"),
+    "write_lines": (("synth",), "validate", "validation.txt",
+                    (Path, "write_text", _half_write_text), "report"),
+    "write_json": (("synth", "field"), "simulate", "retained_ising.json",
+                   (Path, "write_text", _half_write_text), "conformal"),
+    "energies.npy": (("synth", "field"), "simulate", "retained_ising_energies.npy",
+                     (np, "save", _half_save), "conformal"),
 }
 
 
@@ -271,6 +328,24 @@ class TestPipeline:
         assert not list(out.glob("retained_langevin_configs*"))
         assert main(["conformal", "--config", str(cfg_path), "--out", str(out)]) == 3
 
+
+    @pytest.mark.parametrize("before, stage, name, patch, reader", _FAULTS.values(),
+                             ids=list(_FAULTS))
+    def test_failed_write_leaves_no_artifact(self, tmp_path, monkeypatch, capsys,
+                                             before, stage, name, patch, reader):
+        cfg_path = write_config(tmp_path, engines=["ising"])
+        out = tmp_path / "run"
+        args = ["--config", str(cfg_path), "--out", str(out)]
+        for earlier in before:
+            assert main([earlier, *args]) == 0
+        with monkeypatch.context() as m:
+            m.setattr(*patch)
+            assert main([stage, *args]) != 0
+        assert not (out / name).exists()
+        assert not list(out.glob("*.tmp"))
+        capsys.readouterr()
+        assert main([reader, *args]) == 3
+        assert "MissingArtifact" in capsys.readouterr().err
 
     def test_failed_rerun_removes_previous_pool(self, tmp_path):
         out = tmp_path / "run"

@@ -1,6 +1,6 @@
 import numpy as np
 
-from softspin.reports import write_columns, write_table
+from softspin.reports import write_columns
 
 
 def test_write_columns_equals_cell_by_cell_table(tmp_path):
@@ -10,14 +10,19 @@ def test_write_columns_equals_cell_by_cell_table(tmp_path):
         "label": ["x", None, "z", 3],
         "iteration": range(0, 40, 10),
         "energy": np.array([1.5, np.nan, -0.0, np.inf]),
+        "low": np.array([-np.inf, 0.0, -1e-320, 2.0**-1074]),
         "small": np.array([0.1, 1e-300, np.nan, -2.5], dtype=np.float32),
         "count": np.array([0, -3, 7, 2**40]),
         "unsigned": np.array([1, 2, 3, 4], dtype=np.uint8),
         "covered": np.array([True, False, True, False]),
         "mixed": [1.0, float("nan"), True, np.float64(2.25)],
     }
-    new = write_columns(tmp_path / "new.csv", columns)
-    old = write_table(tmp_path / "old.csv", list(columns), zip(*columns.values()))
-    assert new.read_bytes() == old.read_bytes()
-    rows = new.read_text(encoding="utf-8").splitlines()
-    assert rows[2].split(",")[3] == "NA" and rows[1].split(",")[7] == "1"
+    # as lists of numpy scalars every value goes through the per-cell formatter
+    per_cell = {name: list(values) for name, values in columns.items()}
+    assert isinstance(per_cell["small"][0], np.float32)
+    vectorized = write_columns(tmp_path / "vectorized.csv", columns)
+    cell_by_cell = write_columns(tmp_path / "cells.csv", per_cell)
+    assert vectorized.read_bytes() == cell_by_cell.read_bytes()
+    rows = vectorized.read_text(encoding="utf-8").splitlines()
+    assert rows[2].split(",")[3] == "NA" and rows[1].split(",")[8] == "1"
+    assert rows[3].split(",")[3] == "-0.0" and rows[4].split(",")[6] == str(2**40)
