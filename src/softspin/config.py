@@ -131,6 +131,14 @@ def _merge(base: dict, override: dict, path: tuple = ()) -> dict:
     return out
 
 
+def _integer(value, name: str) -> int:
+    """``value`` if it is an integer, bools excluded; a ConfigError otherwise,
+    so a fractional value is never truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, not {value!r}")
+    return value
+
+
 @dataclass
 class RunConfig:
     """A fully-resolved configuration tree with typed accessors."""
@@ -140,7 +148,7 @@ class RunConfig:
     # -- plain fields ------------------------------------------------------
     @property
     def seed(self) -> int:
-        return int(self.raw["seed"])
+        return _integer(self.raw["seed"], "seed")
 
     @property
     def out(self) -> Path:
@@ -148,7 +156,7 @@ class RunConfig:
 
     @property
     def workers(self) -> int:
-        return int(self.raw["workers"])
+        return _integer(self.raw["workers"], "workers")
 
     @property
     def engines(self) -> list[Engine]:
@@ -174,7 +182,8 @@ class RunConfig:
         if table is None:
             return list(DEFAULT_INDICATORS)
         return [
-            IndicatorSpec(str(row["name"]), int(row["polarity"]), str(row["group"]))
+            IndicatorSpec(str(row["name"]), _integer(row["polarity"], "indicators.polarity"),
+                          str(row["group"]))
             for row in table
         ]
 
@@ -198,23 +207,23 @@ class RunConfig:
 
     @property
     def synth_units(self) -> int:
-        return int(self.raw["synth"]["n_units"])
+        return _integer(self.raw["synth"]["n_units"], "synth.n_units")
 
     @property
     def synth_seed(self) -> int:
-        return int(self.raw["synth"]["seed"])
+        return _integer(self.raw["synth"]["seed"], "synth.seed")
 
     def directions(self) -> dict[str, Direction]:
         return {k: Direction(v) for k, v in self.raw["indices"]["directions"].items()}
 
     @property
     def indices_ddof(self) -> int:
-        return int(self.raw["indices"]["ddof"])
+        return _integer(self.raw["indices"]["ddof"], "indices.ddof")
 
     @property
     def truncate_components(self):
         value = self.raw["indices"]["truncate_components"]
-        return None if value is None else int(value)
+        return None if value is None else _integer(value, "indices.truncate_components")
 
     def domain(self, engine: Engine) -> Domain:
         return engine.domain
@@ -233,17 +242,17 @@ class RunConfig:
         e = self.raw[engine.value]
         return ChainConfig(
             engine=engine,
-            n_iters=int(e["n_iters"]),
+            n_iters=_integer(e["n_iters"], "n_iters"),
             burn_in_frac=float(e["burn_in_frac"]),
-            thin=int(e["thin"]),
-            retain_last=int(e["retain_last"]),
-            seed=int(e["seed"]),
+            thin=_integer(e["thin"], "thin"),
+            retain_last=_integer(e["retain_last"], "retain_last"),
+            seed=_integer(e["seed"], "seed"),
             schedule=self.schedule(engine),
-            energy_stride=int(e["energy_stride"]),
+            energy_stride=_integer(e["energy_stride"], "energy_stride"),
         )
 
     def k_chains(self, engine: Engine) -> int:
-        return int(self.raw[engine.value]["k_chains"])
+        return _integer(self.raw[engine.value]["k_chains"], f"{engine.value}.k_chains")
 
     def lambda_override(self, engine: Engine):
         """Regularization weight for an engine; None means resolve at runtime.
@@ -265,19 +274,21 @@ class RunConfig:
     def batch_spec(self) -> BatchSpec:
         c = self.raw["conformal"]
         return BatchSpec(
-            n_total=int(c["n_total"]),
-            n_batches=int(c["n_batches"]),
-            batch_size=int(c["batch_size"]),
+            n_total=_integer(c["n_total"], "n_total"),
+            n_batches=_integer(c["n_batches"], "n_batches"),
+            batch_size=_integer(c["batch_size"], "batch_size"),
             alpha=float(c["alpha"]),
             calib_frac=float(c["calib_frac"]),
-            seed=int(c["seed"]),
-            repeats=int(c["repeats"]),
+            seed=_integer(c["seed"], "seed"),
+            repeats=_integer(c["repeats"], "repeats"),
         )
 
     @property
     def estimate_last_n(self) -> int:
         value = self.raw["conformal"]["estimate_last_n"]
-        return int(self.raw["conformal"]["n_total"] if value is None else value)
+        if value is None:
+            return self.batch_spec().n_total
+        return _integer(value, "conformal.estimate_last_n")
 
 
 def resolve_config(tree: dict) -> RunConfig:
@@ -310,7 +321,8 @@ def _validate(cfg: RunConfig) -> None:
     # read only for their types; the stages use them later
     cfg.out, cfg.indices_ddof
     for name, seed in (("seed", cfg.seed),
-                       *((f"{s}.seed", int(cfg.raw[s]["seed"])) for s in _SEED_OFFSETS)):
+                       *((f"{s}.seed", _integer(cfg.raw[s]["seed"], f"{s}.seed"))
+                         for s in _SEED_OFFSETS)):
         if seed < 0:
             raise ConfigError(f"{name} must be >= 0")
     if cfg.truncate_components is not None and not 1 <= cfg.truncate_components <= n_groups:

@@ -9,6 +9,7 @@ form from the group sizes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,19 +67,32 @@ class GroupSums:
     ``i`` is ``sums[group_of[i]] - s[i]``. Samplers add each accepted
     single-site change to ``sums`` in place; call :meth:`recompute`
     periodically to cancel floating-point accumulation drift.
+
+    For a (k, N) stack of configurations ``sums`` is (k, n_groups), one row
+    per configuration, and ``index`` holds each unit's position in the
+    flattened sums, ``group_of + c * n_groups`` in row ``c``: one bincount
+    sums every row, and one ``take`` gathers every unit's group sum.
     """
 
-    __slots__ = ("graph", "sums")
+    __slots__ = ("graph", "index", "sums", "_flat", "_shape")
 
     def __init__(self, graph: InteractionGraph, s):
         self.graph = graph
+        s = np.asarray(s, dtype=float)
+        if s.ndim == 1:
+            self.index = graph.group_of
+        else:
+            offsets = graph.n_groups * np.arange(s.shape[0])
+            self.index = graph.group_of + offsets[:, None]
+        self._flat = self.index.ravel()
+        self._shape = (*s.shape[:-1], graph.n_groups)
         self.recompute(s)
 
     def recompute(self, s) -> None:
         self.sums = np.bincount(
-            self.graph.group_of, weights=np.asarray(s, dtype=float),
-            minlength=self.graph.n_groups,
-        )
+            self._flat, weights=np.asarray(s, dtype=float).ravel(),
+            minlength=math.prod(self._shape),
+        ).reshape(self._shape)
 
 
 def spectrum_extremes(graph: InteractionGraph) -> tuple[float, float]:

@@ -290,6 +290,12 @@ def _conformal_engine(cfg: RunConfig, out: Path, dataset, engine: Engine) -> lis
     primary = splits[0]  # seed spec.seed, the single-split interval
     summary = coverage_adaptivity(splits, y_obs)
     return [
+        write_columns(out / f"calibration_{engine.value}.csv", {
+            "seed": range(spec.seed, spec.seed + spec.repeats),
+            "q_hat": np.array([split.q_hat for split in splits]),
+            "degenerate": np.array([split.degenerate for split in splits]),
+            "test_coverage": np.array([split.test_coverage for split in splits]),
+        }),
         write_columns(out / f"uncertainty_{engine.value}.csv", {
             "unit_id": dataset.unit_ids, "y_ref": y_obs, "y_est": y_est,
             "lo": primary.lo, "hi": primary.hi, "width": primary.width,
@@ -395,6 +401,8 @@ def stage_report(cfg: RunConfig, out: Path) -> list[Path]:
         meta, _ = _read_retained(out, engine, ())
         comp_path = _require(out / f"comparison_{engine.value}.csv", "analyze")
         cov_path = _require(out / f"coverage_adaptivity_{engine.value}.csv", "conformal")
+        cal_path = _require(out / f"calibration_{engine.value}.csv", "conformal")
+        unc_path = _require(out / f"uncertainty_{engine.value}.csv", "conformal")
         comp = read_comparison(comp_path)
         lines.append(f"[{engine.value}]")
         lines.append(
@@ -412,6 +420,10 @@ def stage_report(cfg: RunConfig, out: Path) -> list[Path]:
                 comp["mae"], comp["rmse"], comp["correlation"]
             )
         )
+        # the primary split's interval is the raw band widened by q_hat on each side
+        q_hat = float(read_column(cal_path, "q_hat")[0])
+        band = float(np.median(read_column(unc_path, "width"))) - 2.0 * q_hat
+        lines.append(f"median raw band q_hi-q_lo: {band:.4f}  q_hat: {q_hat:.4f}")
         header, rows = read_table(cov_path)
         for row in rows:
             lines.append(

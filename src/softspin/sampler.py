@@ -141,10 +141,12 @@ class ChainConfig:
 
 @dataclass
 class ChainState:
-    """Mutable state owned by exactly one chain.
+    """Mutable state of one chain, or of a stack of Langevin chains.
 
-    ``work`` holds the Langevin step's three preallocated length-N buffers
-    (noise, drift, next state), created on the first step.
+    ``s`` is one configuration or, for chains stepped together, a (k, N)
+    stack of them with ``sums`` caching every row. ``work`` holds the
+    Langevin step's four preallocated buffers of the shape of ``s`` (noise,
+    drift, next state, lambda * s), created on the first step.
     """
 
     s: np.ndarray
@@ -273,7 +275,7 @@ def _run_metropolis(model: EnergyModel, cfg: ChainConfig, state: ChainState,
     Spins and group sums are held as Python lists, which index and add much
     faster than numpy scalars. ``state.s`` mirrors the spins, written only
     on acceptance, so a snapshot is still one array copy. After each step in
-    ``stops``, ``emit(t, energy)`` records it; every ``recompute_every``
+    ``stops``, ``emit(t, state.s, energy)`` records it; every ``recompute_every``
     steps the group sums and the running energy are recomputed from
     ``state.s`` first, which cancels float drift.
     """
@@ -286,7 +288,7 @@ def _run_metropolis(model: EnergyModel, cfg: ChainConfig, state: ChainState,
             state.sums.recompute(state.s)
             sums[:] = state.sums.sums.tolist()
             energy = hamiltonian(model, state.s)
-        emit(t, energy)
+        emit(t, state.s, energy)
         return next(pending, 0), energy
 
     variates = islice(chain.from_iterable(_metropolis_blocks(rng, len(spins))), cfg.n_iters)
@@ -298,25 +300,33 @@ def _run_metropolis(model: EnergyModel, cfg: ChainConfig, state: ChainState,
     return accepted
 
 
-def langevin_step(model: EnergyModel, state: ChainState,
-                  schedule: AnnealingSchedule, rng) -> None:
-    """One full-vector Euler-Maruyama update with annealed step size.
+def langevin_kernel(model: EnergyModel, state: ChainState,
+                    schedule: AnnealingSchedule, rngs) -> list[tuple[int, str]]:
+    """One full-vector Euler-Maruyama update of every row of ``state.s``.
 
-    s <- s - dt * grad H(s) + sqrt(2 T dt) * eta with eta standard normal
-    and dt = dt0 * T/t0, so the drift and noise scales shrink together as
-    the temperature drops. States leaving the divergence guard (ten domain
+    The one home of the update rule. Each row is a configuration (a 1-D
+    ``state.s`` is one row); row ``c`` draws its noise from ``rngs[c]``:
+
+        s <- s - dt * grad H(s) + sqrt(2 T dt) * eta,  eta standard normal
+
+    with dt = dt0 * T/t0, so the drift and noise scales shrink together as
+    the temperature drops. The rows share T, dt and the cooling, which
+    happens every step. A row leaving the divergence guard (ten domain
     widths beyond the bounds, 1e12 without bounds, or non-finite anywhere)
-    raise and leave the state as it was; bounded states are clamped back
-    into the domain. Cools every step. Works in ``state.work``.
+    is dropped from the state, and the others go on, clamped back into the
+    domain when bounded; a step in which every row diverges leaves the state
+    as it was. Returns the (row, detail) pairs of the dropped rows, row
+    numbers as they were before the step. Works in ``state.work``.
     """
     temperature = state.temperature
     dt = schedule.dt0 * (temperature / schedule.t0)
     s = state.s
     if state.work is None:
-        state.work = (np.empty_like(s), np.empty_like(s), np.empty_like(s))
-    noise, drift, s_new = state.work
-    rng.standard_normal(out=noise)
-    grad(model, s, state.sums, out=drift)
+        state.work = tuple(np.empty_like(s) for _ in range(4))
+    noise, drift, s_new, scaled = state.work
+    for row, rng in zip(noise.reshape(len(rngs), -1), rngs):
+        rng.standard_normal(out=row)
+    grad(model, s, state.sums, out=drift, work=scaled)
     drift *= dt
     np.subtract(s, drift, out=s_new)
     noise *= math.sqrt(2.0 * temperature * dt)
@@ -329,27 +339,64 @@ def langevin_step(model: EnergyModel, state: ChainState,
         floor, ceiling = lo - guard, hi + guard
     else:
         floor, ceiling = -1e12, 1e12
+    diverged = []
     if not (s_new.min() >= floor and s_new.max() <= ceiling):  # NaN fails too
-        if not np.all(np.isfinite(s_new)):
-            raise DivergenceDetected(detail="non-finite state")
-        raise DivergenceDetected(detail="state escaped the domain guard"
-                                 if bounds is not None else "unbounded state exceeded 1e12")
+        escaped = ("state escaped the domain guard" if bounds is not None
+                   else "unbounded state exceeded 1e12")
+        for c, row in enumerate(s_new.reshape(len(rngs), -1)):
+            if not (row.min() >= floor and row.max() <= ceiling):
+                diverged.append((c, escaped if np.all(np.isfinite(row)) else "non-finite state"))
+        if len(diverged) == len(rngs):
+            return diverged
     if bounds is not None:
         np.clip(s_new, lo, hi, out=s_new)
 
-    state.s, state.work = s_new, (noise, drift, s)
-    state.sums.recompute(s_new)
+    if diverged:
+        state.s = np.delete(s_new, [c for c, _ in diverged], axis=0)
+        state.sums, state.work = GroupSums(model.graph, state.s), None
+    else:
+        state.s, state.work = s_new, (noise, drift, s, scaled)
+        state.sums.recompute(s_new)
     state.temperature = schedule.cooled(temperature)
+    return diverged
 
 
-def _langevin_steps(model: EnergyModel, state: ChainState,
-                    schedule: AnnealingSchedule, rng, t: int, stop: int) -> None:
-    """Run iterations ``t + 1`` to ``stop``, naming the one that diverges."""
-    for it in range(t + 1, stop + 1):
-        try:
-            langevin_step(model, state, schedule, rng)
-        except DivergenceDetected as exc:
-            raise DivergenceDetected(it, exc.detail) from None
+def langevin_step(model: EnergyModel, state: ChainState,
+                  schedule: AnnealingSchedule, rng) -> None:
+    """One Langevin update of one chain: :func:`langevin_kernel` with one row.
+
+    A diverging step raises :class:`DivergenceDetected` with the guard's
+    detail and leaves the state as it was.
+    """
+    for _, detail in langevin_kernel(model, state, schedule, (rng,)):
+        raise DivergenceDetected(detail=detail)
+
+
+def _run_langevin(model: EnergyModel, cfgs: list[ChainConfig], state: ChainState,
+                  stops: set[int], emits) -> list[DivergenceDetected | None]:
+    """Step the chains of ``cfgs`` together, row ``c`` of ``state.s`` being
+    chain ``c``; return each chain's divergence, None where it finished.
+
+    After each step in ``stops`` every running chain's ``emit(t, s, energy)``
+    records it. A chain that diverges is dropped at that iteration.
+    """
+    rngs = [make_rng(c.seed) for c in cfgs]
+    running = list(range(len(cfgs)))  # chain index of each row
+    failures: list[DivergenceDetected | None] = [None] * len(cfgs)
+    for it in range(1, cfgs[0].n_iters + 1):
+        diverged = langevin_kernel(model, state, cfgs[0].schedule, rngs)
+        if diverged:
+            for row, detail in diverged:
+                failures[running[row]] = DivergenceDetected(it, detail)
+            dropped = {row for row, _ in diverged}
+            rngs = [r for row, r in enumerate(rngs) if row not in dropped]
+            running = [c for row, c in enumerate(running) if row not in dropped]
+            if not running:
+                break
+        if it in stops:
+            for c, s in zip(running, state.s.reshape(len(running), -1)):
+                emits[c](it, s, hamiltonian(model, s))
+    return failures
 
 
 @dataclass
@@ -376,73 +423,98 @@ class ChainTrace:
         return self.accept_count / n_iters if n_iters else 0.0
 
 
-def run_chain(model: EnergyModel, cfg: ChainConfig, s_ref: SpinConfiguration,
-              retained: np.ndarray | None = None) -> ChainTrace:
-    """Run one chain: burn-in, thinned retention of the last snapshots.
-
-    The chain starts at the reference configuration. Energies are recorded
-    every ``energy_stride`` iterations; the Metropolis group-sum cache and
-    running energy are fully recomputed every ``recompute_every`` iterations
-    to cancel float drift. Divergence is re-raised with the iteration index
-    attached. The snapshots go into ``retained``, a (retain_last, N) output
-    array such as a view of a memory-mapped pool, or into a new array.
-    """
-    n = model.graph.n
-    if s_ref.s.shape != (n,):
-        raise ConfigError("chain: reference configuration length does not match N")
-    bounds = DOMAIN_BOUNDS[s_ref.domain] if cfg.bounded else None
-    rng = make_rng(cfg.seed)
-    state = init_state(model, s_ref.s, cfg.schedule, bounds)
-
+def _open_trace(cfg: ChainConfig, n: int, retained: np.ndarray | None, energy: float):
+    """A trace of ``cfg`` holding only the starting ``energy``, and
+    ``emit(t, s, energy)``, which keeps state ``s`` and its energy after
+    step ``t`` where the two grids ask."""
     stride = cfg.energy_stride
-    energies = np.empty(len(cfg.energy_iterations()))
-    energies[0] = state.energy
-
     grid = cfg.retained_iterations()
+    energies = np.empty(len(cfg.energy_iterations()))
+    energies[0] = energy
     if retained is None:
         retained = np.empty((len(grid), n))
-    retained_energy = np.empty(len(grid))
+    retained_energies = np.empty(len(grid))
 
-    def emit(t: int, energy: float) -> None:
+    def emit(t: int, s: np.ndarray, energy: float) -> None:
         if t % stride == 0:
             energies[t // stride] = energy
         if t in grid:
             j = grid.index(t)
-            retained[j] = state.s
-            retained_energy[j] = energy
+            retained[j] = s
+            retained_energies[j] = energy
 
+    return ChainTrace(energies, retained, retained_energies, 0, math.nan, cfg), emit
+
+
+def run_chains(model: EnergyModel, cfgs: list[ChainConfig], s_ref: SpinConfiguration,
+               retained: list[np.ndarray | None] | None = None,
+               ) -> list[ChainTrace | DivergenceDetected]:
+    """Run chains that differ only in seed: burn-in, thinned retention.
+
+    Every chain starts at the reference configuration. Energies are recorded
+    every ``energy_stride`` iterations; the Metropolis group-sum cache and
+    running energy are fully recomputed every ``recompute_every`` iterations
+    to cancel float drift. Metropolis chains run one after another; Langevin
+    chains are stepped together as the rows of one (k, N) stack, which gives
+    each chain the same bits as a run on its own. Chain ``c``'s snapshots go
+    into ``retained[c]``, a (retain_last, N) output array such as a view of
+    a memory-mapped pool, or into a new array. Returns, per chain, its trace
+    or the divergence that stopped it, with the iteration attached.
+    """
+    n = model.graph.n
+    if s_ref.s.shape != (n,):
+        raise ConfigError("chain: reference configuration length does not match N")
+    cfg = cfgs[0]
+    if any(replace(c, seed=cfg.seed) != cfg for c in cfgs):
+        raise ConfigError("chain: chains run together may differ only in seed")
+    bounds = DOMAIN_BOUNDS[s_ref.domain] if cfg.bounded else None
+    h_ref = hamiltonian(model, s_ref)
+    traces, emits = zip(*(_open_trace(c, n, out, h_ref)
+                          for c, out in zip(cfgs, retained or [None] * len(cfgs))))
     # only the iterations that record an energy or keep a snapshot stop the run
-    stops = sorted(set(cfg.energy_iterations()[1:]).union(grid))
+    stops = set(cfg.energy_iterations()[1:]).union(cfg.retained_iterations())
     if cfg.engine is Engine.ISING:
-        accepts = _run_metropolis(model, cfg, state, rng, stops, emit)
-    else:
-        t = 0
-        for stop in stops:
-            _langevin_steps(model, state, cfg.schedule, rng, t, stop)
-            emit(stop, hamiltonian(model, state.s))
-            t = stop
-        _langevin_steps(model, state, cfg.schedule, rng, t, cfg.n_iters)
-        accepts = cfg.n_iters
-
-    return ChainTrace(
-        energies=energies,
-        retained=retained,
-        retained_energies=retained_energy,
-        accept_count=accepts,
-        final_temperature=state.temperature,
-        config=cfg,
-    )
+        for trace, emit in zip(traces, emits):
+            state = init_state(model, s_ref.s, cfg.schedule, bounds)
+            trace.accept_count = _run_metropolis(model, trace.config, state,
+                                                 make_rng(trace.config.seed), stops, emit)
+            trace.final_temperature = state.temperature
+        return list(traces)
+    # one chain keeps the 1-D state of langevin_step: a (1, N) stack costs a few µs a step
+    stack = np.tile(s_ref.s, (len(cfgs), 1)) if len(cfgs) > 1 else s_ref.s.copy()
+    state = ChainState(stack, cfg.schedule.t0, GroupSums(model.graph, stack), h_ref, bounds)
+    failures = _run_langevin(model, cfgs, state, stops, emits)
+    for trace in traces:
+        trace.accept_count, trace.final_temperature = cfg.n_iters, state.temperature
+    return [trace if failure is None else failure for trace, failure in zip(traces, failures)]
 
 
-def _chain_job(model: EnergyModel, cfg: ChainConfig, s_ref: SpinConfiguration,
-               pool_path: Path, c: int, k: int) -> ChainTrace:
-    """Run chain ``c`` of ``k`` into rows ``j * k + c`` of the .npy file at
-    ``pool_path``, leaving only the energies in the returned trace."""
+def run_chain(model: EnergyModel, cfg: ChainConfig, s_ref: SpinConfiguration,
+              retained: np.ndarray | None = None) -> ChainTrace:
+    """Run one chain: :func:`run_chains` with one config.
+
+    Divergence is raised as :class:`DivergenceDetected` with the iteration
+    attached. The snapshots go into ``retained``, a (retain_last, N) output
+    array, or into a new array.
+    """
+    (result,) = run_chains(model, [cfg], s_ref, [retained])
+    if isinstance(result, DivergenceDetected):
+        raise result
+    return result
+
+
+def _slice_job(model: EnergyModel, cfgs: list[ChainConfig], s_ref: SpinConfiguration,
+               pool_path: Path, first: int, k: int) -> list[ChainTrace | DivergenceDetected]:
+    """Run chains ``first`` onwards of ``k`` into rows ``j * k + c`` of the
+    .npy file at ``pool_path``, leaving only the energies in the traces."""
     pool = np.load(pool_path, mmap_mode="r+")
-    view = pool.reshape(cfg.retain_last, k, model.graph.n)[:, c]
-    trace = run_chain(model, cfg, s_ref, retained=view)
-    trace.retained = None  # the rows are in the file: unmap, and pickle nothing back
-    return trace
+    rows = pool.reshape(cfgs[0].retain_last, k, model.graph.n)
+    results = run_chains(model, cfgs, s_ref,
+                         [rows[:, c] for c in range(first, first + len(cfgs))])
+    for result in results:
+        if isinstance(result, ChainTrace):
+            result.retained = None  # the rows are in the file: unmap, and pickle nothing back
+    return results
 
 
 def run_parallel(
@@ -455,10 +527,12 @@ def run_parallel(
 ) -> list[ChainTrace]:
     """Run ``k_chains`` independent chains with seeds ``cfg.seed`` + index.
 
-    Each chain owns its configuration, cache and random stream, so the
-    result is invariant to the worker count and scheduling; traces come back
-    in chain-index order. A failing chain does not abort its siblings: all
-    failures are collected and raised together afterwards.
+    The chains are split into ``min(workers, k_chains)`` contiguous slices,
+    one job per slice, each through :func:`run_chains`. Each chain owns its
+    configuration, cache and random stream, so the result is invariant to
+    the worker count and scheduling; traces come back in chain-index order.
+    A failing chain does not abort its siblings: all failures are collected
+    and raised together afterwards.
 
     The chains write their snapshots in place into one .npy file of
     ``k_chains x retain_last`` rows: row ``j * k + c`` is chain ``c``'s
@@ -470,27 +544,32 @@ def run_parallel(
     if k_chains < 1:
         raise ConfigError("k_chains must be >= 1")
     configs = [replace(cfg, seed=cfg.seed + i) for i in range(k_chains)]
-    results: list[ChainTrace | None] = [None] * k_chains
-    failures: list[tuple[int, Exception]] = []
+    slices = np.array_split(range(k_chains), min(max(workers, 1), k_chains))
+    results: list[ChainTrace | Exception] = []
     with replaced(pool_path) as partial:
-        # create the file; each chain maps it on its own
+        # create the file; each job maps it on its own
         np.lib.format.open_memmap(partial, mode="w+", dtype=float,
                                   shape=(cfg.retain_last * k_chains, model.graph.n))
-        jobs = [(model, c, s_ref, partial, i, k_chains) for i, c in enumerate(configs)]
-        if workers <= 1 or k_chains == 1:
-            for i, job in enumerate(jobs):
-                try:
-                    results[i] = _chain_job(*job)
-                except Exception as exc:  # collected, reported per chain below
-                    failures.append((i, exc))
+        jobs = [(model, [configs[c] for c in chains], s_ref, partial, int(chains[0]), k_chains)
+                for chains in slices]
+        if len(jobs) == 1:
+            outcomes = [_outcome(_slice_job, *jobs[0])]
         else:
-            with ProcessPoolExecutor(max_workers=min(workers, k_chains)) as pool:
-                futures = [pool.submit(_chain_job, *job) for job in jobs]
-                for i, fut in enumerate(futures):
-                    try:
-                        results[i] = fut.result()
-                    except Exception as exc:
-                        failures.append((i, exc))
+            with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
+                futures = [pool.submit(_slice_job, *job) for job in jobs]
+                outcomes = [_outcome(fut.result) for fut in futures]
+        for job, outcome in zip(jobs, outcomes):
+            # a job that failed as a whole fails each of its chains
+            results += outcome if isinstance(outcome, list) else [outcome] * len(job[1])
+        failures = [(i, r) for i, r in enumerate(results) if isinstance(r, Exception)]
         if failures:
             raise ParallelChainError(failures)
     return results  # type: ignore[return-value]
+
+
+def _outcome(call, *args):
+    """The value of ``call(*args)``, or the exception it raised."""
+    try:
+        return call(*args)
+    except Exception as exc:  # reported per chain by run_parallel
+        return exc

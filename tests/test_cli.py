@@ -13,11 +13,12 @@ import yaml
 
 from softspin.cli import main
 from softspin.config import DEFAULT_CONFIG, config_hash, load_config
-from softspin.conformal import six_number
-from softspin.data import DEFAULT_PROFILE_WEIGHTS
+from softspin.conformal import batch_means, repeat_splits, six_number
+from softspin.data import DEFAULT_PROFILE_WEIGHTS, unscale_values
 from softspin.errors import ConfigError
 from softspin.pipeline import _read_last_rows
-from softspin.reports import read_table
+from softspin.reports import read_column, read_table
+from softspin.sampler import Engine
 
 TINY = {
     "seed": 777,
@@ -109,6 +110,12 @@ _OUT_OF_RANGE = {
                         indicators=[{"name": "A", "polarity": 2, "group": "G1"}]), ()),
     "directions_unknown_group": (_section("indices", directions={"MPI7": "positive"}), ()),
     "group_correlation_unknown_group": (_section("synth", group_correlation={"MPI9": 0.9}), ()),
+    # integer keys take YAML integers only: a fraction is not truncated, a bool is not 1
+    "ising.k_chains=2.5": (_section("ising", k_chains=2.5), ()),
+    "workers=1.5": (dict(TINY, workers=1.5), ()),
+    "ising.n_iters=10000.7": (_section("ising", n_iters=10000.7), ()),
+    "conformal.n_batches=100.5": (_section("conformal", n_batches=100.5), ()),
+    "ising.k_chains=true": (_section("ising", k_chains=True, retain_last=300), ()),
 }
 
 _CSV_WRITER, _NP_SAVE = csv.writer, np.save
@@ -177,6 +184,7 @@ class TestPipeline:
             "uncertainty_ising.csv", "uncertainty_langevin.csv",
             "unit_results_ising.csv", "unit_results_langevin.csv",
             "coverage_adaptivity_ising.csv", "coverage_adaptivity_langevin.csv",
+            "calibration_ising.csv", "calibration_langevin.csv",
             "comparison_ising.csv", "comparison_langevin.csv",
             "residual_mpi_ising.csv", "ols_ising.csv", "energy_ratio_ising.csv",
             "group_summary_ising_ALT.csv", "group_mpi_langevin_DEGURB.csv",
@@ -479,6 +487,38 @@ class TestArtifactLayouts:
         header, rows = read_table(run_dir / "coverage_adaptivity_ising.csv")
         assert header == ["metric", "min", "q1", "median", "mean", "q3", "max"]
         assert [r[0] for r in rows] == ["coverage", "adaptivity"]
+
+    @pytest.mark.parametrize("engine", ["ising", "langevin"])
+    def test_calibration_layout(self, run_dir, engine):
+        # one row per split, with the values the conformal stage computes from the pool
+        cfg = load_config(run_dir.parent / "config.yaml")
+        spec = cfg.batch_spec()
+        pool = unscale_values(np.load(run_dir / f"retained_{engine}_configs.npy")[-spec.n_total:],
+                              Engine(engine).domain)
+        y_obs = read_column(run_dir / "dataset.csv", "target")
+        splits = repeat_splits(batch_means(pool, spec), y_obs, spec)
+        header, rows = read_table(run_dir / f"calibration_{engine}.csv")
+        assert header == ["seed", "q_hat", "degenerate", "test_coverage"]
+        assert [int(r[0]) for r in rows] == list(range(spec.seed, spec.seed + spec.repeats))
+        assert [float(r[1]) for r in rows] == [split.q_hat for split in splits]
+        assert [r[2] for r in rows] == [str(int(split.degenerate)) for split in splits]
+        assert [float(r[3]) for r in rows] == [split.test_coverage for split in splits]
+        # the primary split is the one uncertainty_<engine>.csv holds
+        primary = splits[0]
+        np.testing.assert_array_equal(
+            read_column(run_dir / f"uncertainty_{engine}.csv", "lo"), primary.lo)
+
+    def test_report_gives_raw_band_and_offset(self, run_dir):
+        text = (run_dir / "report.txt").read_text()
+        lines = [l for l in text.splitlines() if l.startswith("median raw band q_hi-q_lo: ")]
+        assert len(lines) == 2  # one per engine
+        for engine, line in zip(("ising", "langevin"), lines):
+            q_hat = read_column(run_dir / f"calibration_{engine}.csv", "q_hat")[0]
+            width = read_column(run_dir / f"uncertainty_{engine}.csv", "width")
+            band = float(line.split()[4])
+            assert float(line.split()[6]) == pytest.approx(q_hat, abs=5e-5)
+            assert band == pytest.approx(np.median(width) - 2.0 * q_hat, abs=5e-5)
+            assert band >= 0.0
 
     def test_benchmark_layout(self, run_dir):
         header, rows = read_table(run_dir / "benchmark.csv")

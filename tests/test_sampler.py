@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_clique_graph
+from softspin import sampler
 from softspin.data import Domain, unscale_values
 from softspin.energy import EnergyModel, SpinConfiguration, grad, hamiltonian
 from softspin.errors import (
@@ -14,6 +15,7 @@ from softspin.errors import (
     DivergenceDetected,
     ParallelChainError,
 )
+from softspin.graph import GroupSums
 from softspin.sampler import (
     METROPOLIS_BLOCK,
     AnnealingSchedule,
@@ -27,6 +29,7 @@ from softspin.sampler import (
     metropolis_kernel,
     metropolis_step,
     run_chain,
+    run_chains,
     run_parallel,
 )
 
@@ -300,6 +303,20 @@ class TestLangevinStep:
         np.testing.assert_array_equal(out, expected)
         np.testing.assert_array_equal(grad(model, s), expected)
 
+    def test_grad_of_stack_is_grad_of_each_row(self):
+        g = make_clique_graph([3, 1, 5, 2])
+        rng = np.random.default_rng(4)
+        model = EnergyModel(g, rng.normal(size=g.n), lambda_reg=2.0)
+        stack = rng.uniform(-1, 1, size=(3, g.n))
+        sums = GroupSums(g, stack)
+        assert sums.sums.shape == (3, g.n_groups)
+        out, work = np.empty_like(stack), np.empty_like(stack)
+        grad(model, stack, sums, out=out, work=work)
+        for c in range(3):
+            np.testing.assert_array_equal(sums.sums[c], GroupSums(g, stack[c]).sums)
+            np.testing.assert_array_equal(out[c], grad(model, stack[c]))
+        np.testing.assert_array_equal(grad(model, stack), out)
+
     @pytest.mark.parametrize("bounds, start, detail", [
         ((0.0, 100.0), 50.0, "state escaped the domain guard"),
         (None, 50.0, "unbounded state exceeded 1e12"),
@@ -479,6 +496,109 @@ class TestRunChain:
         trace2 = run_chain(model, cfg2, self.make_ref(8))
         recomputed = hamiltonian(model, trace2.retained[-1])
         assert final == pytest.approx(recomputed, abs=1e-8)
+
+
+class SpikedRng:
+    """Test double: a chain's real Philox stream, except that noise draw
+    number ``at`` (counting from 1) puts ``value`` into its first unit."""
+
+    def __init__(self, seed, at, value):
+        self.inner, self.at, self.value, self.calls = make_rng(seed), at, value, 0
+
+    def standard_normal(self, out):
+        self.inner.standard_normal(out=out)
+        self.calls += 1
+        if self.calls == self.at:
+            out[0] = self.value
+        return out
+
+
+class TestLangevinStack:
+    """Langevin chains stepped together as the rows of one (k, N) stack."""
+
+    GRAPH = [4, 1, 3, 2, 1]
+
+    def make_case(self, bounded):
+        g = make_clique_graph(self.GRAPH)
+        rng = np.random.default_rng(17)
+        model = EnergyModel(g, rng.normal(size=g.n), lambda_reg=6.0)
+        ref = SpinConfiguration(rng.uniform(20, 80, size=g.n), Domain.RAW_PERCENT)
+        cfg = ChainConfig(engine=Engine.LANGEVIN, n_iters=400, burn_in_frac=0.1, thin=3,
+                          retain_last=50, seed=30, energy_stride=7, bounded=bounded,
+                          schedule=AnnealingSchedule(cooling=0.995, t_min=0.05, dt0=0.02))
+        return model, ref, cfg
+
+    @pytest.mark.parametrize("bounded", [True, False])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_rows_equal_chains_run_alone(self, k, bounded):
+        model, ref, cfg = self.make_case(bounded)
+        cfgs = [replace(cfg, seed=cfg.seed + c) for c in range(k)]
+        stacked = run_chains(model, cfgs, ref)
+        for c_cfg, trace in zip(cfgs, stacked):
+            solo = run_chain(model, c_cfg, ref)
+            np.testing.assert_array_equal(trace.retained, solo.retained)
+            np.testing.assert_array_equal(trace.energies, solo.energies)
+            np.testing.assert_array_equal(trace.retained_energies, solo.retained_energies)
+            assert trace.final_temperature == solo.final_temperature
+            assert trace.accept_count == cfg.n_iters
+        if bounded:  # the clamp is reached, so the per-row clip is exercised
+            assert any(np.any((t.retained == 0.0) | (t.retained == 100.0)) for t in stacked)
+
+    def test_rows_differ_only_in_seed(self):
+        model, ref, cfg = self.make_case(True)
+        with pytest.raises(ConfigError):
+            run_chains(model, [cfg, replace(cfg, seed=31, thin=2)], ref)
+
+    @pytest.mark.parametrize("bounded, value, detail", [
+        (True, np.inf, "non-finite state"),
+        (True, 1e9, "state escaped the domain guard"),
+        (False, 1e20, "unbounded state exceeded 1e12"),
+    ])
+    def test_diverging_row_dropped_siblings_go_on(self, monkeypatch, bounded, value, detail):
+        # chain 1 diverges at iteration 7 and chain 3 at 12, when it is row 2
+        model, ref, cfg = self.make_case(bounded)
+        spikes = {cfg.seed + 1: 7, cfg.seed + 3: 12}
+        monkeypatch.setattr(sampler, "make_rng", lambda seed: (
+            SpikedRng(seed, spikes[seed], value) if seed in spikes else make_rng(seed)))
+        cfgs = [replace(cfg, seed=cfg.seed + c) for c in range(5)]
+        results = run_chains(model, cfgs, ref)
+        for c, c_cfg in enumerate(cfgs):
+            if c_cfg.seed in spikes:
+                with pytest.raises(DivergenceDetected) as solo:
+                    run_chain(model, c_cfg, ref)
+                assert isinstance(results[c], DivergenceDetected)
+                assert results[c].iteration == solo.value.iteration == spikes[c_cfg.seed]
+                assert results[c].detail == solo.value.detail == detail
+            else:
+                solo = run_chain(model, c_cfg, ref)
+                np.testing.assert_array_equal(results[c].retained, solo.retained)
+                np.testing.assert_array_equal(results[c].energies, solo.energies)
+                np.testing.assert_array_equal(results[c].retained_energies,
+                                              solo.retained_energies)
+                assert results[c].final_temperature == solo.final_temperature
+
+    def test_parallel_reports_only_diverged_chains(self, monkeypatch, tmp_path):
+        model, ref, cfg = self.make_case(True)
+        monkeypatch.setattr(sampler, "make_rng", lambda seed: (
+            SpikedRng(seed, 5, np.nan) if seed == cfg.seed + 2 else make_rng(seed)))
+        with pytest.raises(ParallelChainError) as err:
+            run_parallel(model, cfg, ref, 4, tmp_path / "pool.npy")
+        assert [(i, e.iteration) for i, e in err.value.failures] == [(2, 5)]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_worker_count_invariance(self, tmp_path):
+        # five chains in uneven slices: [5], [3, 2] and [2, 2, 1] chains per job
+        model, ref, cfg = self.make_case(True)
+        runs = {w: run_parallel(model, cfg, ref, 5, tmp_path / f"w{w}.npy", workers=w)
+                for w in (1, 2, 3)}
+        pool = (tmp_path / "w1.npy").read_bytes()
+        for w in (2, 3):
+            assert (tmp_path / f"w{w}.npy").read_bytes() == pool
+            for ts, tw in zip(runs[1], runs[w]):
+                np.testing.assert_array_equal(ts.energies, tw.energies)
+                np.testing.assert_array_equal(ts.retained_energies, tw.retained_energies)
+                assert ts.final_temperature == tw.final_temperature
+                assert ts.config == tw.config
 
 
 class TestRunParallel:
