@@ -38,7 +38,7 @@ print(f"calibration offset q_hat = {result.q_hat:.4f} "
 print(f"test coverage {result.test_coverage:.4f} (nominal {1 - spec.alpha:.2f})")
 
 splits = repeat_splits(batches, y_obs, spec)
-summary = coverage_adaptivity(splits, y_obs)
+summary = coverage_adaptivity(splits)
 print(f"\nper-unit coverage over {spec.repeats} repeated splits:")
 cs = summary.coverage_summary
 print(f"  min={cs.min:.4f} q1={cs.q1:.4f} median={cs.median:.4f} "

@@ -371,8 +371,11 @@ def _validate(cfg: RunConfig) -> None:
         if not isinstance(name, str):
             raise ConfigError(f"dataset: {key} must be a string")
     if cfg.dataset_path is None:  # the synth section is read only to synthesize
-        if cfg.synth_units < 2:
-            raise ConfigError("synth: n_units must be >= 2")
+        if cfg.synth_units < n_groups + 2:  # the linear-model baseline needs N > K + 1
+            raise ConfigError(f"synth: n_units must be >= {n_groups + 2}, the groups plus 2")
+        if int(spec.calib_frac * cfg.synth_units) < 1:
+            raise ConfigError(f"conformal: calib_frac={spec.calib_frac} leaves no calibration "
+                              f"unit at n_units={cfg.synth_units}")
         cfg.synth_params()
 
 

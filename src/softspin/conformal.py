@@ -147,15 +147,15 @@ class ConformalResult:
     """Per-unit raw and calibrated interval bounds for one split.
 
     lo = q_lo - q_hat and hi = q_hi + q_hat for every unit; ``covered``
-    compares the observed value against the calibrated interval, and the
-    marginal-coverage guarantee applies to the test units only.
+    compares the observed value ``y_obs`` against the calibrated interval,
+    and the marginal-coverage guarantee applies to the test units only.
     """
 
     q_lo: np.ndarray
     q_hi: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-    covered: np.ndarray
+    y_obs: np.ndarray
     q_hat: float
     degenerate: bool
     calib_idx: np.ndarray
@@ -165,6 +165,10 @@ class ConformalResult:
     @property
     def width(self) -> np.ndarray:
         return self.hi - self.lo
+
+    @property
+    def covered(self) -> np.ndarray:
+        return (self.y_obs >= self.lo) & (self.y_obs <= self.hi)
 
     @property
     def test_coverage(self) -> float:
@@ -186,9 +190,8 @@ def _calibrated_split(q_lo, q_hi, y_obs, alpha: float, calib_frac: float,
     cal = calibrate(scores, alpha)
     lo = q_lo - cal.q_hat
     hi = q_hi + cal.q_hat
-    covered = (y_obs >= lo) & (y_obs <= hi)
     return ConformalResult(
-        q_lo=q_lo.copy(), q_hi=q_hi.copy(), lo=lo, hi=hi, covered=covered,
+        q_lo=q_lo.copy(), q_hi=q_hi.copy(), lo=lo, hi=hi, y_obs=y_obs,
         q_hat=cal.q_hat, degenerate=cal.degenerate,
         calib_idx=calib_idx, test_idx=test_idx, alpha=alpha,
     )
@@ -249,7 +252,7 @@ class CoverageAdaptivity:
     adaptivity_summary: SixNumber
 
 
-def coverage_adaptivity(results, y_obs) -> CoverageAdaptivity:
+def coverage_adaptivity(results) -> CoverageAdaptivity:
     """Summarize coverage and interval width per unit.
 
     ``results`` may be a single split or a sequence of repeated splits; with
@@ -261,8 +264,7 @@ def coverage_adaptivity(results, y_obs) -> CoverageAdaptivity:
         results = [results]
     if not results:
         raise ConfigError("no conformal results given")
-    y = np.asarray(y_obs, dtype=float)
-    covered = np.stack([(y >= r.lo) & (y <= r.hi) for r in results])
+    covered = np.stack([r.covered for r in results])
     widths = np.stack([r.width for r in results])
     coverage = covered.mean(axis=0)
     adaptivity = widths.mean(axis=0)

@@ -63,33 +63,40 @@ def _spins(s) -> np.ndarray:
     return np.asarray(s, dtype=float)
 
 
-def hamiltonian(model: EnergyModel, s) -> float:
-    """Total energy of a configuration (O(N) via group sums)."""
+def _rowdot(a, b):
+    """Row-wise dot products over the last axis, bit-equal to ``a @ b`` per row."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def hamiltonian(model: EnergyModel, s, sums: GroupSums | None = None):
+    """Total energy of a configuration, or of each row of a (k, N) stack.
+
+    O(N) per row from the group sums, read from ``sums``, the chain's cache
+    of ``s``, or else from a new :class:`~softspin.graph.GroupSums`. Returns
+    a float for one configuration and a (k,) array for a stack.
+    """
     x = _spins(s)
-    if x.shape != (model.graph.n,):
+    if x.ndim not in (1, 2) or x.shape[-1] != model.graph.n:
         raise DataError("configuration length does not match the graph")
-    gsum = np.bincount(model.graph.group_of, weights=x, minlength=model.graph.n_groups)
-    pair = float(gsum @ gsum) - float(x @ x)  # ordered pairs within groups
-    return (
-        -0.5 * pair
-        - float(model.field @ x)
-        + 0.5 * model.lambda_reg * float(x @ x)
-    )
+    if sums is None:
+        sums = GroupSums(model.graph, x)
+    xx = _rowdot(x, x)
+    pair = _rowdot(sums.sums, sums.sums) - xx  # ordered pairs within groups
+    energy = -0.5 * pair - _rowdot(model.field, x) + 0.5 * model.lambda_reg * xx
+    return float(energy) if x.ndim == 1 else energy
 
 
 def delta_h(model: EnergyModel, s, i: int, s_new: float, sums: GroupSums | None = None) -> float:
     """Energy change of setting spin ``i`` to ``s_new``, in O(1).
 
-    With a ``GroupSums`` cache maintained alongside ``s`` the neighbor sum is
-    a single lookup; otherwise it is computed from the group members.
+    The neighbor sum is one lookup in ``sums``, the group-sum cache of
+    ``s``, or in a new one when none is given.
     """
     x = _spins(s)
+    if sums is None:
+        sums = GroupSums(model.graph, x)
     s_i = float(x[i])
-    if sums is not None:
-        nb = float(sums.sums[model.graph.group_of[i]]) - s_i
-    else:
-        group = model.graph.members[model.graph.group_of[i]]
-        nb = float(x[group].sum()) - s_i
+    nb = float(sums.sums[model.graph.group_of[i]]) - s_i
     diff = s_new - s_i
     return (
         -diff * nb

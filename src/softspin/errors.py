@@ -1,12 +1,20 @@
 """Exception types shared across the package.
 
-All structured exceptions define ``__reduce__`` so they survive pickling
-across process boundaries (parallel chain execution).
+Every exception survives pickling across process boundaries (parallel chain
+execution) through the one ``SoftspinError.__reduce__``.
 """
+
+import copyreg
 
 
 class SoftspinError(Exception):
     """Base class for package errors."""
+
+    def __reduce__(self):
+        # ``cls.__new__(cls, *args)`` sets the message without running
+        # ``__init__``, whose parameters differ by class; the attributes
+        # come back from ``__dict__``
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class ConfigError(SoftspinError):
@@ -22,9 +30,6 @@ class MissingColumn(DataError):
         super().__init__(f"missing required column {name!r}")
         self.name = name
 
-    def __reduce__(self):
-        return (MissingColumn, (self.name,))
-
 
 class BadCategory(DataError):
     def __init__(self, row, column, value):
@@ -35,9 +40,6 @@ class BadCategory(DataError):
         self.column = column
         self.value = value
 
-    def __reduce__(self):
-        return (BadCategory, (self.row, self.column, self.value))
-
 
 class TargetOutOfRange(DataError):
     def __init__(self, row, value):
@@ -45,17 +47,11 @@ class TargetOutOfRange(DataError):
         self.row = row
         self.value = value
 
-    def __reduce__(self):
-        return (TargetOutOfRange, (self.row, self.value))
-
 
 class DuplicateUnitId(DataError):
     def __init__(self, unit_id):
         super().__init__(f"duplicate unit id {unit_id!r}")
         self.unit_id = unit_id
-
-    def __reduce__(self):
-        return (DuplicateUnitId, (self.unit_id,))
 
 
 class ZeroVariance(SoftspinError):
@@ -63,17 +59,11 @@ class ZeroVariance(SoftspinError):
         super().__init__(f"zero variance in {name!r}")
         self.name = name
 
-    def __reduce__(self):
-        return (ZeroVariance, (self.name,))
-
 
 class DegenerateRow(SoftspinError):
     def __init__(self, row):
         super().__init__(f"standardized profile mean is zero at row {row}")
         self.row = row
-
-    def __reduce__(self):
-        return (DegenerateRow, (self.row,))
 
 
 class DivergenceDetected(SoftspinError):
@@ -83,9 +73,6 @@ class DivergenceDetected(SoftspinError):
         super().__init__(f"state diverged{where}{extra}")
         self.iteration = iteration
         self.detail = detail
-
-    def __reduce__(self):
-        return (DivergenceDetected, (self.iteration, self.detail))
 
 
 class InsufficientPool(SoftspinError):
@@ -112,9 +99,6 @@ class ParallelChainError(SoftspinError):
         super().__init__("; ".join(lines))
         self.failures = list(failures)
 
-    def __reduce__(self):
-        return (ParallelChainError, (self.failures,))
-
 
 class MissingArtifact(DataError):
     def __init__(self, stage, path):
@@ -123,6 +107,3 @@ class MissingArtifact(DataError):
         )
         self.stage = stage
         self.path = str(path)
-
-    def __reduce__(self):
-        return (MissingArtifact, (self.stage, self.path))

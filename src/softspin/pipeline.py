@@ -288,7 +288,7 @@ def _conformal_engine(cfg: RunConfig, out: Path, dataset, engine: Engine) -> lis
     del pool  # freed before repeat_splits sorts a copy of the batches
     splits = repeat_splits(batches, y_obs, spec)
     primary = splits[0]  # seed spec.seed, the single-split interval
-    summary = coverage_adaptivity(splits, y_obs)
+    summary = coverage_adaptivity(splits)
     return [
         write_columns(out / f"calibration_{engine.value}.csv", {
             "seed": range(spec.seed, spec.seed + spec.repeats),

@@ -144,7 +144,9 @@ class ChainState:
     """Mutable state of one chain, or of a stack of Langevin chains.
 
     ``s`` is one configuration or, for chains stepped together, a (k, N)
-    stack of them with ``sums`` caching every row. ``work`` holds the
+    stack of them with ``sums`` caching every row; ``energy`` starts as the
+    energy of ``s`` (a float) or of each row (a (k,) array), and only the
+    Metropolis step keeps it current. ``work`` holds the
     Langevin step's four preallocated buffers of the shape of ``s`` (noise,
     drift, next state, lambda * s), created on the first step.
     """
@@ -152,16 +154,18 @@ class ChainState:
     s: np.ndarray
     temperature: float
     sums: GroupSums
-    energy: float
+    energy: float | np.ndarray
     bounds: tuple[float, float] | None
     work: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
 
 def init_state(model: EnergyModel, s0, schedule: AnnealingSchedule,
                bounds: tuple[float, float] | None) -> ChainState:
+    """The state of a chain starting at ``s0``, or of a stack of chains
+    starting at the rows of a (k, N) ``s0``, each row with its energy."""
     s = np.array(s0, dtype=float)
     sums = GroupSums(model.graph, s)
-    return ChainState(s, schedule.t0, sums, hamiltonian(model, s), bounds)
+    return ChainState(s, schedule.t0, sums, hamiltonian(model, s, sums), bounds)
 
 
 def _reflect(x: float, lo: float, hi: float) -> float:
@@ -287,7 +291,7 @@ def _run_metropolis(model: EnergyModel, cfg: ChainConfig, state: ChainState,
         if t % every == 0:
             state.sums.recompute(state.s)
             sums[:] = state.sums.sums.tolist()
-            energy = hamiltonian(model, state.s)
+            energy = hamiltonian(model, state.s, state.sums)
         emit(t, state.s, energy)
         return next(pending, 0), energy
 
@@ -393,9 +397,10 @@ def _run_langevin(model: EnergyModel, cfgs: list[ChainConfig], state: ChainState
             running = [c for row, c in enumerate(running) if row not in dropped]
             if not running:
                 break
-        if it in stops:
-            for c, s in zip(running, state.s.reshape(len(running), -1)):
-                emits[c](it, s, hamiltonian(model, s))
+        if it in stops:  # the step left state.sums fresh
+            energies = np.atleast_1d(hamiltonian(model, state.s, state.sums))
+            for c, s, energy in zip(running, state.s.reshape(len(running), -1), energies):
+                emits[c](it, s, energy)
     return failures
 
 
@@ -481,8 +486,8 @@ def run_chains(model: EnergyModel, cfgs: list[ChainConfig], s_ref: SpinConfigura
             trace.final_temperature = state.temperature
         return list(traces)
     # one chain keeps the 1-D state of langevin_step: a (1, N) stack costs a few µs a step
-    stack = np.tile(s_ref.s, (len(cfgs), 1)) if len(cfgs) > 1 else s_ref.s.copy()
-    state = ChainState(stack, cfg.schedule.t0, GroupSums(model.graph, stack), h_ref, bounds)
+    s0 = np.tile(s_ref.s, (len(cfgs), 1)) if len(cfgs) > 1 else s_ref.s
+    state = init_state(model, s0, cfg.schedule, bounds)
     failures = _run_langevin(model, cfgs, state, stops, emits)
     for trace in traces:
         trace.accept_count, trace.final_temperature = cfg.n_iters, state.temperature

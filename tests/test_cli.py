@@ -116,6 +116,9 @@ _OUT_OF_RANGE = {
     "ising.n_iters=10000.7": (_section("ising", n_iters=10000.7), ()),
     "conformal.n_batches=100.5": (_section("conformal", n_batches=100.5), ()),
     "ising.k_chains=true": (_section("ising", k_chains=True, retain_last=300), ()),
+    # too few units for the linear-model baseline; no calibration unit in the split
+    "synth.n_units=7": (_section("synth", n_units=7), ()),
+    "conformal.calib_frac=0.01": (_section("conformal", calib_frac=0.01), ()),
 }
 
 _CSV_WRITER, _NP_SAVE = csv.writer, np.save

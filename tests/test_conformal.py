@@ -216,7 +216,7 @@ class TestCoverageAdaptivity:
             calib_frac=0.5, seed=5))
         res.lo[:] = y.min() - 1.0
         res.hi[:] = y.max() + 1.0
-        summary = coverage_adaptivity(res, y)
+        summary = coverage_adaptivity(res)
         assert summary.coverage_summary == six_number(np.ones(80))
 
     def test_constant_widths(self):
@@ -225,7 +225,7 @@ class TestCoverageAdaptivity:
         res = conformal_intervals(batches, y, BatchSpec(
             n_total=50, n_batches=50, batch_size=5, alpha=0.10,
             calib_frac=0.5, seed=5))
-        summary = coverage_adaptivity(res, y)
+        summary = coverage_adaptivity(res)
         w = float(res.width[0])
         assert summary.adaptivity_summary.min == summary.adaptivity_summary.max == w
 
@@ -235,7 +235,7 @@ class TestCoverageAdaptivity:
                          calib_frac=0.5, seed=3, repeats=8)
         splits = repeat_splits(batches, y, spec)
         assert len(splits) == 8
-        summary = coverage_adaptivity(splits, y)
+        summary = coverage_adaptivity(splits)
         assert np.all((summary.coverage >= 0) & (summary.coverage <= 1))
         multiples = np.round(summary.coverage * 8)
         np.testing.assert_allclose(summary.coverage * 8, multiples, atol=1e-12)

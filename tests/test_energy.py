@@ -80,6 +80,36 @@ class TestHamiltonian:
         cfg = SpinConfiguration(s)
         assert hamiltonian(model, cfg) == hamiltonian(model, s)
 
+    def test_row_equals_plain_dot_products(self, rng):
+        # the same operations, in the same order, as x @ x on one row
+        model = random_model(rng, sizes=[9, 1, 40, 3, 17, 250, 1000])
+        for _ in range(20):
+            s = rng.normal(size=model.graph.n) * 30
+            g = GroupSums(model.graph, s).sums
+            pair = float(g @ g) - float(s @ s)
+            expected = (-0.5 * pair - float(model.field @ s)
+                        + 0.5 * model.lambda_reg * float(s @ s))
+            assert hamiltonian(model, s) == expected
+
+    @pytest.mark.parametrize("with_sums", [False, True], ids=["fresh", "cache"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_stack_equals_each_row(self, rng, k, with_sums):
+        model = random_model(rng, sizes=[9, 1, 40, 3, 17, 250, 1000])
+        stack = rng.normal(size=(k, model.graph.n)) * 30
+        energies = hamiltonian(model, stack,
+                               GroupSums(model.graph, stack) if with_sums else None)
+        assert energies.shape == (k,)
+        for row, energy in zip(stack, energies):
+            one = hamiltonian(model, row, GroupSums(model.graph, row) if with_sums else None)
+            assert type(one) is float
+            assert energy == one
+
+    @pytest.mark.parametrize("shape", [(7,), (2, 7), (2, 2, 8)])
+    def test_shape_checked(self, shape):
+        model = EnergyModel(make_clique_graph([3, 5]), np.ones(8))
+        with pytest.raises(DataError):
+            hamiltonian(model, np.zeros(shape))
+
 
 class TestDeltaH:
     def test_noop_is_zero(self, rng):
@@ -103,6 +133,17 @@ class TestDeltaH:
             assert d == pytest.approx(after - before, rel=1e-9, abs=1e-9)
             sums.sums[model.graph.group_of[i]] += s_new - s[i]
             s = s2
+
+    def test_with_and_without_cache_agree_exactly(self, rng):
+        # groups of 8 or more, where numpy's pairwise sum of the members
+        # would round differently from the cache's running sum
+        model = random_model(rng, sizes=[8, 13, 21, 9, 40])
+        for _ in range(20):
+            s = rng.normal(size=model.graph.n) * 30
+            sums = GroupSums(model.graph, s)
+            for i in range(model.graph.n):
+                s_new = float(rng.normal()) * 30
+                assert delta_h(model, s, i, s_new) == delta_h(model, s, i, s_new, sums)
 
     def test_edgeless_closed_form(self, rng):
         g = make_clique_graph([1, 1])

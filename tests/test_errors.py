@@ -1,0 +1,54 @@
+import inspect
+import pickle
+from pathlib import Path
+
+import pytest
+
+from softspin import errors
+
+# one instance of every exception class, structured ones with their fields
+INSTANCES = [
+    errors.SoftspinError("base"),
+    errors.ConfigError("engines: at least one engine must be enabled"),
+    errors.DataError("field must be finite"),
+    errors.MissingColumn("ALT"),
+    errors.BadCategory(3, "POP", 9),
+    errors.TargetOutOfRange(4, 120.5),
+    errors.DuplicateUnitId("u7"),
+    errors.ZeroVariance("MPI1"),
+    errors.DegenerateRow(2),
+    errors.DivergenceDetected(12, "non-finite state"),
+    errors.InsufficientPool("retained pool smaller than the batch size"),
+    errors.EmptyCalibration("no calibration scores"),
+    errors.AllCollinear("no regressor survives"),
+    errors.ParallelChainError([(1, errors.DivergenceDetected(5, "state escaped the domain guard")),
+                               (3, errors.DivergenceDetected())]),
+    errors.MissingArtifact("conformal", Path("run") / "retained_ising_configs.npy"),
+]
+
+
+def assert_same(a, b):
+    assert type(a) is type(b)
+    assert str(a) == str(b)
+    assert a.args == b.args
+    assert a.__dict__.keys() == b.__dict__.keys()
+    for key, value in a.__dict__.items():
+        if key == "failures":
+            assert [i for i, _ in value] == [i for i, _ in b.failures]
+            for (_, inner), (_, back) in zip(value, b.failures):
+                assert_same(inner, back)
+        else:
+            assert b.__dict__[key] == value
+
+
+def test_every_class_has_an_instance():
+    classes = {cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+               if issubclass(cls, errors.SoftspinError)}
+    assert classes == {type(exc) for exc in INSTANCES}
+
+
+@pytest.mark.parametrize("exc", INSTANCES, ids=[type(e).__name__ for e in INSTANCES])
+@pytest.mark.parametrize("protocol", [2, pickle.HIGHEST_PROTOCOL])
+def test_pickle_round_trip_keeps_message_and_fields(exc, protocol):
+    back = pickle.loads(pickle.dumps(exc, protocol=protocol))
+    assert_same(exc, back)

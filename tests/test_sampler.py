@@ -544,6 +544,20 @@ class TestLangevinStack:
         if bounded:  # the clamp is reached, so the per-row clip is exercised
             assert any(np.any((t.retained == 0.0) | (t.retained == 100.0)) for t in stacked)
 
+    def test_one_hamiltonian_call_per_stop(self, monkeypatch):
+        model, ref, cfg = self.make_case(True)
+        shapes = []
+
+        def counting(model, s, sums=None):
+            shapes.append(np.shape(getattr(s, "s", s)))  # a SpinConfiguration or an array
+            return hamiltonian(model, s, sums)
+
+        monkeypatch.setattr(sampler, "hamiltonian", counting)
+        run_chains(model, [replace(cfg, seed=cfg.seed + c) for c in range(3)], ref)
+        stops = set(cfg.energy_iterations()[1:]).union(cfg.retained_iterations())
+        # the reference, then the stack at the start and at each stop
+        assert shapes == [(model.graph.n,)] + [(3, model.graph.n)] * (1 + len(stops))
+
     def test_rows_differ_only_in_seed(self):
         model, ref, cfg = self.make_case(True)
         with pytest.raises(ConfigError):
