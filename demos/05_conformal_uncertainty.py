@@ -9,13 +9,7 @@ adaptivity that would drive an uncertainty map.
 
 import numpy as np
 
-from softspin import (
-    BatchSpec,
-    batch_means,
-    conformal_intervals,
-    coverage_adaptivity,
-    repeat_splits,
-)
+from softspin import BatchSpec, batch_means, repeat_splits, six_number
 
 # a synthetic exchangeable stand-in for the sampler's retained pool:
 # every unit has its own location and scale
@@ -32,25 +26,24 @@ spec = BatchSpec(n_total=pool_size, n_batches=2000, batch_size=10,
 batches = batch_means(pool, spec)
 print(f"batch means: {batches.shape[0]} batches x {batches.shape[1]} units")
 
-result = conformal_intervals(batches, y_obs, spec)
-print(f"calibration offset q_hat = {result.q_hat:.4f} "
-      f"(degenerate level: {result.degenerate})")
-print(f"test coverage {result.test_coverage:.4f} (nominal {1 - spec.alpha:.2f})")
-
+# one table of spec.repeats splits; row 0 (seed spec.seed) is the primary split
 splits = repeat_splits(batches, y_obs, spec)
-summary = coverage_adaptivity(splits)
+print(f"calibration offset q_hat = {splits.q_hat[0]:.4f} "
+      f"(degenerate level: {bool(splits.degenerate[0])})")
+print(f"test coverage {splits.test_coverage[0]:.4f} (nominal {1 - spec.alpha:.2f})")
+
 print(f"\nper-unit coverage over {spec.repeats} repeated splits:")
-cs = summary.coverage_summary
+cs = six_number(splits.covered.mean(axis=0))
 print(f"  min={cs.min:.4f} q1={cs.q1:.4f} median={cs.median:.4f} "
       f"mean={cs.mean:.4f} q3={cs.q3:.4f} max={cs.max:.4f}")
-ws = summary.adaptivity_summary
+ws = six_number(splits.width.mean(axis=0))
 print("interval width (adaptivity):")
 print(f"  min={ws.min:.4f} q1={ws.q1:.4f} median={ws.median:.4f} "
       f"mean={ws.mean:.4f} q3={ws.q3:.4f} max={ws.max:.4f}")
 
-# tighter significance never shrinks an interval (same split)
+# tighter significance never shrinks an interval (same splits)
 spec05 = BatchSpec(n_total=pool_size, n_batches=2000, batch_size=10,
-                   alpha=0.05, calib_frac=0.5, seed=99)
-wide = conformal_intervals(batch_means(pool, spec05), y_obs, spec05)
+                   alpha=0.05, calib_frac=0.5, seed=99, repeats=25)
+wide = repeat_splits(batch_means(pool, spec05), y_obs, spec05)
 print(f"\nalpha 0.10 -> 0.05 widens every interval: "
-      f"{bool(np.all(wide.width >= result.width - 1e-12))}")
+      f"{bool(np.all(wide.width >= splits.width - 1e-12))}")

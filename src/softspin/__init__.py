@@ -49,12 +49,9 @@ from .sampler import (
 )
 from .conformal import (
     BatchSpec,
-    ConformalResult,
-    CoverageAdaptivity,
+    Splits,
     batch_means,
     calibrate,
-    conformal_intervals,
-    coverage_adaptivity,
     empirical_quantiles,
     nonconformity,
     repeat_splits,
@@ -64,9 +61,7 @@ from .analysis import (
     AssociationTable,
     BaselineFit,
     ComparisonReport,
-    GroupSummary,
     OLSResult,
-    UnitResults,
     baseline_lm,
     compare,
     group_summaries,

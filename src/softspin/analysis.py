@@ -222,62 +222,32 @@ def baseline_lm(y, composite, *, tol: float = _PIVOT_TOL) -> BaselineFit:
 # ---------------------------------------------------------------------------
 # Group summaries by territorial attribute
 
-@dataclass
-class UnitResults:
-    """Per-unit outcomes feeding the group summaries and uncertainty map."""
-
-    y_ref: np.ndarray
-    y_est: np.ndarray
-    coverage: np.ndarray
-    adaptivity: np.ndarray
-
-
-@dataclass(frozen=True)
-class GroupSummary:
-    """One (type, class) row of the per-attribute summary table."""
-
-    type_label: str
-    attr_class: int
-    n: int
-    coverage: float
-    adaptivity: float
-    y_ref: float
-    y_est: float
-    delta: float                     # 100 * (y_est / y_ref - 1); NaN if y_ref == 0
-    mpi_means: tuple[float, ...] | None = None
-
-
-def group_summaries(
-    results: UnitResults,
-    dataset: Dataset,
-    attribute: str,
-    composite=None,
-) -> list[GroupSummary]:
+def group_summaries(dataset: Dataset, attribute: str, y_ref, y_est, coverage, adaptivity,
+                    composite=None) -> tuple[dict, np.ndarray | None]:
     """Aggregate per-unit results by (center/periphery type, attribute class).
 
-    Rows are emitted in lexical (type, class) order; all aggregates are
-    plain means, and the relative difference uses the group means.
+    Returns the columns type, class, n, the group means of ``coverage``,
+    ``adaptivity``, ``y_ref`` and ``y_est`` under those names, and
+    ``delta_pct`` = 100 * (y_est mean / y_ref mean - 1), NaN where the y_ref
+    mean is zero; then the (groups x K) group means of ``composite``, or
+    None without one. Rows are groups in lexical (type, class) order.
     """
     classes = dataset.profile_column(attribute)
     types = np.array(dataset.center_periph_labels())
-    values = None if composite is None else _as_matrix(composite)[0]
     keys = sorted(set(zip(types.tolist(), classes.tolist())))
-    rows = []
-    for t, c in keys:
-        mask = (types == t) & (classes == c)
-        n = int(mask.sum())
-        ref_mean = float(results.y_ref[mask].mean())
-        est_mean = float(results.y_est[mask].mean())
-        delta = math.nan if ref_mean == 0.0 else 100.0 * (est_mean / ref_mean - 1.0)
-        mpi_means = None
-        if values is not None:
-            mpi_means = tuple(float(v) for v in values[mask].mean(axis=0))
-        rows.append(
-            GroupSummary(
-                type_label=t, attr_class=c, n=n,
-                coverage=float(results.coverage[mask].mean()),
-                adaptivity=float(results.adaptivity[mask].mean()),
-                y_ref=ref_mean, y_est=est_mean, delta=delta, mpi_means=mpi_means,
-            )
-        )
-    return rows
+    masks = [(types == t) & (classes == c) for t, c in keys]
+
+    def means(values) -> np.ndarray:
+        values = np.asarray(values, dtype=float)
+        return np.array([values[mask].mean(axis=0) for mask in masks])
+
+    ref, est = means(y_ref), means(y_est)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        delta = np.where(ref == 0.0, math.nan, 100.0 * (est / ref - 1.0))
+    columns = {
+        "type": [t for t, _ in keys], "class": [c for _, c in keys],
+        "n": np.array([mask.sum() for mask in masks]),
+        "coverage": means(coverage), "adaptivity": means(adaptivity),
+        "y_ref": ref, "y_est": est, "delta_pct": delta,
+    }
+    return columns, None if composite is None else means(_as_matrix(composite)[0])

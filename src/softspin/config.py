@@ -11,6 +11,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -139,6 +140,15 @@ def _integer(value, name: str) -> int:
     return value
 
 
+def _number(value, name: str) -> float:
+    """``value`` as a finite float; a bool, NaN or infinity is a ConfigError.
+    Numeric strings are read, as YAML reads a float like ``1e-3`` as one."""
+    number = math.nan if isinstance(value, bool) else float(value)
+    if not math.isfinite(number):
+        raise ConfigError(f"{name} must be a finite number, not {value!r}")
+    return number
+
+
 @dataclass
 class RunConfig:
     """A fully-resolved configuration tree with typed accessors."""
@@ -191,18 +201,19 @@ class RunConfig:
         s = self.raw["synth"]
         weights, corr = s["profile_weights"], s["group_correlation"]
         if weights is not None:
-            weights = {k: tuple(float(x) for x in v) for k, v in weights.items()}
+            weights = {k: tuple(_number(x, f"synth.profile_weights.{k}") for x in v)
+                       for k, v in weights.items()}
         return SynthParams(
             indicators=tuple(self.indicator_spec()),
             profile_weights=weights,
-            group_correlation=({k: float(v) for k, v in corr.items()}
-                               if isinstance(corr, dict) else float(corr)),
-            cross_correlation=float(s["cross_correlation"]),
+            group_correlation=({k: _number(v, f"synth.group_correlation.{k}")
+                                for k, v in corr.items()}
+                               if isinstance(corr, dict)
+                               else _number(corr, "synth.group_correlation")),
             mirror_groups=tuple((str(a), str(b)) for a, b in s["mirror_groups"]),
-            target_base_percent=float(s["target_base_percent"]),
-            target_slope=float(s["target_slope"]),
-            target_noise_sd=float(s["target_noise_sd"]),
-            center_hub_frac=float(s["center_hub_frac"]),
+            **{key: _number(s[key], f"synth.{key}")
+               for key in ("cross_correlation", "target_base_percent", "target_slope",
+                           "target_noise_sd", "center_hub_frac")},
         )
 
     @property
@@ -231,19 +242,17 @@ class RunConfig:
     def schedule(self, engine: Engine) -> AnnealingSchedule:
         """Cooling plus the engine's own ``Engine.step_parameter``."""
         s = self.raw[engine.value]["schedule"]
-        return AnnealingSchedule(
-            t0=float(s["t0"]),
-            cooling=float(s["cooling"]),
-            t_min=float(s["t_min"]),
-            **{engine.step_parameter: float(s[engine.step_parameter])},
-        )
+        return AnnealingSchedule(**{
+            key: _number(s[key], f"schedule.{key}")
+            for key in ("t0", "cooling", "t_min", engine.step_parameter)
+        })
 
     def chain_config(self, engine: Engine) -> ChainConfig:
         e = self.raw[engine.value]
         return ChainConfig(
             engine=engine,
             n_iters=_integer(e["n_iters"], "n_iters"),
-            burn_in_frac=float(e["burn_in_frac"]),
+            burn_in_frac=_number(e["burn_in_frac"], "burn_in_frac"),
             thin=_integer(e["thin"], "thin"),
             retain_last=_integer(e["retain_last"], "retain_last"),
             seed=_integer(e["seed"], "seed"),
@@ -264,12 +273,12 @@ class RunConfig:
         value = self.raw[engine.value]["lambda_reg"]
         if value == "auto":
             return None
-        return float(value)
+        return _number(value, f"{engine.value}.lambda_reg")
 
     @property
     def likelihood_temperature(self):
         value = self.raw["model"]["temperature"]
-        return None if value is None else float(value)
+        return None if value is None else _number(value, "model.temperature")
 
     def batch_spec(self) -> BatchSpec:
         c = self.raw["conformal"]
@@ -277,8 +286,8 @@ class RunConfig:
             n_total=_integer(c["n_total"], "n_total"),
             n_batches=_integer(c["n_batches"], "n_batches"),
             batch_size=_integer(c["batch_size"], "batch_size"),
-            alpha=float(c["alpha"]),
-            calib_frac=float(c["calib_frac"]),
+            alpha=_number(c["alpha"], "alpha"),
+            calib_frac=_number(c["calib_frac"], "calib_frac"),
             seed=_integer(c["seed"], "seed"),
             repeats=_integer(c["repeats"], "repeats"),
         )

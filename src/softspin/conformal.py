@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -142,25 +142,32 @@ def calibrate(scores, alpha: float) -> Calibration:
     return Calibration(float(x[max(k, 1) - 1]), max(k, 1), False)
 
 
-@dataclass
-class ConformalResult:
-    """Per-unit raw and calibrated interval bounds for one split.
+@dataclass(frozen=True)
+class Splits:
+    """Repeated calibration/test splits of N units over one pair of raw bounds.
 
-    lo = q_lo - q_hat and hi = q_hi + q_hat for every unit; ``covered``
-    compares the observed value ``y_obs`` against the calibrated interval,
-    and the marginal-coverage guarantee applies to the test units only.
+    ``q_lo``, ``q_hi`` and ``y_obs`` are ``(N,)``; ``q_hat`` and
+    ``degenerate`` hold one calibration per split, ``(R,)``; ``calib`` is the
+    ``(R, N)`` mask of each split's calibration units, the others being its
+    test units. Split r widens every raw interval by ``q_hat[r]`` on each
+    side, so ``lo``, ``hi``, ``width`` and ``covered`` are ``(R, N)``. The
+    marginal-coverage guarantee applies to each split's test units only.
     """
 
     q_lo: np.ndarray
     q_hi: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
     y_obs: np.ndarray
-    q_hat: float
-    degenerate: bool
-    calib_idx: np.ndarray
-    test_idx: np.ndarray
-    alpha: float
+    q_hat: np.ndarray
+    degenerate: np.ndarray
+    calib: np.ndarray
+
+    @property
+    def lo(self) -> np.ndarray:
+        return self.q_lo - self.q_hat[:, None]
+
+    @property
+    def hi(self) -> np.ndarray:
+        return self.q_hi + self.q_hat[:, None]
 
     @property
     def width(self) -> np.ndarray:
@@ -171,57 +178,40 @@ class ConformalResult:
         return (self.y_obs >= self.lo) & (self.y_obs <= self.hi)
 
     @property
-    def test_coverage(self) -> float:
-        return float(np.mean(self.covered[self.test_idx]))
+    def test_coverage(self) -> np.ndarray:
+        """``(R,)``: the share of each split's test units that it covers."""
+        test = ~self.calib
+        return (self.covered & test).sum(axis=1) / test.sum(axis=1)
 
 
-def _calibrated_split(q_lo, q_hi, y_obs, alpha: float, calib_frac: float,
-                      seed: int) -> ConformalResult:
-    n = y_obs.shape[0]
-    perm = make_rng(seed).permutation(n)
-    n_cal = int(calib_frac * n)
-    if n_cal < 1 or n_cal >= n:
-        raise EmptyCalibration(
-            f"calib_frac {calib_frac} leaves an empty calibration or test set at N={n}"
-        )
-    calib_idx = np.sort(perm[:n_cal])
-    test_idx = np.sort(perm[n_cal:])
-    scores = nonconformity(y_obs[calib_idx], q_lo[calib_idx], q_hi[calib_idx])
-    cal = calibrate(scores, alpha)
-    lo = q_lo - cal.q_hat
-    hi = q_hi + cal.q_hat
-    return ConformalResult(
-        q_lo=q_lo.copy(), q_hi=q_hi.copy(), lo=lo, hi=hi, y_obs=y_obs,
-        q_hat=cal.q_hat, degenerate=cal.degenerate,
-        calib_idx=calib_idx, test_idx=test_idx, alpha=alpha,
-    )
+def repeat_splits(batches, y_obs, spec: BatchSpec) -> Splits:
+    """Calibrated prediction intervals for every unit, over ``spec.repeats``
+    calibration/test splits.
 
-
-def conformal_intervals(batches, y_obs, spec: BatchSpec) -> ConformalResult:
-    """Calibrated prediction intervals for every unit: the first split of
-    :func:`repeat_splits`.
-
-    Units are split into calibration and test sets by a seeded permutation;
-    calibration units supply the scores, and the resulting offset widens the
-    raw quantile interval of every unit.
-    """
-    return repeat_splits(batches, y_obs, replace(spec, repeats=1))[0]
-
-
-def repeat_splits(batches, y_obs, spec: BatchSpec) -> list[ConformalResult]:
-    """Repeat the calibration/test split ``spec.repeats`` times.
-
-    The raw quantiles are computed once; split r uses seed ``spec.seed + r``.
+    The raw quantiles are computed once. Split r permutes the units with
+    seed ``spec.seed + r`` and takes the first ``int(calib_frac * N)`` as its
+    calibration set, whose scores give its offset ``q_hat[r]``. Row 0, seeded
+    with ``spec.seed``, is the primary split.
     """
     batches = np.asarray(batches, dtype=float)
     y_obs = np.asarray(y_obs, dtype=float)
     if batches.ndim != 2 or y_obs.ndim != 1 or batches.shape[1] != y_obs.shape[0]:
         raise ConfigError("batches must be (B x N) matching y_obs length")
+    n = y_obs.shape[0]
+    n_cal = int(spec.calib_frac * n)
+    if n_cal < 1 or n_cal >= n:
+        raise EmptyCalibration(
+            f"calib_frac {spec.calib_frac} leaves an empty calibration or test set at N={n}"
+        )
     q_lo, q_hi = _raw_bounds(batches, spec.alpha)
-    return [
-        _calibrated_split(q_lo, q_hi, y_obs, spec.alpha, spec.calib_frac, spec.seed + r)
-        for r in range(spec.repeats)
-    ]
+    calib = np.zeros((spec.repeats, n), dtype=bool)
+    q_hat = np.empty(spec.repeats)
+    degenerate = np.empty(spec.repeats, dtype=bool)
+    for r, row in enumerate(calib):
+        row[make_rng(spec.seed + r).permutation(n)[:n_cal]] = True
+        scores = nonconformity(y_obs[row], q_lo[row], q_hi[row])
+        q_hat[r], _, degenerate[r] = calibrate(scores, spec.alpha)
+    return Splits(q_lo, q_hi, y_obs, q_hat, degenerate, calib)
 
 
 class SixNumber(NamedTuple):
@@ -240,34 +230,3 @@ def six_number(values) -> SixNumber:
     q1, med, q3 = np.quantile(x, [0.25, 0.5, 0.75])
     return SixNumber(float(x.min()), float(q1), float(med), float(x.mean()),
                      float(q3), float(x.max()))
-
-
-@dataclass
-class CoverageAdaptivity:
-    """Per-unit coverage frequency and interval width, with summaries."""
-
-    coverage: np.ndarray
-    adaptivity: np.ndarray
-    coverage_summary: SixNumber
-    adaptivity_summary: SixNumber
-
-
-def coverage_adaptivity(results) -> CoverageAdaptivity:
-    """Summarize coverage and interval width per unit.
-
-    ``results`` may be a single split or a sequence of repeated splits; with
-    repeats, a unit's coverage is the fraction of splits whose calibrated
-    interval contains its observed value, and its adaptivity is the mean
-    calibrated width.
-    """
-    if isinstance(results, ConformalResult):
-        results = [results]
-    if not results:
-        raise ConfigError("no conformal results given")
-    covered = np.stack([r.covered for r in results])
-    widths = np.stack([r.width for r in results])
-    coverage = covered.mean(axis=0)
-    adaptivity = widths.mean(axis=0)
-    return CoverageAdaptivity(
-        coverage, adaptivity, six_number(coverage), six_number(adaptivity)
-    )

@@ -360,6 +360,10 @@ class SynthParams:
             raise ConfigError("synth: group_correlation and cross_correlation must be in [0, 1]")
         if not 0.0 < self.target_base_percent < 100.0:
             raise ConfigError("synth: target_base_percent must be in (0, 100)")
+        if not self.target_noise_sd >= 0.0:
+            raise ConfigError("synth: target_noise_sd must be >= 0")
+        if not 0.0 <= self.center_hub_frac <= 1.0:
+            raise ConfigError("synth: center_hub_frac must be in [0, 1]")
         copies = {dst for dst, _ in self.mirror_groups}
         for dst, src in self.mirror_groups:
             if (dst not in groups or src not in groups or src in copies

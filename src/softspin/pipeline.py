@@ -19,19 +19,13 @@ import scipy
 
 from . import __version__
 from .analysis import (
-    UnitResults,
     baseline_lm,
     compare,
     group_summaries,
     ols_standardized,
     residual_associations,
 )
-from .conformal import (
-    batch_means,
-    coverage_adaptivity,
-    repeat_splits,
-    six_number,
-)
+from .conformal import batch_means, repeat_splits, six_number
 from .config import RunConfig, config_hash, manifest_config
 from .data import (
     PROFILE_COLUMNS,
@@ -62,8 +56,6 @@ from .reports import (
     write_comparison,
     write_field_diagnostics,
     write_graph_summary,
-    write_group_mpi,
-    write_group_summaries,
     write_group_table,
     write_json,
     write_lines,
@@ -287,28 +279,26 @@ def _conformal_engine(cfg: RunConfig, out: Path, dataset, engine: Engine) -> lis
     batches = batch_means(pool, spec, workers=cfg.workers)
     del pool  # freed before repeat_splits sorts a copy of the batches
     splits = repeat_splits(batches, y_obs, spec)
-    primary = splits[0]  # seed spec.seed, the single-split interval
-    summary = coverage_adaptivity(splits)
+    lo, hi, width, covered = splits.lo, splits.hi, splits.width, splits.covered
+    # a unit's coverage is the share of splits that cover it; its adaptivity
+    # is its mean calibrated width
+    coverage, adaptivity = covered.mean(axis=0), width.mean(axis=0)
     return [
         write_columns(out / f"calibration_{engine.value}.csv", {
             "seed": range(spec.seed, spec.seed + spec.repeats),
-            "q_hat": np.array([split.q_hat for split in splits]),
-            "degenerate": np.array([split.degenerate for split in splits]),
-            "test_coverage": np.array([split.test_coverage for split in splits]),
+            "q_hat": splits.q_hat, "degenerate": splits.degenerate,
+            "test_coverage": splits.test_coverage,
         }),
-        write_columns(out / f"uncertainty_{engine.value}.csv", {
+        write_columns(out / f"uncertainty_{engine.value}.csv", {  # row 0, the primary split
             "unit_id": dataset.unit_ids, "y_ref": y_obs, "y_est": y_est,
-            "lo": primary.lo, "hi": primary.hi, "width": primary.width,
-            "covered": primary.covered,
+            "lo": lo[0], "hi": hi[0], "width": width[0], "covered": covered[0],
         }),
         write_columns(out / f"unit_results_{engine.value}.csv", {
-            "unit_id": dataset.unit_ids, "coverage": summary.coverage,
-            "adaptivity": summary.adaptivity,
+            "unit_id": dataset.unit_ids, "coverage": coverage, "adaptivity": adaptivity,
         }),
         write_six_number_table(
             out / f"coverage_adaptivity_{engine.value}.csv",
-            {"coverage": summary.coverage_summary,
-             "adaptivity": summary.adaptivity_summary},
+            {"coverage": six_number(coverage), "adaptivity": six_number(adaptivity)},
         ),
     ]
 
@@ -361,25 +351,17 @@ def stage_analyze(cfg: RunConfig, out: Path) -> list[Path]:
         )
 
         res_path = _require(out / f"unit_results_{engine.value}.csv", "conformal")
-        results = UnitResults(
-            y_ref=y_ref,
-            y_est=y_est,
-            coverage=read_column(res_path, "coverage"),
-            adaptivity=read_column(res_path, "adaptivity"),
-        )
+        coverage = read_column(res_path, "coverage")
+        adaptivity = read_column(res_path, "adaptivity")
         for attribute in PROFILE_COLUMNS:
-            rows = group_summaries(results, dataset, attribute, comp_values)
-            written.append(
-                write_group_summaries(
-                    out / f"group_summary_{engine.value}_{attribute}.csv", rows
-                )
-            )
-            written.append(
-                write_group_mpi(
-                    out / f"group_mpi_{engine.value}_{attribute}.csv",
-                    rows, comp_names,
-                )
-            )
+            columns, comp_means = group_summaries(dataset, attribute, y_ref, y_est,
+                                                  coverage, adaptivity, comp_values)
+            written.append(write_columns(
+                out / f"group_summary_{engine.value}_{attribute}.csv", columns))
+            written.append(write_columns(out / f"group_mpi_{engine.value}_{attribute}.csv", {
+                "type": columns["type"], "class": columns["class"], "y_ref": columns["y_ref"],
+                **dict(zip(comp_names, comp_means.T)),
+            }))
         benchmark_rows.append(
             ("Continuous Ising" if engine is Engine.ISING else "Langevin dynamics",
              report.rmse, report.mae)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import ComparisonReport, GroupSummary
+from .analysis import ComparisonReport
 from .conformal import SixNumber
 from .data import PROFILE_COLUMNS, Dataset, replaced
 from .graph import InteractionGraph
@@ -178,24 +178,6 @@ def read_comparison(path) -> dict[str, float]:
     for name, value in rows:
         out[name] = math.nan if value == "NA" else float(value)
     return out
-
-
-def write_group_summaries(path, rows: list[GroupSummary]) -> Path:
-    header = ["type", "class", "n", "coverage", "adaptivity", "y_ref", "y_est", "delta_pct"]
-    data = [
-        [r.type_label, r.attr_class, r.n, r.coverage, r.adaptivity, r.y_ref, r.y_est, r.delta]
-        for r in rows
-    ]
-    return write_columns(path, dict(zip(header, zip(*data))))
-
-
-def write_group_mpi(path, rows: list[GroupSummary], index_names) -> Path:
-    header = ["type", "class", "y_ref", *index_names]
-    data = [
-        [r.type_label, r.attr_class, r.y_ref, *(r.mpi_means or ())]
-        for r in rows
-    ]
-    return write_columns(path, dict(zip(header, zip(*data))))
 
 
 def write_benchmark(path, rows: list[tuple[str, float, float]]) -> Path:

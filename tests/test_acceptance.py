@@ -14,7 +14,7 @@ import yaml
 from conftest import make_clique_graph
 from softspin.analysis import ols_standardized
 from softspin.cli import main as cli_main
-from softspin.conformal import BatchSpec, conformal_intervals
+from softspin.conformal import BatchSpec, repeat_splits
 from softspin.data import Domain, SynthParams, scale_target, synth_dataset
 from softspin.energy import EnergyModel, SpinConfiguration, grad, hamiltonian
 from softspin.graph import build_graph
@@ -210,10 +210,10 @@ class TestCriterion5ConformalCoverage:
             for alpha in (0.05, 0.10):
                 spec = BatchSpec(
                     n_total=b, n_batches=b, batch_size=10, alpha=alpha,
-                    calib_frac=0.5, seed=1000 + seed,  # same split per seed
+                    calib_frac=0.5, seed=1000 + seed, repeats=1,  # same split per seed
                 )
-                res = conformal_intervals(batches, y_obs, spec)
-                coverages[alpha].append(res.test_coverage)
+                res = repeat_splits(batches, y_obs, spec)
+                coverages[alpha].append(res.test_coverage[0])
                 results[alpha] = res
             if not np.all(results[0.05].width >= results[0.10].width - 1e-12):
                 monotone = False

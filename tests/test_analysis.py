@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from conftest import tiny_dataset
 from softspin.analysis import (
-    UnitResults,
     average_ranks,
     baseline_lm,
     compare,
@@ -204,56 +203,50 @@ class TestBaselineLM:
 
 
 class TestGroupSummaries:
-    def make_results(self, y_ref, y_est):
+    def summarize(self, dataset, attribute, y_ref, y_est, composite=None):
         n = len(y_ref)
-        return UnitResults(
-            y_ref=np.asarray(y_ref, dtype=float),
-            y_est=np.asarray(y_est, dtype=float),
-            coverage=np.full(n, 0.95),
-            adaptivity=np.full(n, 2.0),
-        )
+        return group_summaries(dataset, attribute, np.asarray(y_ref, dtype=float),
+                               np.asarray(y_est, dtype=float), np.full(n, 0.95),
+                               np.full(n, 2.0), composite)
 
     def test_single_group(self):
         d = tiny_dataset([(1, 1, 1, 0, 1)] * 4, [5, 6, 7, 8])
-        rows = group_summaries(self.make_results([5, 6, 7, 8], [5, 6, 7, 8]), d, "ALT")
-        assert len(rows) == 1
-        assert rows[0].n == 4
-        assert rows[0].delta == pytest.approx(0.0)
+        cols, comp_means = self.summarize(d, "ALT", [5, 6, 7, 8], [5, 6, 7, 8])
+        assert comp_means is None
+        assert cols["n"].tolist() == [4]
+        assert cols["delta_pct"][0] == pytest.approx(0.0)
 
     def test_delta_hand_value(self):
         profiles = [(1, 1, 1, 0, 1), (1, 1, 1, 0, 1), (2, 1, 1, 0, 1), (2, 1, 1, 0, 1)]
         d = tiny_dataset(profiles, [8, 8, 4, 4])
-        res = self.make_results([8, 8, 4, 4], [8.08, 8.08, 4.04, 4.04])
-        rows = group_summaries(res, d, "ALT")
-        assert [r.attr_class for r in rows] == [1, 2]
-        for row in rows:
-            assert row.delta == pytest.approx(1.0, abs=1e-9)
+        cols, _ = self.summarize(d, "ALT", [8, 8, 4, 4], [8.08, 8.08, 4.04, 4.04])
+        assert cols["class"] == [1, 2]
+        np.testing.assert_allclose(cols["delta_pct"], [1.0, 1.0], atol=1e-9)
 
     def test_rows_lexical_order_and_counts(self):
         profiles = [
             (2, 1, 1, 0, 1), (1, 1, 1, 0, 1), (1, 1, 1, 0, 1), (3, 1, 1, 0, 1),
         ]
         d = tiny_dataset(profiles, [1, 2, 3, 4])
-        rows = group_summaries(self.make_results([1, 2, 3, 4], [1, 2, 3, 4]), d, "ALT")
-        assert [(r.type_label, r.attr_class) for r in rows] == [
-            ("All", 1), ("All", 2), ("All", 3)
-        ]
-        assert sum(r.n for r in rows) == 4
+        cols, _ = self.summarize(d, "ALT", [1, 2, 3, 4], [1, 2, 3, 4])
+        assert list(zip(cols["type"], cols["class"])) == [("All", 1), ("All", 2), ("All", 3)]
+        assert cols["n"].sum() == 4
+        assert list(cols) == ["type", "class", "n", "coverage", "adaptivity",
+                              "y_ref", "y_est", "delta_pct"]
 
     def test_zero_reference_mean_gives_nan(self):
         d = tiny_dataset([(1, 1, 1, 0, 1)] * 2, [0, 0])
-        rows = group_summaries(self.make_results([0, 0], [1, 1]), d, "ALT")
-        assert math.isnan(rows[0].delta)
+        cols, _ = self.summarize(d, "ALT", [0, 0], [1, 1])
+        assert math.isnan(cols["delta_pct"][0])
 
     def test_mpi_means_attached(self, rng):
         d = tiny_dataset([(1, 1, 1, 0, 1)] * 3, [5, 5, 5])
         comp = rng.normal(size=(3, 6))
-        rows = group_summaries(
-            self.make_results([5, 5, 5], [5, 5, 5]), d, "ALT", comp
-        )
-        np.testing.assert_allclose(rows[0].mpi_means, comp.mean(axis=0), atol=1e-12)
+        _, comp_means = self.summarize(d, "ALT", [5, 5, 5], [5, 5, 5], comp)
+        assert comp_means.shape == (1, 6)
+        np.testing.assert_allclose(comp_means[0], comp.mean(axis=0), atol=1e-12)
 
     def test_unknown_attribute(self):
         d = tiny_dataset([(1, 1, 1, 0, 1)], [5])
         with pytest.raises(DataError):
-            group_summaries(self.make_results([5], [5]), d, "NOPE")
+            self.summarize(d, "NOPE", [5], [5])

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -119,6 +120,14 @@ _OUT_OF_RANGE = {
     # too few units for the linear-model baseline; no calibration unit in the split
     "synth.n_units=7": (_section("synth", n_units=7), ()),
     "conformal.calib_frac=0.01": (_section("conformal", calib_frac=0.01), ()),
+    # float keys take finite numbers only: a bool is not 1.0, NaN and infinities fail
+    "ising.lambda_reg=true": (_section("ising", lambda_reg=True), ()),
+    "ising.lambda_reg=.inf": (_section("ising", lambda_reg=math.inf), ()),
+    "model.temperature=.inf": (_section("model", temperature=math.inf), ()),
+    "langevin.schedule.dt0=.inf": (_section("langevin", schedule={"dt0": math.inf}), ()),
+    "synth.target_slope=.nan": (_section("synth", target_slope=math.nan), ()),
+    "target_noise_sd=-0.1": (_section("synth", target_noise_sd=-0.1), ()),
+    "center_hub_frac=1.5": (_section("synth", center_hub_frac=1.5), ()),
 }
 
 _CSV_WRITER, _NP_SAVE = csv.writer, np.save
@@ -503,13 +512,12 @@ class TestArtifactLayouts:
         header, rows = read_table(run_dir / f"calibration_{engine}.csv")
         assert header == ["seed", "q_hat", "degenerate", "test_coverage"]
         assert [int(r[0]) for r in rows] == list(range(spec.seed, spec.seed + spec.repeats))
-        assert [float(r[1]) for r in rows] == [split.q_hat for split in splits]
-        assert [r[2] for r in rows] == [str(int(split.degenerate)) for split in splits]
-        assert [float(r[3]) for r in rows] == [split.test_coverage for split in splits]
-        # the primary split is the one uncertainty_<engine>.csv holds
-        primary = splits[0]
+        assert [float(r[1]) for r in rows] == splits.q_hat.tolist()
+        assert [r[2] for r in rows] == [str(int(d)) for d in splits.degenerate]
+        assert [float(r[3]) for r in rows] == splits.test_coverage.tolist()
+        # the primary split, row 0, is the one uncertainty_<engine>.csv holds
         np.testing.assert_array_equal(
-            read_column(run_dir / f"uncertainty_{engine}.csv", "lo"), primary.lo)
+            read_column(run_dir / f"uncertainty_{engine}.csv", "lo"), splits.lo[0])
 
     def test_report_gives_raw_band_and_offset(self, run_dir):
         text = (run_dir / "report.txt").read_text()
@@ -631,6 +639,14 @@ class TestConfig:
     def test_other_engines_step_key_rejected(self, tmp_path, engine, key):
         with pytest.raises(ConfigError, match=f"{engine}.schedule.{key}"):
             load_config(write_config(tmp_path, {engine: {"schedule": {key: 0.1}}}))
+
+    def test_float_written_without_dot_loads(self, tmp_path):
+        # PyYAML reads 1e-6 as the string '1e-6'; float keys still take it
+        path = tmp_path / "config.yaml"
+        path.write_text("langevin:\n  schedule:\n    dt0: 1e-6\nconformal:\n  alpha: 1e-1\n")
+        cfg = load_config(path)
+        assert cfg.schedule(Engine.LANGEVIN).dt0 == 1e-6
+        assert cfg.batch_spec().alpha == 0.1
 
     def test_import_leaves_scipy_stats_and_special_out(self):
         # scipy.special is imported lazily by the t-test; scipy.stats never

@@ -1,4 +1,5 @@
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +10,6 @@ from softspin.conformal import (
     BatchSpec,
     batch_means,
     calibrate,
-    conformal_intervals,
-    coverage_adaptivity,
     empirical_quantiles,
     nonconformity,
     repeat_splits,
@@ -154,51 +153,67 @@ class TestConformalIntervals:
 
     def test_additive_widening(self):
         batches, y = exchangeable_fixture(200)
-        res = conformal_intervals(batches, y, self.spec())
-        np.testing.assert_allclose(res.lo, res.q_lo - res.q_hat, atol=1e-12)
-        np.testing.assert_allclose(res.hi, res.q_hi + res.q_hat, atol=1e-12)
+        res = repeat_splits(batches, y, self.spec())
+        q_hat = res.q_hat[:, None]
+        np.testing.assert_allclose(res.lo, res.q_lo - q_hat, atol=1e-12)
+        np.testing.assert_allclose(res.hi, res.q_hi + q_hat, atol=1e-12)
         np.testing.assert_allclose(
-            res.width, (res.q_hi - res.q_lo) + 2.0 * res.q_hat, atol=1e-12
+            res.width, (res.q_hi - res.q_lo) + 2.0 * q_hat, atol=1e-12
         )
 
     def test_deterministic(self):
         batches, y = exchangeable_fixture(150)
-        a = conformal_intervals(batches, y, self.spec())
-        b = conformal_intervals(batches, y, self.spec())
+        a = repeat_splits(batches, y, self.spec())
+        b = repeat_splits(batches, y, self.spec())
         np.testing.assert_array_equal(a.lo, b.lo)
         np.testing.assert_array_equal(a.covered, b.covered)
-        np.testing.assert_array_equal(a.calib_idx, b.calib_idx)
+        np.testing.assert_array_equal(a.calib, b.calib)
 
     def test_split_partitions_units(self):
+        # every split puts int(calib_frac * N) units in calibration, the rest in test
         batches, y = exchangeable_fixture(101)
-        res = conformal_intervals(batches, y, self.spec())
-        together = np.sort(np.concatenate([res.calib_idx, res.test_idx]))
-        np.testing.assert_array_equal(together, np.arange(101))
+        res = repeat_splits(batches, y, self.spec())
+        assert res.calib.shape == (10, 101)
+        np.testing.assert_array_equal(res.calib.sum(axis=1), np.full(10, 50))
 
     def test_marginal_coverage_sanity(self):
         batches, y = exchangeable_fixture(1000, seed=11)
-        res = conformal_intervals(batches, y, self.spec(alpha=0.10))
-        assert res.test_coverage >= 0.90 - 0.02
+        res = repeat_splits(batches, y, self.spec(alpha=0.10))
+        assert res.test_coverage[0] >= 0.90 - 0.02
 
     def test_alpha_monotonicity_fixed_split(self):
         batches, y = exchangeable_fixture(300, seed=21)
-        wide = conformal_intervals(batches, y, self.spec(alpha=0.05))
-        narrow = conformal_intervals(batches, y, self.spec(alpha=0.10))
+        wide = repeat_splits(batches, y, self.spec(alpha=0.05))
+        narrow = repeat_splits(batches, y, self.spec(alpha=0.10))
         assert np.all(wide.width >= narrow.width - 1e-12)
 
     def test_empty_calibration(self):
         batches, y = exchangeable_fixture(30)
         with pytest.raises(EmptyCalibration):
-            conformal_intervals(batches, y, self.spec(calib_frac=0.01))
+            repeat_splits(batches, y, self.spec(calib_frac=0.01))
 
-    def test_equals_first_repeated_split(self):
+    def test_rows_equal_splits_rebuilt_by_hand(self):
         batches, y = exchangeable_fixture(120)
-        one = conformal_intervals(batches, y, self.spec())
-        first = repeat_splits(batches, y, self.spec())[0]
-        for name in ("q_lo", "q_hi", "lo", "hi", "covered", "calib_idx", "test_idx"):
-            np.testing.assert_array_equal(getattr(one, name), getattr(first, name))
-        assert (one.q_hat, one.degenerate, one.alpha) == (
-            first.q_hat, first.degenerate, first.alpha)
+        spec = self.spec()
+        res = repeat_splits(batches, y, spec)
+        q_lo, q_hi = np.array([empirical_quantiles(col, spec.alpha) for col in batches.T]).T
+        np.testing.assert_array_equal(res.q_lo, q_lo)
+        np.testing.assert_array_equal(res.q_hi, q_hi)
+        n_cal = int(spec.calib_frac * 120)
+        for r in range(spec.repeats):
+            calib_idx = np.sort(make_rng(spec.seed + r).permutation(120)[:n_cal])
+            test_idx = np.setdiff1d(np.arange(120), calib_idx)
+            cal = calibrate(nonconformity(y[calib_idx], q_lo[calib_idx], q_hi[calib_idx]),
+                            spec.alpha)
+            lo, hi = q_lo - cal.q_hat, q_hi + cal.q_hat
+            covered = (y >= lo) & (y <= hi)
+            assert (res.q_hat[r], res.degenerate[r]) == (cal.q_hat, cal.degenerate)
+            np.testing.assert_array_equal(np.flatnonzero(res.calib[r]), calib_idx)
+            np.testing.assert_array_equal(res.lo[r], lo)
+            np.testing.assert_array_equal(res.hi[r], hi)
+            np.testing.assert_array_equal(res.width[r], hi - lo)
+            np.testing.assert_array_equal(res.covered[r], covered)
+            assert res.test_coverage[r] == np.mean(covered[test_idx])
 
     def test_shape_mismatch_is_config_error(self):
         batches, y = exchangeable_fixture(50)
@@ -209,36 +224,38 @@ class TestConformalIntervals:
 
 
 class TestCoverageAdaptivity:
+    """Per-unit coverage is the share of splits that cover a unit, and its
+    adaptivity the mean calibrated width, as the conformal stage writes them."""
+
     def test_all_covered(self):
         batches, y = exchangeable_fixture(80)
-        res = conformal_intervals(batches, y, BatchSpec(
+        res = repeat_splits(batches, y, BatchSpec(
             n_total=800, n_batches=800, batch_size=10, alpha=0.10,
             calib_frac=0.5, seed=5))
-        res.lo[:] = y.min() - 1.0
-        res.hi[:] = y.max() + 1.0
-        summary = coverage_adaptivity(res)
-        assert summary.coverage_summary == six_number(np.ones(80))
+        res = replace(res, q_lo=np.full(80, y.min() - 1.0), q_hi=np.full(80, y.max() + 1.0))
+        assert six_number(res.covered.mean(axis=0)) == six_number(np.ones(80))
 
     def test_constant_widths(self):
         y = np.zeros(10)
         batches = np.zeros((50, 10))
-        res = conformal_intervals(batches, y, BatchSpec(
+        res = repeat_splits(batches, y, BatchSpec(
             n_total=50, n_batches=50, batch_size=5, alpha=0.10,
             calib_frac=0.5, seed=5))
-        summary = coverage_adaptivity(res)
-        w = float(res.width[0])
-        assert summary.adaptivity_summary.min == summary.adaptivity_summary.max == w
+        summary = six_number(res.width.mean(axis=0))
+        w = float(res.width[0, 0])
+        assert summary.min == summary.max == w
 
     def test_repeats_give_fractional_coverage(self):
         batches, y = exchangeable_fixture(120, seed=2)
         spec = BatchSpec(n_total=800, n_batches=800, batch_size=10, alpha=0.10,
                          calib_frac=0.5, seed=3, repeats=8)
         splits = repeat_splits(batches, y, spec)
-        assert len(splits) == 8
-        summary = coverage_adaptivity(splits)
-        assert np.all((summary.coverage >= 0) & (summary.coverage <= 1))
-        multiples = np.round(summary.coverage * 8)
-        np.testing.assert_allclose(summary.coverage * 8, multiples, atol=1e-12)
+        assert splits.q_hat.shape == (8,)
+        assert splits.covered.shape == (8, 120)
+        coverage = splits.covered.mean(axis=0)
+        assert np.all((coverage >= 0) & (coverage <= 1))
+        multiples = np.round(coverage * 8)
+        np.testing.assert_allclose(coverage * 8, multiples, atol=1e-12)
 
     def test_quantiles_match_sort_oracle(self, rng):
         values = rng.normal(size=41)
