@@ -6,7 +6,8 @@ with temperature-scaled noise on the raw percent scale and cools every
 step. Both start at the observed configuration and drift toward
 energetically more favorable states nearby, which is the point: local
 exploration, not global optimization. The chains write their retained
-snapshots into one pool file per engine, here in a temporary directory.
+snapshots into one float32 pool file per engine, here in a temporary
+directory.
 """
 
 import tempfile
@@ -35,9 +36,12 @@ from softspin import (
 
 
 def estimate(pool_path, engine, last_n):
-    """Mean of the most recent pooled snapshots, in raw percent."""
+    """Mean of the most recent pooled snapshots, in raw percent.
+
+    The pool file holds float32 rows; they are summed in float64.
+    """
     configs = np.load(pool_path)[-last_n:]
-    return unscale_values(configs.mean(axis=0), engine.domain)
+    return unscale_values(configs.mean(axis=0, dtype=np.float64), engine.domain)
 
 
 work = tempfile.TemporaryDirectory()  # removed when the script exits

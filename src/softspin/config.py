@@ -114,6 +114,10 @@ _OPEN_SECTIONS = {
 
 _SEED_OFFSETS = {"synth": 1, "ising": 101, "langevin": 202, "conformal": 307}
 
+# columns written beside one column per composite group: composites.csv and
+# group_mpi_<engine>_<attribute>.csv
+_FIXED_COLUMNS = ("unit_id", "type", "class", "y_ref")
+
 
 def _merge(base: dict, override: dict, path: tuple = ()) -> dict:
     out = copy.deepcopy(base)
@@ -325,6 +329,9 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("engines: each engine may be listed only once")
     groups = indicator_groups(cfg.indicator_spec())
     n_groups = len(groups)
+    if clash := [name for name in _FIXED_COLUMNS if name in groups]:
+        raise ConfigError(f"indicators: composite group names {clash} are reserved "
+                          f"table columns")
     if unknown := set(cfg.directions()) - set(groups):
         raise ConfigError(f"indices: directions names unknown composite groups {sorted(unknown)}")
     # read only for their types; the stages use them later

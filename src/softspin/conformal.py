@@ -62,8 +62,10 @@ def batch_means(pool, spec: BatchSpec, workers: int = 1) -> np.ndarray:
     ranges of batches are then averaged on ``workers`` threads (numpy's
     gather and reduction release the GIL). Each row is computed the same way
     on any thread, so the result is bit-identical for every ``workers``.
+    A float32 pool is read as it is, never copied whole: each batch is
+    summed in float64, so the result equals that of the pool upcast first.
     """
-    pool = np.asarray(pool, dtype=float)
+    pool = np.asarray(pool)
     if pool.ndim != 2:
         raise ConfigError("pool must be a (configs x units) matrix")
     p = pool.shape[0]
@@ -77,7 +79,7 @@ def batch_means(pool, spec: BatchSpec, workers: int = 1) -> np.ndarray:
 
     def fill(start: int, stop: int) -> None:
         for b in range(start, stop):
-            out[b] = pool[idx[b]].mean(axis=0)
+            out[b] = pool[idx[b]].mean(axis=0, dtype=np.float64)
 
     workers = max(1, min(workers, spec.n_batches))
     bounds = np.linspace(0, spec.n_batches, workers + 1).astype(int)

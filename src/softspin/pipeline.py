@@ -273,10 +273,13 @@ def _conformal_engine(cfg: RunConfig, out: Path, dataset, engine: Engine) -> lis
             f"conformal: retained pool {mapped.shape[0]} of engine "
             f"{engine.value} is smaller than n_total={spec.n_total}"
         )
-    # only the last n_total rows are used, so only they are read
-    pool = unscale_inplace(_read_last_rows(mapped, spec.n_total), engine.domain)
-    y_est = pool[-cfg.estimate_last_n:].mean(axis=0)
-    batches = batch_means(pool, spec, workers=cfg.workers)
+    # only the last n_total rows are used, so only they are read; the rows
+    # stay float32 on the engine's scale, and the float64 means are unscaled
+    # (an affine map, so it commutes with the mean)
+    pool = _read_last_rows(mapped, spec.n_total)
+    y_est = unscale_inplace(pool[-cfg.estimate_last_n:].mean(axis=0, dtype=np.float64),
+                            engine.domain)
+    batches = unscale_inplace(batch_means(pool, spec, workers=cfg.workers), engine.domain)
     del pool  # freed before repeat_splits sorts a copy of the batches
     splits = repeat_splits(batches, y_obs, spec)
     lo, hi, width, covered = splits.lo, splits.hi, splits.width, splits.covered

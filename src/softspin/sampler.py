@@ -539,9 +539,10 @@ def run_parallel(
     A failing chain does not abort its siblings: all failures are collected
     and raised together afterwards.
 
-    The chains write their snapshots in place into one .npy file of
+    The chains write their snapshots in place into one float32 .npy file of
     ``k_chains x retain_last`` rows: row ``j * k + c`` is chain ``c``'s
     snapshot ``j``, so rows run oldest first by (iteration, chain index).
+    The chains step in float64; only the stored rows are rounded.
     The file is written through :func:`~softspin.data.replaced`, so it
     appears at ``pool_path`` only once every chain has finished; when any
     chain fails it is deleted. The traces carry no snapshots.
@@ -553,7 +554,7 @@ def run_parallel(
     results: list[ChainTrace | Exception] = []
     with replaced(pool_path) as partial:
         # create the file; each job maps it on its own
-        np.lib.format.open_memmap(partial, mode="w+", dtype=float,
+        np.lib.format.open_memmap(partial, mode="w+", dtype=np.float32,
                                   shape=(cfg.retain_last * k_chains, model.graph.n))
         jobs = [(model, [configs[c] for c in chains], s_ref, partial, int(chains[0]), k_chains)
                 for chains in slices]

@@ -282,6 +282,17 @@ class TestPipeline:
     def test_non_positive_temperature_fails_at_load(self, tmp_path, value):
         assert_fails_at_load(tmp_path, dict(TINY, model={"temperature": value}))
 
+    @pytest.mark.parametrize("name", ["unit_id", "type", "class", "y_ref"])
+    def test_group_named_as_fixed_column_fails_at_load(self, tmp_path, name):
+        # its composite column would overwrite that column of composites.csv
+        # or group_mpi_*.csv; the same table with an ordinary name loads
+        tree = dict(TINY, synth=dict(TINY["synth"], mirror_groups=[]),
+                    indicators=[{"name": "A", "polarity": 1, "group": "G1"},
+                                {"name": "B", "polarity": -1, "group": "G2"}])
+        load_config(write_config(tmp_path, tree))
+        tree["indicators"][0]["group"] = name
+        assert_fails_at_load(tmp_path, tree)
+
     @pytest.mark.parametrize("tree, flags", _OUT_OF_RANGE.values(), ids=list(_OUT_OF_RANGE))
     def test_out_of_range_value_fails_at_load(self, tmp_path, tree, flags):
         assert_fails_at_load(tmp_path, tree, *flags)
@@ -502,13 +513,15 @@ class TestArtifactLayouts:
 
     @pytest.mark.parametrize("engine", ["ising", "langevin"])
     def test_calibration_layout(self, run_dir, engine):
-        # one row per split, with the values the conformal stage computes from the pool
+        # one row per split, with the values the conformal stage computes from
+        # the pool: float32 rows on the engine's scale, averaged, then unscaled
         cfg = load_config(run_dir.parent / "config.yaml")
         spec = cfg.batch_spec()
-        pool = unscale_values(np.load(run_dir / f"retained_{engine}_configs.npy")[-spec.n_total:],
-                              Engine(engine).domain)
+        domain = Engine(engine).domain
+        pool = np.load(run_dir / f"retained_{engine}_configs.npy")[-spec.n_total:]
+        assert pool.dtype == np.float32
         y_obs = read_column(run_dir / "dataset.csv", "target")
-        splits = repeat_splits(batch_means(pool, spec), y_obs, spec)
+        splits = repeat_splits(unscale_values(batch_means(pool, spec), domain), y_obs, spec)
         header, rows = read_table(run_dir / f"calibration_{engine}.csv")
         assert header == ["seed", "q_hat", "degenerate", "test_coverage"]
         assert [int(r[0]) for r in rows] == list(range(spec.seed, spec.seed + spec.repeats))
@@ -518,6 +531,10 @@ class TestArtifactLayouts:
         # the primary split, row 0, is the one uncertainty_<engine>.csv holds
         np.testing.assert_array_equal(
             read_column(run_dir / f"uncertainty_{engine}.csv", "lo"), splits.lo[0])
+        y_est = pool[-cfg.estimate_last_n:].mean(axis=0, dtype=np.float64)
+        np.testing.assert_array_equal(
+            read_column(run_dir / f"uncertainty_{engine}.csv", "y_est"),
+            unscale_values(y_est, domain))
 
     def test_report_gives_raw_band_and_offset(self, run_dir):
         text = (run_dir / "report.txt").read_text()

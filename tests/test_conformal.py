@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -65,6 +66,23 @@ class TestBatchMeans:
                 np.testing.assert_array_equal(out.view(np.uint64), serial.view(np.uint64))
         finally:
             sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_float32_pool_not_upcast(self, rng, workers):
+        # the pool is gathered batch by batch and summed in float64, never
+        # copied whole: the traced peak stays below one float64 copy of it
+        pool = rng.normal(50.0, 30.0, size=(5000, 1383)).astype(np.float32)
+        spec = BatchSpec(n_total=5000, n_batches=500, batch_size=200, seed=3)
+        expected = batch_means(pool.astype(np.float64), spec)
+        tracemalloc.start()
+        try:
+            out = batch_means(pool, spec, workers=workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < pool.astype(np.float64).nbytes
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out.view(np.uint64), expected.view(np.uint64))
 
     def test_insufficient_pool(self, rng):
         spec = BatchSpec(n_total=100, n_batches=5, batch_size=50, seed=0)

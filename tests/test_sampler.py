@@ -626,7 +626,9 @@ class TestRunParallel:
                           seed=9)
         solo = run_chain(model, cfg, self.REF)
         par = run_parallel(model, cfg, self.REF, 1, tmp_path / "pool.npy")
-        np.testing.assert_array_equal(solo.retained, np.load(tmp_path / "pool.npy"))
+        # the chain steps in float64; the pool file stores its rows as float32
+        np.testing.assert_array_equal(solo.retained.astype(np.float32),
+                                      np.load(tmp_path / "pool.npy"))
         np.testing.assert_array_equal(solo.energies, par[0].energies)
 
     def test_repeatable_and_seed_distinct(self, tmp_path):
@@ -663,7 +665,7 @@ class TestRunParallel:
         k = 3
         traces = run_parallel(model, cfg, self.REF, k, path, workers=workers)
         pool = np.load(path)
-        assert pool.shape == (k * cfg.retain_last, 5)
+        assert pool.shape == (k * cfg.retain_last, 5) and pool.dtype == np.float32
         assert list(tmp_path.iterdir()) == [path]  # the .tmp name is gone
         for c, trace in enumerate(traces):
             solo = run_chain(model, replace(cfg, seed=cfg.seed + c), self.REF)
@@ -671,7 +673,8 @@ class TestRunParallel:
             np.testing.assert_array_equal(trace.retained_energies, solo.retained_energies)
             np.testing.assert_array_equal(trace.energies, solo.energies)
             for j in range(cfg.retain_last):
-                np.testing.assert_array_equal(pool[j * k + c], solo.retained[j])
+                np.testing.assert_array_equal(pool[j * k + c],
+                                              solo.retained[j].astype(np.float32))
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_divergence_leaves_no_pool_file(self, tmp_path, workers):
@@ -708,10 +711,11 @@ class TestPosteriorMean:
         run_parallel(model, cfg, ref, 2, tmp_path / "pool.npy")
         last = [run_chain(model, replace(cfg, seed=cfg.seed + c), ref).retained[-1]
                 for c in range(2)]
-        np.testing.assert_array_equal(np.load(tmp_path / "pool.npy")[-2:], last)
+        np.testing.assert_array_equal(np.load(tmp_path / "pool.npy")[-2:],
+                                      np.array(last, dtype=np.float32))
 
     def test_ising_domain_unscaled_to_percent(self):
-        # the conformal stage unscales each engine's pool by ``engine.domain``
+        # the conformal stage unscales each engine's pool means by ``engine.domain``
         zeros = np.zeros((2, 2))
         np.testing.assert_array_equal(
             unscale_values(zeros, Engine.ISING.domain).mean(axis=0), np.full(2, 50.0)
@@ -729,10 +733,15 @@ class TestPosteriorMean:
         configs = np.load(tmp_path / "pool.npy")
         energies = np.stack([t.retained_energies for t in traces], axis=1).reshape(-1)
         assert configs.shape == (60, 4) and energies.shape == (60,)
+        # the energies are of the float64 states, which the file holds rounded to float32
+        states = [run_chain(model, replace(cfg, seed=cfg.seed + c), ref).retained
+                  for c in range(3)]
         for j in range(20):
             for c, trace in enumerate(traces):
                 assert energies[j * 3 + c] == trace.retained_energies[j]
-                assert hamiltonian(model, configs[j * 3 + c]) == pytest.approx(
+                np.testing.assert_array_equal(configs[j * 3 + c],
+                                              states[c][j].astype(np.float32))
+                assert hamiltonian(model, states[c][j]) == pytest.approx(
                     energies[j * 3 + c], rel=1e-9, abs=1e-9)
 
 
