@@ -58,10 +58,6 @@ from .conformal import (
     six_number,
 )
 from .analysis import (
-    AssociationTable,
-    BaselineFit,
-    ComparisonReport,
-    OLSResult,
     baseline_lm,
     compare,
     group_summaries,

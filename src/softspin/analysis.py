@@ -1,14 +1,14 @@
 """Observed-vs-estimated comparison, residual associations, group summaries.
 
 Includes the paired t-test, rank-based Spearman association, and a
-pivoted-QR least-squares path that flags exactly-collinear composite columns
-as not estimated instead of failing.
+pivoted-QR least-squares path that gives exactly-collinear composite columns
+a NaN coefficient instead of failing. Each function returns the columns (or
+values) of the artifact it feeds, under that artifact's names.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import qr as _pivoted_qr
@@ -23,35 +23,16 @@ _PIVOT_TOL = 1e-10
 # ---------------------------------------------------------------------------
 # Distribution comparison
 
-@dataclass
-class ComparisonReport:
-    """Error metrics and the paired t-test of estimated against observed.
-
-    The t fields are None when the paired differences have zero variance
-    (the test is undefined; the error metrics still apply) and ``pearson_r``
-    is None when either side is constant.
-    """
-
-    n: int
-    mean_obs: float
-    mean_est: float
-    mae: float
-    rmse: float
-    pearson_r: float | None
-    mean_diff: float
-    t_stat: float | None
-    t_df: int
-    t_pvalue: float | None
-    ci95_lo: float | None
-    ci95_hi: float | None
-
-
-def compare(y_ref, y_est) -> ComparisonReport:
+def compare(y_ref, y_est) -> dict:
     """Compare an estimated distribution against the observed reference.
 
     d = y_est - y_ref drives MAE, RMSE, the paired t statistic
     mean(d) / (sd(d)/sqrt(N)) with N-1 degrees of freedom, and the 95%
-    confidence interval of the mean difference.
+    confidence interval of the mean difference. Returns statistic -> value
+    in the row order of ``comparison_<engine>.csv``. The t entries are None
+    when the paired differences have zero variance (the test is undefined;
+    the error metrics still apply) and ``correlation`` is None when either
+    side is constant.
     """
     ref = np.asarray(y_ref, dtype=float)
     est = np.asarray(y_est, dtype=float)
@@ -59,8 +40,6 @@ def compare(y_ref, y_est) -> ComparisonReport:
         raise DataError("compare needs two equal-length vectors with N >= 2")
     n = ref.shape[0]
     d = est - ref
-    mae = float(np.mean(np.abs(d)))
-    rmse = float(math.sqrt(np.mean(d * d)))
 
     pearson = None
     if ref.std() > 0 and est.std() > 0:
@@ -79,11 +58,12 @@ def compare(y_ref, y_est) -> ComparisonReport:
         p = float(2.0 * stdtr(df, -abs(t_stat)))
         half = float(stdtrit(df, 0.975)) * se
         lo, hi = mean_diff - half, mean_diff + half
-    return ComparisonReport(
-        n=n, mean_obs=float(ref.mean()), mean_est=float(est.mean()),
-        mae=mae, rmse=rmse, pearson_r=pearson, mean_diff=mean_diff,
-        t_stat=t_stat, t_df=df, t_pvalue=p, ci95_lo=lo, ci95_hi=hi,
-    )
+    return {
+        "n": n, "initial_mean": float(ref.mean()), "estimated_mean": float(est.mean()),
+        "mae": float(np.mean(np.abs(d))), "rmse": float(math.sqrt(np.mean(d * d))),
+        "correlation": pearson, "mean_diff": mean_diff, "t_stat": t_stat, "t_df": df,
+        "t_pvalue": p, "ci95_lo": lo, "ci95_hi": hi,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -104,31 +84,26 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean((x - x.mean()) * (y - y.mean())) / (sx * sy))
 
 
-@dataclass
-class AssociationTable:
-    """Pearson and Spearman association of residuals with each composite."""
-
-    index_names: tuple[str, ...]
-    pearson: np.ndarray
-    spearman: np.ndarray
-
-
-def residual_associations(residuals, composite, names=None) -> AssociationTable:
+def residual_associations(residuals, composite, names=None) -> dict:
     """Linear and rank association of the residuals with every composite.
 
-    Spearman is Pearson on average ranks; undefined associations (constant
-    input) come back as NaN, reported downstream as missing.
+    Returns the columns index, pearson and spearman of
+    ``residual_mpi_<engine>.csv``, one row per composite. Spearman is Pearson
+    on average ranks; undefined associations (constant input) come back as
+    NaN, reported downstream as missing.
     """
     r = np.asarray(residuals, dtype=float)
     x, names = _as_matrix(composite, names)
     if r.shape[0] != x.shape[0] or r.shape[0] < 3:
         raise DataError("residual associations need matching vectors with N >= 3")
     r_ranks = average_ranks(r)
-    pearson = np.array([_pearson(r, x[:, j]) for j in range(x.shape[1])])
-    spearman = np.array(
-        [_pearson(r_ranks, average_ranks(x[:, j])) for j in range(x.shape[1])]
-    )
-    return AssociationTable(tuple(names), pearson, spearman)
+    return {
+        "index": tuple(names),
+        "pearson": np.array([_pearson(r, x[:, j]) for j in range(x.shape[1])]),
+        "spearman": np.array(
+            [_pearson(r_ranks, average_ranks(x[:, j])) for j in range(x.shape[1])]
+        ),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -143,41 +118,34 @@ def _zscore_columns(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pivoted_lstsq(design: np.ndarray, y: np.ndarray, tol: float):
-    """Least squares keeping only columns whose pivot survives the filter."""
+def _pivoted_lstsq(design: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Least squares keeping only columns whose pivot survives the filter.
+
+    A dropped column's coefficient is NaN; every kept one is finite.
+    """
     _, r, piv = _pivoted_qr(design, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
     lead = diag[0] if diag.size else 0.0
     if lead <= 0.0:
         raise AllCollinear("design matrix is identically zero")
-    rank = int(np.sum(diag >= tol * lead))
+    rank = int(np.sum(diag >= _PIVOT_TOL * lead))
     if rank == 0:
         raise AllCollinear("no column survives the collinearity filter")
     kept = np.sort(piv[:rank])
     beta_kept, *_ = np.linalg.lstsq(design[:, kept], y, rcond=None)
     beta = np.full(design.shape[1], math.nan)
     beta[kept] = beta_kept
-    estimated = np.zeros(design.shape[1], dtype=bool)
-    estimated[kept] = True
-    return beta, estimated
+    return beta
 
 
-@dataclass
-class OLSResult:
-    """Standardized coefficients with per-column estimability flags."""
-
-    index_names: tuple[str, ...]
-    beta_std: np.ndarray       # NaN where not estimated
-    estimated: np.ndarray      # False marks a collinearity casualty
-
-
-def ols_standardized(residuals, composite, names=None, *, tol: float = _PIVOT_TOL) -> OLSResult:
+def ols_standardized(residuals, composite, names=None) -> dict:
     """Standardized least-squares coefficients of residuals on composites.
 
-    Response and regressors are z-standardized; the solve uses QR with
-    column pivoting, and any column whose pivot falls below ``tol`` times
-    the leading pivot is reported as not estimated (NaN), mirroring how an
-    exactly duplicated composite drops out of the fit.
+    Returns the columns index and beta_std of ``ols_<engine>.csv``. Response
+    and regressors are z-standardized; the solve uses QR with column
+    pivoting, and any column whose pivot falls below ``_PIVOT_TOL`` times the
+    leading pivot gets a NaN coefficient, mirroring how an exactly duplicated
+    composite drops out of the fit.
     """
     y = np.asarray(residuals, dtype=float)
     x, names = _as_matrix(composite, names)
@@ -185,38 +153,23 @@ def ols_standardized(residuals, composite, names=None, *, tol: float = _PIVOT_TO
         raise DataError("need more observations than regressors")
     zy = _zscore_columns(y.reshape(-1, 1))[:, 0]
     zx = _zscore_columns(x)
-    beta, estimated = _pivoted_lstsq(zx, zy, tol)
-    return OLSResult(tuple(names), beta, estimated)
+    return {"index": tuple(names), "beta_std": _pivoted_lstsq(zx, zy)}
 
 
-@dataclass
-class BaselineFit:
-    """Plain linear-regression baseline with in-sample errors."""
+def baseline_lm(y, composite) -> tuple[float, float]:
+    """In-sample (RMSE, MAE) of the target regressed on the composites.
 
-    fitted: np.ndarray
-    rmse: float
-    mae: float
-    estimated: np.ndarray
-
-
-def baseline_lm(y, composite, *, tol: float = _PIVOT_TOL) -> BaselineFit:
-    """Least squares of the target on the composites plus an intercept.
-
-    Uses the same pivoted-QR collinearity handling as the standardized fit
-    and reports in-sample RMSE and MAE for the benchmark table.
+    Least squares with an intercept, using the same pivoted-QR collinearity
+    handling as the standardized fit; a dropped column contributes nothing.
     """
     y = np.asarray(y, dtype=float)
     x, _ = _as_matrix(composite)
     if y.shape[0] != x.shape[0] or y.shape[0] <= x.shape[1] + 1:
         raise DataError("need more observations than coefficients")
     design = np.column_stack([np.ones(y.shape[0]), x])
-    beta, estimated = _pivoted_lstsq(design, y, tol)
-    filled = np.where(np.isnan(beta), 0.0, beta)
-    fitted = design @ filled
-    resid = y - fitted
-    rmse = float(math.sqrt(np.mean(resid * resid)))
-    mae = float(np.mean(np.abs(resid)))
-    return BaselineFit(fitted, rmse, mae, estimated)
+    beta = _pivoted_lstsq(design, y)
+    resid = y - design @ np.where(np.isnan(beta), 0.0, beta)
+    return float(math.sqrt(np.mean(resid * resid))), float(np.mean(np.abs(resid)))
 
 
 # ---------------------------------------------------------------------------

@@ -334,8 +334,9 @@ def _validate(cfg: RunConfig) -> None:
                           f"table columns")
     if unknown := set(cfg.directions()) - set(groups):
         raise ConfigError(f"indices: directions names unknown composite groups {sorted(unknown)}")
-    # read only for their types; the stages use them later
-    cfg.out, cfg.indices_ddof
+    cfg.out  # read only for its type; the stages use it later
+    if cfg.indices_ddof not in (0, 1):
+        raise ConfigError("indices: ddof must be 0 (population) or 1 (sample)")
     for name, seed in (("seed", cfg.seed),
                        *((f"{s}.seed", _integer(cfg.raw[s]["seed"], f"{s}.seed"))
                          for s in _SEED_OFFSETS)):

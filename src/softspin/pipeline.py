@@ -11,6 +11,7 @@ every numeric output.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -49,11 +50,8 @@ from .graph import build_graph, spectrum_extremes
 from .indices import build_composites, external_field, pca
 from .reports import (
     read_column,
-    read_comparison,
     read_table,
-    write_benchmark,
     write_columns,
-    write_comparison,
     write_field_diagnostics,
     write_graph_summary,
     write_group_table,
@@ -172,13 +170,14 @@ def _simulate_engine(cfg: RunConfig, out: Path, dataset, field, graph,
                      engine: Engine) -> list[Path]:
     """Run one engine's chains and write its artifacts.
 
-    The engine's ``retained_<engine>*`` files from an earlier run are deleted
-    first. ``run_parallel`` writes ``retained_<engine>_configs.npy`` only once
-    every chain has finished, so a failed run leaves no pool and no metadata
-    behind.
+    The engine's ``retained_<engine>*`` and ``trace_<engine>_*.csv`` files
+    from an earlier run are deleted first. ``run_parallel`` writes
+    ``retained_<engine>_configs.npy`` only once every chain has finished, so a
+    failed run leaves no pool, no metadata and no trace behind.
     """
-    for stale in out.glob(f"retained_{engine.value}*"):
-        stale.unlink()
+    for pattern in (f"retained_{engine.value}*", f"trace_{engine.value}_*.csv"):
+        for stale in out.glob(pattern):
+            stale.unlink()
     lam = _resolve_lambda(cfg, engine, graph)
     model = EnergyModel(graph, field, lambda_reg=lam)
     domain = engine.domain
@@ -312,24 +311,18 @@ def stage_analyze(cfg: RunConfig, out: Path) -> list[Path]:
     comp_values, comp_names = _read_composites(out)
     y_ref = dataset.target
     written: list[Path] = []
-    benchmark_rows: list[tuple[str, float, float]] = []
-    fit = baseline_lm(y_ref, comp_values)
-    benchmark_rows.append(("Linear Regression (LM)", fit.rmse, fit.mae))
+    benchmark = [("Linear Regression (LM)", *baseline_lm(y_ref, comp_values))]
     for engine in cfg.engines:
         unc_path = _require(out / f"uncertainty_{engine.value}.csv", "conformal")
         y_est = read_column(unc_path, "y_est")
         report = compare(y_ref, y_est)
-        written.append(
-            write_comparison(out / f"comparison_{engine.value}.csv", report)
-        )
+        written.append(write_columns(out / f"comparison_{engine.value}.csv",
+                                     {"statistic": list(report), "value": list(report.values())}))
         residuals = y_ref - y_est
-        assoc = residual_associations(residuals, comp_values, comp_names)
-        written.append(write_columns(out / f"residual_mpi_{engine.value}.csv", {
-            "index": assoc.index_names, "pearson": assoc.pearson, "spearman": assoc.spearman,
-        }))
-        ols = ols_standardized(residuals, comp_values, comp_names)
+        written.append(write_columns(out / f"residual_mpi_{engine.value}.csv",
+                                     residual_associations(residuals, comp_values, comp_names)))
         written.append(write_columns(out / f"ols_{engine.value}.csv",
-                                     {"index": ols.index_names, "beta_std": ols.beta_std}))
+                                     ols_standardized(residuals, comp_values, comp_names)))
 
         meta, arrays = _read_retained(out, engine, ("energies",))
         h_ref = float(meta["h_ref"])
@@ -365,11 +358,10 @@ def stage_analyze(cfg: RunConfig, out: Path) -> list[Path]:
                 "type": columns["type"], "class": columns["class"], "y_ref": columns["y_ref"],
                 **dict(zip(comp_names, comp_means.T)),
             }))
-        benchmark_rows.append(
-            ("Continuous Ising" if engine is Engine.ISING else "Langevin dynamics",
-             report.rmse, report.mae)
-        )
-    written.append(write_benchmark(out / "benchmark.csv", benchmark_rows))
+        benchmark.append(("Continuous Ising" if engine is Engine.ISING else "Langevin dynamics",
+                          report["rmse"], report["mae"]))
+    written.append(write_columns(out / "benchmark.csv",
+                                 dict(zip(("model", "rmse", "mae"), zip(*benchmark)))))
     return written
 
 
@@ -388,7 +380,8 @@ def stage_report(cfg: RunConfig, out: Path) -> list[Path]:
         cov_path = _require(out / f"coverage_adaptivity_{engine.value}.csv", "conformal")
         cal_path = _require(out / f"calibration_{engine.value}.csv", "conformal")
         unc_path = _require(out / f"uncertainty_{engine.value}.csv", "conformal")
-        comp = read_comparison(comp_path)
+        _, rows = read_table(comp_path)
+        comp = {name: math.nan if value == "NA" else float(value) for name, value in rows}
         lines.append(f"[{engine.value}]")
         lines.append(
             f"chains: {meta['k_chains']} x {meta['n_iters']} iterations "

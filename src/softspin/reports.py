@@ -15,7 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import ComparisonReport
 from .conformal import SixNumber
 from .data import PROFILE_COLUMNS, Dataset, replaced
 from .graph import InteractionGraph
@@ -146,39 +145,9 @@ def write_json(path, payload: dict) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# Conformal and analysis tables
+# Six-number summary tables (coverage/adaptivity, energy ratios)
 
 def write_six_number_table(path, rows: dict[str, SixNumber]) -> Path:
     header = ["metric", "min", "q1", "median", "mean", "q3", "max"]
     data = [[name, *summary] for name, summary in rows.items()]
     return write_columns(path, dict(zip(header, zip(*data))))
-
-
-def write_comparison(path, report: ComparisonReport) -> Path:
-    rows = [
-        ["n", report.n],
-        ["initial_mean", report.mean_obs],
-        ["estimated_mean", report.mean_est],
-        ["mae", report.mae],
-        ["rmse", report.rmse],
-        ["correlation", report.pearson_r],
-        ["mean_diff", report.mean_diff],
-        ["t_stat", report.t_stat],
-        ["t_df", report.t_df],
-        ["t_pvalue", report.t_pvalue],
-        ["ci95_lo", report.ci95_lo],
-        ["ci95_hi", report.ci95_hi],
-    ]
-    return write_columns(path, dict(zip(("statistic", "value"), zip(*rows))))
-
-
-def read_comparison(path) -> dict[str, float]:
-    _, rows = read_table(path)
-    out = {}
-    for name, value in rows:
-        out[name] = math.nan if value == "NA" else float(value)
-    return out
-
-
-def write_benchmark(path, rows: list[tuple[str, float, float]]) -> Path:
-    return write_columns(path, dict(zip(("model", "rmse", "mae"), zip(*rows))))

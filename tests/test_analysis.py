@@ -30,50 +30,50 @@ class TestStudentT:
         for df in (2, 5, 30, 1382):
             for t in (0.0, 0.5, 1.96, 8.63, 27.5):
                 rep = compare(*_paired(df, t))
-                assert rep.t_stat == pytest.approx(t, rel=1e-9, abs=1e-12)
-                ref = 2.0 * scipy.stats.t.sf(abs(rep.t_stat), df)
-                assert rep.t_pvalue == pytest.approx(ref, rel=1e-9, abs=1e-300)
+                assert rep["t_stat"] == pytest.approx(t, rel=1e-9, abs=1e-12)
+                ref = 2.0 * scipy.stats.t.sf(abs(rep["t_stat"]), df)
+                assert rep["t_pvalue"] == pytest.approx(ref, rel=1e-9, abs=1e-300)
 
     def test_quantile_against_scipy(self):
         for df in (2, 10, 100, 1382):
             rep = compare(*_paired(df, 1.0))
             se = 1.0 / math.sqrt(df + 1)
             half = scipy.stats.t.ppf(0.975, df) * se
-            assert rep.ci95_hi - rep.mean_diff == pytest.approx(half, rel=1e-9)
-            assert rep.mean_diff - rep.ci95_lo == pytest.approx(half, rel=1e-9)
+            assert rep["ci95_hi"] - rep["mean_diff"] == pytest.approx(half, rel=1e-9)
+            assert rep["mean_diff"] - rep["ci95_lo"] == pytest.approx(half, rel=1e-9)
 
 
 class TestCompare:
     def test_identical_vectors(self):
         y = np.array([1.0, 2.0, 3.0])
         rep = compare(y, y)
-        assert rep.mae == rep.rmse == 0.0
-        assert rep.t_stat is None and rep.t_pvalue is None
-        assert rep.pearson_r == pytest.approx(1.0)
+        assert rep["mae"] == rep["rmse"] == 0.0
+        assert rep["t_stat"] is None and rep["t_pvalue"] is None
+        assert rep["correlation"] == pytest.approx(1.0)
 
     def test_alternating_differences(self):
         y_ref = np.zeros(4)
         y_est = np.array([1.0, -1.0, 1.0, -1.0])
         rep = compare(y_ref, y_est)
-        assert rep.mae == 1.0
-        assert rep.rmse == 1.0
-        assert rep.mean_diff == 0.0
-        assert rep.t_stat == 0.0
-        assert rep.t_pvalue == pytest.approx(1.0)
+        assert rep["mae"] == 1.0
+        assert rep["rmse"] == 1.0
+        assert rep["mean_diff"] == 0.0
+        assert rep["t_stat"] == 0.0
+        assert rep["t_pvalue"] == pytest.approx(1.0)
 
     def test_against_scipy_paired_t(self, rng):
         a = rng.normal(10, 2, size=60)
         b = a + rng.normal(0.3, 0.5, size=60)
         rep = compare(a, b)
         t_ref, p_ref = scipy.stats.ttest_rel(b, a)
-        assert rep.t_stat == pytest.approx(t_ref, rel=1e-10)
-        assert rep.t_pvalue == pytest.approx(p_ref, rel=1e-9)
-        assert rep.t_df == 59
+        assert rep["t_stat"] == pytest.approx(t_ref, rel=1e-10)
+        assert rep["t_pvalue"] == pytest.approx(p_ref, rel=1e-9)
+        assert rep["t_df"] == 59
         lo, hi = scipy.stats.t.interval(
             0.95, 59, loc=(b - a).mean(), scale=scipy.stats.sem(b - a)
         )
-        assert rep.ci95_lo == pytest.approx(lo, abs=1e-9)
-        assert rep.ci95_hi == pytest.approx(hi, abs=1e-9)
+        assert rep["ci95_lo"] == pytest.approx(lo, abs=1e-9)
+        assert rep["ci95_hi"] == pytest.approx(hi, abs=1e-9)
 
     def test_length_mismatch(self):
         with pytest.raises(DataError):
@@ -87,7 +87,7 @@ class TestCompare:
     def test_mae_bounded_by_rmse(self, xs, ys):
         n = min(len(xs), len(ys))
         rep = compare(np.array(xs[:n]), np.array(ys[:n]))
-        assert rep.mae <= rep.rmse + 1e-12
+        assert rep["mae"] <= rep["rmse"] + 1e-12
 
 
 class TestAssociations:
@@ -100,21 +100,21 @@ class TestAssociations:
     def test_self_correlation(self, rng):
         comp = rng.normal(size=(50, 6))
         table = residual_associations(comp[:, 0], comp)
-        assert table.pearson[0] == pytest.approx(1.0, abs=1e-12)
-        assert table.spearman[0] == pytest.approx(1.0, abs=1e-12)
+        assert table["pearson"][0] == pytest.approx(1.0, abs=1e-12)
+        assert table["spearman"][0] == pytest.approx(1.0, abs=1e-12)
 
     def test_monotone_cubic(self, rng):
         comp = rng.normal(size=(80, 2))
         residuals = comp[:, 1] ** 3  # strictly monotone, nonlinear
         table = residual_associations(residuals, comp)
-        assert table.spearman[1] == pytest.approx(1.0, abs=1e-12)
-        assert table.pearson[1] < 1.0 - 1e-6
+        assert table["spearman"][1] == pytest.approx(1.0, abs=1e-12)
+        assert table["pearson"][1] < 1.0 - 1e-6
 
     def test_constant_residuals_missing(self, rng):
         comp = rng.normal(size=(40, 3))
         table = residual_associations(np.zeros(40), comp)
-        assert np.all(np.isnan(table.pearson))
-        assert np.all(np.isnan(table.spearman))
+        assert np.all(np.isnan(table["pearson"]))
+        assert np.all(np.isnan(table["spearman"]))
 
     def test_against_scipy(self, rng):
         comp = rng.normal(size=(70, 4))
@@ -123,14 +123,14 @@ class TestAssociations:
         for j in range(4):
             pr = scipy.stats.pearsonr(residuals, comp[:, j]).statistic
             sr = scipy.stats.spearmanr(residuals, comp[:, j]).statistic
-            assert table.pearson[j] == pytest.approx(pr, abs=1e-10)
-            assert table.spearman[j] == pytest.approx(sr, abs=1e-10)
+            assert table["pearson"][j] == pytest.approx(pr, abs=1e-10)
+            assert table["spearman"][j] == pytest.approx(sr, abs=1e-10)
 
     def test_spearman_invariant_to_monotone_transform(self, rng):
         comp = rng.normal(size=(60, 1))
         residuals = rng.normal(size=60)
-        base = residual_associations(residuals, comp).spearman[0]
-        transformed = residual_associations(np.exp(residuals / 10), comp).spearman[0]
+        base = residual_associations(residuals, comp)["spearman"][0]
+        transformed = residual_associations(np.exp(residuals / 10), comp)["spearman"][0]
         assert base == pytest.approx(transformed, abs=1e-12)
 
 
@@ -138,16 +138,15 @@ class TestOLS:
     def test_single_regressor_identity(self, rng):
         x = rng.normal(size=(30, 1))
         res = ols_standardized(x[:, 0], x)
-        assert res.beta_std[0] == pytest.approx(1.0, abs=1e-10)
+        assert res["beta_std"][0] == pytest.approx(1.0, abs=1e-10)
 
     def test_duplicate_column_flagged_once(self, rng):
         x = rng.normal(size=(50, 3))
         x = np.column_stack([x, x[:, 0]])
         res = ols_standardized(rng.normal(size=50), x)
-        flagged = (~res.estimated).nonzero()[0]
+        flagged = np.isnan(res["beta_std"]).nonzero()[0]
         assert len(flagged) == 1
         assert flagged[0] in (0, 3)
-        assert np.isnan(res.beta_std[flagged[0]])
 
     def test_normal_equations_oracle(self, rng):
         x = rng.normal(size=(100, 5))
@@ -156,7 +155,7 @@ class TestOLS:
         zx = (x - x.mean(axis=0)) / x.std(axis=0, ddof=1)
         zy = (y - y.mean()) / y.std(ddof=1)
         beta_ref = np.linalg.solve(zx.T @ zx, zx.T @ zy)
-        np.testing.assert_allclose(res.beta_std, beta_ref, atol=1e-8)
+        np.testing.assert_allclose(res["beta_std"], beta_ref, atol=1e-8)
 
     def test_orthonormal_regressors_give_correlations(self, rng):
         raw = rng.normal(size=(200, 3))
@@ -166,7 +165,7 @@ class TestOLS:
         res = ols_standardized(y, x)
         for j in range(3):
             r = np.corrcoef(y, x[:, j])[0, 1]
-            assert res.beta_std[j] == pytest.approx(r, abs=1e-10)
+            assert res["beta_std"][j] == pytest.approx(r, abs=1e-10)
 
     def test_all_collinear(self):
         x = np.zeros((20, 2))
@@ -183,23 +182,26 @@ class TestBaselineLM:
         x = rng.normal(size=(60, 4))
         beta = np.array([1.0, -2.0, 0.5, 3.0])
         y = 4.0 + x @ beta
-        fit = baseline_lm(y, x)
-        assert fit.rmse == pytest.approx(0.0, abs=1e-9)
-        assert fit.mae == pytest.approx(0.0, abs=1e-9)
+        rmse, mae = baseline_lm(y, x)
+        assert rmse == pytest.approx(0.0, abs=1e-9)
+        assert mae == pytest.approx(0.0, abs=1e-9)
 
     def test_intercept_only_signal(self, rng):
         x = rng.normal(size=(200, 3))
         y = 5.0 + rng.normal(0, 0.1, size=200)
-        fit = baseline_lm(y, x)
-        np.testing.assert_allclose(fit.fitted, y.mean(), atol=0.1)
+        rmse, _ = baseline_lm(y, x)
+        assert rmse <= y.std()
 
     def test_duplicate_column_does_not_break_fit(self, rng):
         x = rng.normal(size=(50, 2))
-        x = np.column_stack([x, x[:, 1]])
         y = 1.0 + x[:, 0] - x[:, 1]
-        fit = baseline_lm(y, x)
-        assert fit.rmse == pytest.approx(0.0, abs=1e-8)
-        assert (~fit.estimated).sum() == 1
+        dup = np.column_stack([x, x[:, 1]])
+        rmse, _ = baseline_lm(y, dup)
+        assert rmse == pytest.approx(0.0, abs=1e-8)
+        # on a target the composites do not fit exactly, the duplicate column
+        # moves the errors by rounding only (the fitted product sums 4 columns)
+        noisy = y + rng.normal(size=50)
+        assert baseline_lm(noisy, dup) == pytest.approx(baseline_lm(noisy, x), rel=1e-12)
 
 
 class TestGroupSummaries:

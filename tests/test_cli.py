@@ -128,6 +128,20 @@ _OUT_OF_RANGE = {
     "synth.target_slope=.nan": (_section("synth", target_slope=math.nan), ()),
     "target_noise_sd=-0.1": (_section("synth", target_noise_sd=-0.1), ()),
     "center_hub_frac=1.5": (_section("synth", center_hub_frac=1.5), ()),
+    # standardize documents the population (0) and sample (1) conventions only
+    "indices.ddof=-1": (_section("indices", ddof=-1), ()),
+    "indices.ddof=2": (_section("indices", ddof=2), ()),
+    "workers=0": (dict(TINY, workers=0), ()),
+    "engines=[]": (dict(TINY, engines=[]), ()),
+    "ising.thin=0": (_section("ising", thin=0), ()),
+    "ising.energy_stride=0": (_section("ising", energy_stride=0), ()),
+    "ising.n_iters=-1": (_section("ising", n_iters=-1), ()),
+    "ising.burn_in_frac=1.0": (_section("ising", burn_in_frac=1.0), ()),
+    "ising.retain_last=-1": (_section("ising", retain_last=-1), ()),
+    "langevin.schedule.dt0=0": (_section("langevin", schedule={"dt0": 0}), ()),
+    "conformal.repeats=0": (_section("conformal", repeats=0), ()),
+    "conformal.calib_frac=0": (_section("conformal", calib_frac=0), ()),
+    "conformal.n_batches=0": (_section("conformal", n_batches=0), ()),
 }
 
 _CSV_WRITER, _NP_SAVE = csv.writer, np.save
@@ -297,6 +311,13 @@ class TestPipeline:
     def test_out_of_range_value_fails_at_load(self, tmp_path, tree, flags):
         assert_fails_at_load(tmp_path, tree, *flags)
 
+    def test_non_mapping_config_file_fails_at_load(self, tmp_path):
+        cfg_path = tmp_path / "config.yaml"
+        cfg_path.write_text("- seed\n- 777\n", encoding="utf-8")
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert not out.exists() or not any(out.iterdir())
+
     @pytest.mark.parametrize("key", _TYPED_LEAVES)
     def test_non_numeric_value_fails_at_load(self, tmp_path, key):
         tree = json.loads(json.dumps(TINY))
@@ -387,6 +408,20 @@ class TestPipeline:
         assert not list(out.glob("retained_langevin*"))
         assert main(["conformal", "--config", str(diverging), "--out", str(out)]) == 3
 
+    def test_rerun_with_fewer_chains_removes_stale_traces(self, tmp_path):
+        out = tmp_path / "run"
+        three = write_config(tmp_path, _section("ising", k_chains=3, retain_last=100))
+        assert main(["pipeline", "--config", str(three), "--out", str(out)]) == 0
+        assert (out / "trace_ising_02.csv").exists()
+        assert main(["pipeline", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(p.name for p in out.glob("trace_*")) == [
+            "trace_ising_00.csv", "trace_ising_01.csv",
+            "trace_langevin_00.csv", "trace_langevin_01.csv",
+        ]
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            [*manifest["artifacts"], "manifest.json"])
+
 
 class TestStages:
     def test_read_last_rows_equals_load_slice(self, tmp_path):
@@ -470,6 +505,34 @@ class TestStages:
         assert "accepted records: 2" in text
         assert "rejected records: 1" in text
         assert "rejected rows: 2" in text
+
+    @pytest.mark.parametrize("column, cell", [
+        ("ALT", "abc"), ("A", "nan"), ("A", "inf"), ("center_periph", "Foo"),
+    ])
+    def test_bad_cell_fails_before_any_artifact(self, tmp_path, column, cell):
+        header = ["unit_id", "ALT", "POP", "SUP", "CLITO", "DEGURB", "A", "B", "target",
+                  "center_periph"]
+        rows = [
+            ["u1", "1", "1", "1", "0", "1", "1.0", "9.0", "5.0", "CentrHub"],
+            ["u2", "2", "2", "2", "0", "2", "2.0", "7.0", "6.0", "PeriphArea"],
+            ["u3", "3", "3", "3", "1", "3", "4.0", "4.0", "7.0", "PeriphArea"],
+        ]
+        data = tmp_path / "units.csv"
+        tree = dict(TINY, dataset={"path": str(data)},
+                    indicators=[{"name": "A", "polarity": 1, "group": "G1"},
+                                {"name": "B", "polarity": -1, "group": "G2"}])
+        cfg_path = write_config(tmp_path, tree)
+
+        def write_data():
+            data.write_text("".join(",".join(r) + "\n" for r in [header, *rows]), encoding="utf-8")
+
+        write_data()
+        assert main(["validate", "--config", str(cfg_path), "--out", str(tmp_path / "ok")]) == 0
+        rows[1][header.index(column)] = cell
+        write_data()
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 3
+        assert not out.exists() or not any(out.iterdir())
 
 
 @pytest.fixture(scope="module")

@@ -497,6 +497,25 @@ class TestRunChain:
         recomputed = hamiltonian(model, trace2.retained[-1])
         assert final == pytest.approx(recomputed, abs=1e-8)
 
+    def test_metropolis_recompute_stops_equal_hamiltonian(self):
+        # every recompute_every steps the running energy is replaced by
+        # hamiltonian of the state; between those stops it carries increments
+        g = make_clique_graph([3, 5, 2])
+        model = EnergyModel(g, np.linspace(-0.4, 0.6, g.n), lambda_reg=1.5)
+        sched = AnnealingSchedule(cooling=0.99, proposal_sd=0.3)
+        cfg = ChainConfig(engine=Engine.ISING, n_iters=400, burn_in_frac=0.0, thin=1,
+                          retain_last=400, seed=13, schedule=sched, energy_stride=1,
+                          recompute_every=50)
+        trace = run_chain(model, cfg, self.make_ref(g.n))
+        assert cfg.retained_iterations() == range(1, 401)
+        for t in range(1, 401):  # snapshot t - 1 is the state after step t
+            exact = hamiltonian(model, trace.retained[t - 1])
+            assert trace.retained_energies[t - 1] == trace.energies[t]
+            if t % 50 == 0:
+                assert trace.energies[t] == exact, t
+            else:
+                assert trace.energies[t] == pytest.approx(exact, abs=1e-12), t
+
 
 class SpikedRng:
     """Test double: a chain's real Philox stream, except that noise draw
@@ -685,6 +704,18 @@ class TestRunParallel:
         ref = SpinConfiguration(np.full(3, 50.0), Domain.RAW_PERCENT)
         with pytest.raises(ParallelChainError):
             run_parallel(model, cfg, ref, 2, tmp_path / "pool.npy", workers=workers)
+        assert list(tmp_path.iterdir()) == []  # neither pool.npy nor pool.npy.tmp
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_slice_job_fails_each_chain(self, tmp_path, workers):
+        # a start of the wrong length fails each slice job as a whole
+        model = quadratic_model(n=5)
+        cfg = ChainConfig(engine=Engine.ISING, n_iters=100, retain_last=5, seed=0)
+        ref = SpinConfiguration(np.zeros(4), Domain.ISING_SCALED)
+        with pytest.raises(ParallelChainError) as err:
+            run_parallel(model, cfg, ref, 3, tmp_path / "pool.npy", workers=workers)
+        assert [i for i, _ in err.value.failures] == [0, 1, 2]
+        assert all(isinstance(e, ConfigError) for _, e in err.value.failures)
         assert list(tmp_path.iterdir()) == []  # neither pool.npy nor pool.npy.tmp
 
     def test_per_chain_failures_reported(self, tmp_path):
