@@ -17,14 +17,13 @@ from softspin import (
 )
 
 dataset = synth_dataset(400, seed=5)
-composites = build_composites(dataset)
-names = composites.index_names
+values, names = build_composites(dataset)
 
 print("composite columns:", names)
 print("column means (approximately 100):",
-      np.round(composites.values.mean(axis=0), 2))
+      np.round(values.mean(axis=0), 2))
 
-summary = pca(composites)
+summary = pca(values, names)
 corr = summary.correlation
 print("\ncorrelation matrix:")
 header = "      " + "".join(f"{n:>8}" for n in names)
@@ -40,7 +39,7 @@ print("variance proportion: ", np.round(summary.proportions, 4))
 print("cumulative:          ", np.round(summary.cumulative, 4))
 print("the zero-variance component is kept, with zero weight")
 
-field = external_field(summary)
-print("\nfield weights (sum to one):", np.round(field.weights, 4))
-print(f"external field: mean={field.h.mean():.4f} sd={field.h.std():.4f}")
-print("first five units:", np.round(field.h[:5], 4))
+h = external_field(summary)
+print("\nfield weights: the variance proportions above, which sum to one")
+print(f"external field: mean={h.mean():.4f} sd={h.std():.4f}")
+print("first five units:", np.round(h[:5], 4))

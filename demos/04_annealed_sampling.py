@@ -50,7 +50,7 @@ pools = Path(work.name)
 
 dataset = synth_dataset(400, seed=20240811)
 graph = build_graph(dataset)
-field = external_field(pca(build_composites(dataset)))
+field = external_field(pca(*build_composites(dataset)))
 y_ref = dataset.target
 
 print("=== continuous-spin Metropolis on [-1, 1] ===")

@@ -16,9 +16,7 @@ from .data import (
     unscale_values,
 )
 from .indices import (
-    CompositeMatrix,
     Direction,
-    ExternalField,
     PCASummary,
     build_composites,
     external_field,

@@ -15,7 +15,6 @@ from scipy.linalg import qr as _pivoted_qr
 
 from .data import Dataset
 from .errors import AllCollinear, DataError
-from .indices import _as_matrix
 
 _PIVOT_TOL = 1e-10
 
@@ -77,33 +76,26 @@ def average_ranks(x) -> np.ndarray:
     return (upper - 0.5 * (counts - 1))[inverse]
 
 
-def _pearson(x: np.ndarray, y: np.ndarray) -> float:
-    sx, sy = x.std(), y.std()
-    if sx == 0.0 or sy == 0.0:
-        return math.nan
-    return float(np.mean((x - x.mean()) * (y - y.mean())) / (sx * sy))
-
-
-def residual_associations(residuals, composite, names=None) -> dict:
+def residual_associations(residuals, x, names) -> dict:
     """Linear and rank association of the residuals with every composite.
 
+    ``x`` is the N x K composite matrix and ``names`` its K column names.
     Returns the columns index, pearson and spearman of
     ``residual_mpi_<engine>.csv``, one row per composite. Spearman is Pearson
     on average ranks; undefined associations (constant input) come back as
     NaN, reported downstream as missing.
     """
     r = np.asarray(residuals, dtype=float)
-    x, names = _as_matrix(composite, names)
+    x = np.asarray(x, dtype=float)
     if r.shape[0] != x.shape[0] or r.shape[0] < 3:
         raise DataError("residual associations need matching vectors with N >= 3")
-    r_ranks = average_ranks(r)
-    return {
-        "index": tuple(names),
-        "pearson": np.array([_pearson(r, x[:, j]) for j in range(x.shape[1])]),
-        "spearman": np.array(
-            [_pearson(r_ranks, average_ranks(x[:, j])) for j in range(x.shape[1])]
-        ),
-    }
+    x_ranks = np.column_stack([average_ranks(col) for col in x.T])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return {
+            "index": tuple(names),
+            "pearson": np.corrcoef(r, x, rowvar=False)[0, 1:],
+            "spearman": np.corrcoef(average_ranks(r), x_ranks, rowvar=False)[0, 1:],
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +130,7 @@ def _pivoted_lstsq(design: np.ndarray, y: np.ndarray) -> np.ndarray:
     return beta
 
 
-def ols_standardized(residuals, composite, names=None) -> dict:
+def ols_standardized(residuals, x, names) -> dict:
     """Standardized least-squares coefficients of residuals on composites.
 
     Returns the columns index and beta_std of ``ols_<engine>.csv``. Response
@@ -148,7 +140,7 @@ def ols_standardized(residuals, composite, names=None) -> dict:
     composite drops out of the fit.
     """
     y = np.asarray(residuals, dtype=float)
-    x, names = _as_matrix(composite, names)
+    x = np.asarray(x, dtype=float)
     if y.shape[0] != x.shape[0] or y.shape[0] <= x.shape[1]:
         raise DataError("need more observations than regressors")
     zy = _zscore_columns(y.reshape(-1, 1))[:, 0]
@@ -156,14 +148,14 @@ def ols_standardized(residuals, composite, names=None) -> dict:
     return {"index": tuple(names), "beta_std": _pivoted_lstsq(zx, zy)}
 
 
-def baseline_lm(y, composite) -> tuple[float, float]:
-    """In-sample (RMSE, MAE) of the target regressed on the composites.
+def baseline_lm(y, x) -> tuple[float, float]:
+    """In-sample (RMSE, MAE) of the target regressed on the composites ``x``.
 
     Least squares with an intercept, using the same pivoted-QR collinearity
     handling as the standardized fit; a dropped column contributes nothing.
     """
     y = np.asarray(y, dtype=float)
-    x, _ = _as_matrix(composite)
+    x = np.asarray(x, dtype=float)
     if y.shape[0] != x.shape[0] or y.shape[0] <= x.shape[1] + 1:
         raise DataError("need more observations than coefficients")
     design = np.column_stack([np.ones(y.shape[0]), x])
@@ -203,4 +195,4 @@ def group_summaries(dataset: Dataset, attribute: str, y_ref, y_est, coverage, ad
         "coverage": means(coverage), "adaptivity": means(adaptivity),
         "y_ref": ref, "y_est": est, "delta_pct": delta,
     }
-    return columns, None if composite is None else means(_as_matrix(composite)[0])
+    return columns, None if composite is None else means(composite)

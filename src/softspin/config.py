@@ -18,7 +18,8 @@ from pathlib import Path
 import yaml
 
 from .conformal import BatchSpec
-from .data import DEFAULT_INDICATORS, Domain, IndicatorSpec, SynthParams, indicator_groups
+from .data import (DEFAULT_INDICATORS, PROFILE_COLUMNS, Domain, IndicatorSpec, SynthParams,
+                   indicator_groups)
 from .errors import ConfigError, DataError
 from .indices import Direction
 from .sampler import AnnealingSchedule, ChainConfig, Engine
@@ -387,6 +388,12 @@ def _validate(cfg: RunConfig) -> None:
     for key, name in options.items():
         if not isinstance(name, str):
             raise ConfigError(f"dataset: {key} must be a string")
+    names = [item.name for item in cfg.indicator_spec()]
+    if repeated := sorted({name for name in names if names.count(name) > 1}):
+        raise ConfigError(f"indicators: names {repeated} are listed more than once")
+    if clash := sorted(set(names) & {*options.values(), *PROFILE_COLUMNS}):
+        raise ConfigError(f"indicators: names {clash} are the dataset's id, profile, "
+                          f"target or center/periphery columns")
     if cfg.dataset_path is None:  # the synth section is read only to synthesize
         if cfg.synth_units < n_groups + 2:  # the linear-model baseline needs N > K + 1
             raise ConfigError(f"synth: n_units must be >= {n_groups + 2}, the groups plus 2")

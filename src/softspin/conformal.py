@@ -71,10 +71,7 @@ def batch_means(pool, spec: BatchSpec, workers: int = 1) -> np.ndarray:
     p = pool.shape[0]
     if p < spec.batch_size:
         raise InsufficientPool(f"pool of {p} configs < batch size {spec.batch_size}")
-    rng = make_rng(spec.seed)
-    idx = np.empty((spec.n_batches, spec.batch_size), dtype=np.int64)
-    for b in range(spec.n_batches):
-        idx[b] = rng.integers(0, p, size=spec.batch_size)
+    idx = make_rng(spec.seed).integers(0, p, size=(spec.n_batches, spec.batch_size))
     out = np.empty((spec.n_batches, pool.shape[1]))
 
     def fill(start: int, stop: int) -> None:

@@ -210,16 +210,19 @@ def load_dataset(
     """Load a delimited text file of unit records.
 
     The header must name the unit id column, the five profile columns, every
-    indicator of ``spec`` and the target column; a center/periphery column is
-    optional. Rows with an empty required cell are rejected (counted, not
-    fatal); rows with out-of-domain categories, out-of-range targets or
-    duplicate ids raise. Row numbers in errors are 1-based data rows.
+    indicator of ``spec`` and the target column, and no column twice
+    (unnamed columns may repeat); a center/periphery column is optional. Rows
+    with an empty required cell are rejected (counted, not fatal); rows with
+    out-of-domain categories, out-of-range targets or duplicate ids raise.
+    Row numbers in errors are 1-based data rows.
     """
     spec = tuple(spec)
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh, delimiter=delimiter)
         header = reader.fieldnames or []
+        if repeated := sorted({name for name in header if name and header.count(name) > 1}):
+            raise DataError(f"{path.name}: header names columns {repeated} more than once")
         required = [unit_id_column, *PROFILE_COLUMNS]
         required += [item.name for item in spec]
         required.append(target_column)

@@ -19,7 +19,6 @@ import numpy as np
 from .data import Domain
 from .errors import DataError
 from .graph import GroupSums, InteractionGraph
-from .indices import ExternalField
 
 
 @dataclass
@@ -31,8 +30,6 @@ class EnergyModel:
     lambda_reg: float = 1.0
 
     def __post_init__(self):
-        if isinstance(self.field, ExternalField):
-            self.field = self.field.h
         self.field = np.asarray(self.field, dtype=float)
         if self.field.shape != (self.graph.n,):
             raise DataError(

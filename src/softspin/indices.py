@@ -73,22 +73,17 @@ def mpi(z_block, direction: Direction = Direction.NEGATIVE, *, ddof: int = 1) ->
     return m - penalty
 
 
-@dataclass
-class CompositeMatrix:
-    """N x K matrix of composite indices plus construction metadata."""
-
-    values: np.ndarray
-    index_names: tuple[str, ...]
-    directions: tuple[Direction, ...]
-
-
 def build_composites(
     dataset: Dataset,
     *,
     directions: dict[str, Direction] | None = None,
     ddof: int = 1,
-) -> CompositeMatrix:
-    """Standardize the base indicators and aggregate them group by group."""
+) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Standardize the base indicators and aggregate them group by group.
+
+    Returns the N x K composite matrix and the K group names, in the order
+    the groups first appear in the indicator table.
+    """
     directions = directions or {}
     x = dataset.indicators
     spec = dataset.spec
@@ -99,26 +94,12 @@ def build_composites(
                                ddof=ddof, name=item.name)
         for item in spec
     }
-    index_names = tuple(groups)
-    dirs = tuple(directions.get(g, Direction.NEGATIVE) for g in index_names)
-    values = np.column_stack(
-        [
-            mpi(np.column_stack([z[item.name] for item in groups[g]]), d, ddof=ddof)
-            for g, d in zip(index_names, dirs)
-        ]
-    )
-    return CompositeMatrix(values, index_names, dirs)
-
-
-def _as_matrix(c, names=None) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Values and column names of a ``CompositeMatrix`` or of a plain N x K
-    array, whose columns are named ``names`` or else C1..Ck."""
-    if isinstance(c, CompositeMatrix):
-        return np.asarray(c.values, dtype=float), c.index_names
-    x = np.asarray(c, dtype=float)
-    if names is None:
-        names = (f"C{j + 1}" for j in range(x.shape[1]))
-    return x, tuple(names)
+    values = np.column_stack([
+        mpi(np.column_stack([z[item.name] for item in members]),
+            directions.get(g, Direction.NEGATIVE), ddof=ddof)
+        for g, members in groups.items()
+    ])
+    return values, tuple(groups)
 
 
 def _standardized(x: np.ndarray, names: tuple[str, ...], ddof: int) -> np.ndarray:
@@ -163,14 +144,16 @@ class PCASummary:
         return np.sqrt(self.eigenvalues)
 
 
-def pca(composite, *, ddof: int = 1) -> PCASummary:
-    """PCA on the column-standardized composite matrix.
+def pca(x, names=None, *, ddof: int = 1) -> PCASummary:
+    """PCA on the column-standardized N x K composite matrix ``x``.
 
-    Rank deficiency is not an error: an exactly collinear column pair yields
-    one zero eigenvalue, carried along with zero weight. Requires N > K.
+    Columns are named ``names``, or else C1..Ck. Rank deficiency is not an
+    error: an exactly collinear column pair yields one zero eigenvalue,
+    carried along with zero weight. Requires N > K.
     """
-    x, names = _as_matrix(composite)
+    x = np.asarray(x, dtype=float)
     n, k = x.shape
+    names = tuple(f"C{j + 1}" for j in range(k)) if names is None else tuple(names)
     if n <= k:
         raise DataError(f"PCA needs more rows than columns (N={n}, K={k})")
     z = _standardized(x, names, ddof)
@@ -180,32 +163,17 @@ def pca(composite, *, ddof: int = 1) -> PCASummary:
     order = np.argsort(-w, kind="stable")
     w = w[order]
     v = v[:, order]
-
-    for j in range(k):
-        lead = int(np.argmax(np.abs(v[:, j])))
-        if v[lead, j] < 0.0:
-            v[:, j] = -v[:, j]
+    lead = np.argmax(np.abs(v), axis=0)  # sign-fix: each column's largest loading positive
+    v *= np.where(v[lead, np.arange(k)] < 0.0, -1.0, 1.0)
 
     proportions = w / w.sum()
     scores = z @ v
     return PCASummary(r, v, w, proportions, scores, names)
 
 
-@dataclass
-class ExternalField:
-    """Per-unit scalar drive of the spin system, with its PCA provenance."""
-
-    h: np.ndarray
-    provenance: PCASummary
-
-    @property
-    def weights(self) -> np.ndarray:
-        w = self.provenance.eigenvalues
-        return w / w.sum()
-
-
-def external_field(summary: PCASummary, n_components: int | None = None) -> ExternalField:
-    """Eigenvalue-weighted sum of the component scores (weights sum to one).
+def external_field(summary: PCASummary, n_components: int | None = None) -> np.ndarray:
+    """Per-unit field h: the eigenvalue-weighted sum of the component scores,
+    with weights that sum to one.
 
     All components are kept by default; zero-eigenvalue components carry
     zero weight anyway. ``n_components`` truncates to the leading components,
@@ -216,5 +184,4 @@ def external_field(summary: PCASummary, n_components: int | None = None) -> Exte
         if not 1 <= n_components <= w.shape[0]:
             raise DataError("n_components out of range")
         w[n_components:] = 0.0
-    weights = w / w.sum()
-    return ExternalField(summary.scores @ weights, summary)
+    return summary.scores @ (w / w.sum())

@@ -128,18 +128,13 @@ def stage_validate(cfg: RunConfig, out: Path) -> list[Path]:
 def stage_field(cfg: RunConfig, out: Path) -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
     dataset = _load_dataset(cfg, out).dataset
-    composites = build_composites(
-        dataset, directions=cfg.directions(), ddof=cfg.indices_ddof
-    )
-    summary = pca(composites, ddof=cfg.indices_ddof)
-    field = external_field(summary, cfg.truncate_components)
+    values, names = build_composites(dataset, directions=cfg.directions(), ddof=cfg.indices_ddof)
+    summary = pca(values, names, ddof=cfg.indices_ddof)
+    h = external_field(summary, cfg.truncate_components)
     return [
-        write_columns(out / "composites.csv", {
-            "unit_id": dataset.unit_ids,
-            **dict(zip(composites.index_names, composites.values.T)),
-        }),
-        write_columns(out / "external_field.csv",
-                      {"unit_id": dataset.unit_ids, "h": field.h}),
+        write_columns(out / "composites.csv",
+                      {"unit_id": dataset.unit_ids, **dict(zip(names, values.T))}),
+        write_columns(out / "external_field.csv", {"unit_id": dataset.unit_ids, "h": h}),
         write_field_diagnostics(out / "field_diagnostics.txt", summary),
     ]
 
@@ -418,8 +413,16 @@ def stage_report(cfg: RunConfig, out: Path) -> list[Path]:
 
 
 def run_pipeline(cfg: RunConfig, out: Path) -> list[Path]:
-    """Execute every stage in order and write the manifest."""
+    """Execute every stage in order and write the manifest.
+
+    Files the previous manifest in ``out`` listed and this run did not
+    write are deleted after the new manifest is written, except the
+    configured dataset file.
+    """
     out = Path(out)
+    manifest_path = out / "manifest.json"
+    listed = (json.loads(manifest_path.read_text(encoding="utf-8"))["artifacts"]
+              if manifest_path.exists() else [])
     written: list[Path] = []
     if cfg.dataset_path is None:
         written += stage_synth(cfg, out)
@@ -441,5 +444,10 @@ def run_pipeline(cfg: RunConfig, out: Path) -> list[Path]:
         },
         "artifacts": sorted(p.name for p in written),
     }
-    manifest_path = write_json(out / "manifest.json", manifest)
+    write_json(manifest_path, manifest)
+    keep = {p.name for p in written}
+    for name in set(listed) - keep:
+        path = out / name
+        if cfg.dataset_path is None or path.resolve() != Path(cfg.dataset_path).resolve():
+            path.unlink(missing_ok=True)
     return written + [manifest_path]

@@ -260,9 +260,8 @@ class TestCriterion6IndexOracles:
         x = rng.normal(size=(200, 6))
         x[:, 5] = x[:, 0]  # duplicated column
         p = pca(x)
-        field = external_field(p)
         zero_eig = float(p.eigenvalues[-1])
-        zero_weight = float(field.weights[-1])
+        zero_weight = float(p.proportions[-1])  # its weight in the untruncated field
         ok = sums_ok and zero_eig <= 1e-8 and zero_weight <= 1e-8
         check(
             "criterion 6b (PCA rank deficiency)", ok,
@@ -284,7 +283,7 @@ def paper_scale_setup():
     )
     dataset = synth_dataset(1383, seed=42, params=params)
     graph = build_graph(dataset)
-    field = external_field(pca(build_composites(dataset)))
+    field = external_field(pca(*build_composites(dataset)))
     model = EnergyModel(graph, field, lambda_reg=10.0)
     s_ref = SpinConfiguration(
         scale_target(dataset, Domain.ISING_SCALED), Domain.ISING_SCALED
@@ -399,11 +398,11 @@ class TestCriterion9EndToEndDeterminism:
 class TestCriterion10CollinearityHandling:
     def test_duplicated_composite_flagged_once(self):
         dataset = synth_dataset(500, seed=77)  # MPI6 mirrors MPI1 by default
-        comp = build_composites(dataset)
+        values, names = build_composites(dataset)
         rng = np.random.default_rng(3)
         residuals = rng.normal(size=dataset.n)
-        result = ols_standardized(residuals, comp)
-        flagged = [comp.index_names[j] for j in np.nonzero(np.isnan(result["beta_std"]))[0]]
+        result = ols_standardized(residuals, values, names)
+        flagged = [names[j] for j in np.nonzero(np.isnan(result["beta_std"]))[0]]
         ok = len(flagged) == 1 and flagged[0] in ("MPI1", "MPI6")
         check(
             "criterion 10 (collinearity handling)", ok,

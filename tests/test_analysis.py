@@ -90,6 +90,10 @@ class TestCompare:
         assert rep["mae"] <= rep["rmse"] + 1e-12
 
 
+def _names(x):
+    return tuple(f"C{j + 1}" for j in range(x.shape[1]))
+
+
 class TestAssociations:
     def test_ranks_match_scipy(self, rng):
         x = rng.integers(0, 5, size=30).astype(float)  # plenty of ties
@@ -99,27 +103,27 @@ class TestAssociations:
 
     def test_self_correlation(self, rng):
         comp = rng.normal(size=(50, 6))
-        table = residual_associations(comp[:, 0], comp)
+        table = residual_associations(comp[:, 0], comp, _names(comp))
         assert table["pearson"][0] == pytest.approx(1.0, abs=1e-12)
         assert table["spearman"][0] == pytest.approx(1.0, abs=1e-12)
 
     def test_monotone_cubic(self, rng):
         comp = rng.normal(size=(80, 2))
         residuals = comp[:, 1] ** 3  # strictly monotone, nonlinear
-        table = residual_associations(residuals, comp)
+        table = residual_associations(residuals, comp, _names(comp))
         assert table["spearman"][1] == pytest.approx(1.0, abs=1e-12)
         assert table["pearson"][1] < 1.0 - 1e-6
 
     def test_constant_residuals_missing(self, rng):
         comp = rng.normal(size=(40, 3))
-        table = residual_associations(np.zeros(40), comp)
+        table = residual_associations(np.zeros(40), comp, _names(comp))
         assert np.all(np.isnan(table["pearson"]))
         assert np.all(np.isnan(table["spearman"]))
 
     def test_against_scipy(self, rng):
         comp = rng.normal(size=(70, 4))
         residuals = rng.normal(size=70)
-        table = residual_associations(residuals, comp)
+        table = residual_associations(residuals, comp, _names(comp))
         for j in range(4):
             pr = scipy.stats.pearsonr(residuals, comp[:, j]).statistic
             sr = scipy.stats.spearmanr(residuals, comp[:, j]).statistic
@@ -129,21 +133,22 @@ class TestAssociations:
     def test_spearman_invariant_to_monotone_transform(self, rng):
         comp = rng.normal(size=(60, 1))
         residuals = rng.normal(size=60)
-        base = residual_associations(residuals, comp)["spearman"][0]
-        transformed = residual_associations(np.exp(residuals / 10), comp)["spearman"][0]
+        names = _names(comp)
+        base = residual_associations(residuals, comp, names)["spearman"][0]
+        transformed = residual_associations(np.exp(residuals / 10), comp, names)["spearman"][0]
         assert base == pytest.approx(transformed, abs=1e-12)
 
 
 class TestOLS:
     def test_single_regressor_identity(self, rng):
         x = rng.normal(size=(30, 1))
-        res = ols_standardized(x[:, 0], x)
+        res = ols_standardized(x[:, 0], x, _names(x))
         assert res["beta_std"][0] == pytest.approx(1.0, abs=1e-10)
 
     def test_duplicate_column_flagged_once(self, rng):
         x = rng.normal(size=(50, 3))
         x = np.column_stack([x, x[:, 0]])
-        res = ols_standardized(rng.normal(size=50), x)
+        res = ols_standardized(rng.normal(size=50), x, _names(x))
         flagged = np.isnan(res["beta_std"]).nonzero()[0]
         assert len(flagged) == 1
         assert flagged[0] in (0, 3)
@@ -151,7 +156,7 @@ class TestOLS:
     def test_normal_equations_oracle(self, rng):
         x = rng.normal(size=(100, 5))
         y = rng.normal(size=100)
-        res = ols_standardized(y, x)
+        res = ols_standardized(y, x, _names(x))
         zx = (x - x.mean(axis=0)) / x.std(axis=0, ddof=1)
         zy = (y - y.mean()) / y.std(ddof=1)
         beta_ref = np.linalg.solve(zx.T @ zx, zx.T @ zy)
@@ -162,7 +167,7 @@ class TestOLS:
         q, _ = np.linalg.qr(raw - raw.mean(axis=0))
         x = q  # orthogonal, zero-mean columns
         y = rng.normal(size=200)
-        res = ols_standardized(y, x)
+        res = ols_standardized(y, x, _names(x))
         for j in range(3):
             r = np.corrcoef(y, x[:, j])[0, 1]
             assert res["beta_std"][j] == pytest.approx(r, abs=1e-10)
@@ -170,11 +175,11 @@ class TestOLS:
     def test_all_collinear(self):
         x = np.zeros((20, 2))
         with pytest.raises(AllCollinear):
-            ols_standardized(np.arange(20.0), x)
+            ols_standardized(np.arange(20.0), x, _names(x))
 
     def test_needs_enough_rows(self, rng):
         with pytest.raises(DataError):
-            ols_standardized(np.zeros(3), rng.normal(size=(3, 4)))
+            ols_standardized(np.zeros(3), rng.normal(size=(3, 4)), ("C1", "C2", "C3", "C4"))
 
 
 class TestBaselineLM:

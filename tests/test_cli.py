@@ -307,6 +307,21 @@ class TestPipeline:
         tree["indicators"][0]["group"] = name
         assert_fails_at_load(tmp_path, tree)
 
+    @pytest.mark.parametrize("name, dataset", [
+        ("A", {}), ("target", {}), ("unit_id", {}), ("DEGURB", {}), ("center_periph", {}),
+        ("y", {"target_column": "y"}),
+    ])
+    def test_indicator_named_twice_or_as_dataset_column_fails_at_load(self, tmp_path, name,
+                                                                       dataset):
+        # in the dataset file the two columns would share a name, and loading
+        # would keep only the last; the same table with a fresh name loads
+        tree = dict(TINY, synth=dict(TINY["synth"], mirror_groups=[]), dataset=dataset,
+                    indicators=[{"name": "A", "polarity": 1, "group": "G1"},
+                                {"name": "B", "polarity": -1, "group": "G2"}])
+        load_config(write_config(tmp_path, tree))
+        tree["indicators"][1]["name"] = name
+        assert_fails_at_load(tmp_path, tree)
+
     @pytest.mark.parametrize("tree, flags", _OUT_OF_RANGE.values(), ids=list(_OUT_OF_RANGE))
     def test_out_of_range_value_fails_at_load(self, tmp_path, tree, flags):
         assert_fails_at_load(tmp_path, tree, *flags)
@@ -422,6 +437,31 @@ class TestPipeline:
         assert sorted(p.name for p in out.iterdir()) == sorted(
             [*manifest["artifacts"], "manifest.json"])
 
+    def test_rerun_removes_artifacts_the_new_manifest_does_not_list(self, tmp_path):
+        out = tmp_path / "run"
+        cfg_path = write_config(tmp_path)
+        assert main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert main(["pipeline", "--config", str(cfg_path), "--out", str(out),
+                     "--engine", "ising"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert not list(out.glob("*langevin*"))
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            [*manifest["artifacts"], "manifest.json"])
+
+    def test_rerun_keeps_a_dataset_path_inside_out(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 0
+        data = out / "dataset.csv"
+        synthesized = data.read_bytes()
+        cfg_path = write_config(tmp_path, dataset={"path": str(data)})
+        assert main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "dataset.csv" not in manifest["artifacts"]
+        assert data.read_bytes() == synthesized
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            [*manifest["artifacts"], "manifest.json", "dataset.csv"])
+
+
 
 class TestStages:
     def test_read_last_rows_equals_load_slice(self, tmp_path):
@@ -505,6 +545,26 @@ class TestStages:
         assert "accepted records: 2" in text
         assert "rejected records: 1" in text
         assert "rejected rows: 2" in text
+
+    def test_repeated_header_column_fails_before_any_artifact(self, tmp_path):
+        # a second column named A, 999 in every row, would replace the first;
+        # unnamed columns, such as those of a trailing delimiter, may repeat
+        data = tmp_path / "units.csv"
+        tree = {"dataset": {"path": str(data)},
+                "indicators": [{"name": "A", "polarity": 1, "group": "G1"},
+                               {"name": "B", "polarity": -1, "group": "G2"}]}
+        cfg_path = write_config(tmp_path, tree)
+        rows = ["u1,1,1,1,0,1,1.0,9.0,5.0", "u2,2,2,2,0,2,2.0,7.0,6.0",
+                "u3,3,3,3,1,3,4.0,4.0,7.0"]
+        header = "unit_id,ALT,POP,SUP,CLITO,DEGURB,A,B,target"
+        data.write_text("\n".join([header + ",,", *(r + ",," for r in rows), ""]),
+                        encoding="utf-8")
+        assert main(["validate", "--config", str(cfg_path), "--out", str(tmp_path / "ok")]) == 0
+        data.write_text("\n".join([header + ",A", *(r + ",999" for r in rows), ""]),
+                        encoding="utf-8")
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 3
+        assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("column, cell", [
         ("ALT", "abc"), ("A", "nan"), ("A", "inf"), ("center_periph", "Foo"),

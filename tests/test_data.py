@@ -198,10 +198,10 @@ class TestSynth:
         from softspin.indices import build_composites
 
         d = synth_dataset(300, seed=9)
-        comp = build_composites(d)
-        k1 = comp.index_names.index("MPI1")
-        k6 = comp.index_names.index("MPI6")
-        np.testing.assert_allclose(comp.values[:, k1], comp.values[:, k6], atol=1e-12)
+        values, names = build_composites(d)
+        k1 = names.index("MPI1")
+        k6 = names.index("MPI6")
+        np.testing.assert_allclose(values[:, k1], values[:, k6], atol=1e-12)
 
     def test_columns_are_read_only(self):
         d = synth_dataset(10, seed=2)

@@ -245,7 +245,7 @@ class TestModelValidation:
         from softspin.indices import external_field, pca
 
         p = pca(rng.normal(size=(30, 3)))
-        f = external_field(p)
+        h = external_field(p)
         g = make_clique_graph([10, 10, 10])
-        model = EnergyModel(g, f, lambda_reg=1.0)
-        np.testing.assert_array_equal(model.field, f.h)
+        model = EnergyModel(g, h, lambda_reg=1.0)
+        np.testing.assert_array_equal(model.field, h)

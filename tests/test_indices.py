@@ -173,19 +173,19 @@ class TestExternalField:
         p = pca(np.random.default_rng(11).normal(size=(5000, 4)))
         # force exactly equal eigenvalues to isolate the weighting rule
         p.eigenvalues = np.ones(4)
-        f = external_field(p)
-        np.testing.assert_allclose(f.h, p.scores.mean(axis=1), atol=1e-12)
+        h = external_field(p)
+        np.testing.assert_allclose(h, p.scores.mean(axis=1), atol=1e-12)
 
     def test_single_nonzero_eigenvalue(self, rng):
         p = pca(rng.normal(size=(50, 3)))
         p.eigenvalues = np.array([2.5, 0.0, 0.0])
-        f = external_field(p)
-        np.testing.assert_allclose(f.h, p.scores[:, 0], atol=1e-12)
+        h = external_field(p)
+        np.testing.assert_allclose(h, p.scores[:, 0], atol=1e-12)
 
     def test_weights_sum_to_one(self, rng):
         p = pca(rng.normal(size=(60, 5)))
-        f = external_field(p)
-        assert abs(f.weights.sum() - 1.0) <= 1e-12
+        # untruncated, the weights are the eigenvalue proportions
+        np.testing.assert_allclose(external_field(p), p.scores @ p.proportions, atol=1e-12)
 
     def test_reported_proportions_from_component_sds(self):
         # weights from the published component standard deviations:
@@ -199,34 +199,36 @@ class TestExternalField:
 
     def test_truncation_renormalizes(self, rng):
         p = pca(rng.normal(size=(60, 5)))
-        f = external_field(p, n_components=2)
+        h = external_field(p, n_components=2)
         w = p.eigenvalues[:2] / p.eigenvalues[:2].sum()
-        np.testing.assert_allclose(f.h, p.scores[:, :2] @ w, atol=1e-12)
+        np.testing.assert_allclose(h, p.scores[:, :2] @ w, atol=1e-12)
 
     def test_zero_weight_component_contributes_nothing(self, rng):
         x = _random_composites(rng)
         p = pca(x)
-        f = external_field(p)
+        h = external_field(p)
         # dropping the zero-eigenvalue component changes nothing
         w = p.eigenvalues[:-1] / p.eigenvalues.sum()
-        np.testing.assert_allclose(f.h, p.scores[:, :-1] @ w, atol=1e-8)
+        np.testing.assert_allclose(h, p.scores[:, :-1] @ w, atol=1e-8)
 
 
 class TestBuildComposites:
     def test_group_structure_and_directions(self):
         d = synth_dataset(120, seed=21)
-        comp = build_composites(d)
-        assert comp.values.shape == (120, 6)
-        assert comp.index_names == ("MPI1", "MPI2", "MPI3", "MPI4", "MPI5", "MPI6")
-        assert all(di is Direction.NEGATIVE for di in comp.directions)
+        values, names = build_composites(d)
+        assert values.shape == (120, 6)
+        assert names == ("MPI1", "MPI2", "MPI3", "MPI4", "MPI5", "MPI6")
+        # every group defaults to the negative direction
+        negative, _ = build_composites(d, directions={g: Direction.NEGATIVE for g in names})
+        np.testing.assert_array_equal(values, negative)
 
     def test_direction_override(self):
         d = synth_dataset(80, seed=22)
-        neg = build_composites(d)
-        pos = build_composites(d, directions={"MPI5": Direction.POSITIVE})
-        k = neg.index_names.index("MPI5")
+        neg, names = build_composites(d)
+        pos, _ = build_composites(d, directions={"MPI5": Direction.POSITIVE})
+        k = names.index("MPI5")
         m = np.column_stack(
-            [neg.values[:, k], pos.values[:, k]]
+            [neg[:, k], pos[:, k]]
         )
         # positive direction adds the penalty instead of subtracting it
         assert np.all(m[:, 1] >= m[:, 0] - 1e-12)
