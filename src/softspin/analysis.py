@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import qr as _pivoted_qr
 
 from .data import Dataset
 from .errors import AllCollinear, DataError
@@ -115,7 +114,8 @@ def _pivoted_lstsq(design: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     A dropped column's coefficient is NaN; every kept one is finite.
     """
-    _, r, piv = _pivoted_qr(design, mode="economic", pivoting=True)
+    from scipy.linalg import qr  # deferred: keeps the CLI import light
+    _, r, piv = qr(design, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
     lead = diag[0] if diag.size else 0.0
     if lead <= 0.0:

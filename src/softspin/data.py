@@ -213,8 +213,8 @@ def load_dataset(
     indicator of ``spec`` and the target column, and no column twice
     (unnamed columns may repeat); a center/periphery column is optional. Rows
     with an empty required cell are rejected (counted, not fatal); rows with
-    out-of-domain categories, out-of-range targets or duplicate ids raise.
-    Row numbers in errors are 1-based data rows.
+    extra cells, out-of-domain categories, out-of-range targets or duplicate
+    ids raise. Row numbers in errors are 1-based data rows.
     """
     spec = tuple(spec)
     path = Path(path)
@@ -234,6 +234,8 @@ def load_dataset(
         ids, profiles, indicators, targets, labels = [], [], [], [], []
         rejected: list[int] = []
         for row_no, row in enumerate(reader, start=1):
+            if None in row:  # DictReader files the cells beyond the header under None
+                raise DataError(f"{path.name}: row {row_no} has more cells than the header")
             if any(_is_missing(row.get(name)) for name in required):
                 rejected.append(row_no)
                 continue

@@ -41,8 +41,9 @@ def _column_cells(values) -> list[str]:
     dtype; anything else goes through :func:`_cell` value by value.
     """
     if isinstance(values, np.ndarray):
-        kind = values.dtype.kind
-        values = values.tolist()
+        kind, array, values = values.dtype.kind, values, values.tolist()
+        if kind == "f" and not np.isnan(array).any():
+            return list(map(repr, values))
         if kind == "f":
             return ["NA" if v != v else repr(v) for v in values]
         if kind == "b":
@@ -57,10 +58,15 @@ def _column_cells(values) -> list[str]:
 def write_columns(path, columns: dict) -> Path:
     """A table with one column per entry of ``columns`` (header -> values)."""
     cells = [_column_cells(values) for values in columns.values()]
+    numeric = all(isinstance(v, range) or (isinstance(v, np.ndarray) and v.dtype.kind in "biuf")
+                  for v in columns.values())
     with replaced(path) as tmp, tmp.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(list(columns))
-        writer.writerows(zip(*cells))
+        if numeric:  # no cell needs csv quoting
+            fh.writelines(f"{','.join(row)}\n" for row in zip(*cells))
+        else:
+            writer.writerows(zip(*cells))
     return Path(path)
 
 

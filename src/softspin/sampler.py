@@ -168,24 +168,6 @@ def init_state(model: EnergyModel, s0, schedule: AnnealingSchedule,
     return ChainState(s, schedule.t0, sums, hamiltonian(model, s, sums), bounds)
 
 
-def _reflect(x: float, lo: float, hi: float) -> float:
-    """Fold a point back into [lo, hi] by reflection at the walls."""
-    width = hi - lo
-    y = (x - lo) % (2.0 * width)
-    if y > width:
-        y = 2.0 * width - y
-    return lo + y
-
-
-def accept_probability(delta: float, temperature: float) -> float:
-    """Boltzmann acceptance: 1 for downhill moves, exp(-dH/T) uphill."""
-    if delta <= 0.0:
-        return 1.0
-    if temperature <= 0.0:
-        return 0.0
-    return math.exp(-delta / temperature)
-
-
 # Variates a Metropolis chain draws from its stream at a time: this many
 # sites, then as many normals, then as many uniforms. Chains draw whole
 # blocks only, so a chain of n steps uses the first n variates of any longer
@@ -196,33 +178,38 @@ METROPOLIS_BLOCK = 4096
 def metropolis_kernel(spins, mirror, sums, group_of, field, lambda_reg: float,
                       schedule: AnnealingSchedule,
                       bounds: tuple[float, float] | None, variates,
-                      temperature: float, energy: float,
+                      temperature: float, energy: float, energies=None, stride: int = 1,
                       stop: int = 0, on_stop=None) -> tuple[float, float, int]:
     """Single-site Metropolis updates, one per (site, normal, uniform) triple.
 
     The one home of the update rule. Spin ``site`` is perturbed by
-    ``normal * proposal_sd`` (reflected at the bounds, if any), the energy
-    increment comes from the group-sum cache ``sums`` in O(1), and the move
-    is accepted when ``uniform < accept_probability(dH, T)``. On acceptance
-    the spin is written to ``spins`` and ``mirror``, its group sum and the
-    running energy take the change, and the temperature cools.
+    ``normal * proposal_sd``, reflected at the bounds, if any; the increment
+    dH comes from the group-sum cache ``sums`` in O(1). The move is accepted
+    if dH <= 0, or at T > 0 if ``uniform < exp(-dH/T)``; then the spin is
+    written to ``spins`` and ``mirror``, its group sum and the running energy
+    take the change, and T cools to ``max(t_min, cooling * T)``.
 
     ``spins``, ``sums``, ``group_of`` and ``field`` are indexed per unit or
     group: plain lists on the chain's fast path, numpy arrays in
     :func:`metropolis_step`. After the step numbered ``stop`` (counting from
     1), ``on_stop(stop, energy)`` runs and returns the next stop and the
-    energy to carry on with. Returns (temperature, energy, accepted moves).
+    energy to carry on with; then each ``stride``-th step's energy goes to
+    ``energies[t // stride]``, if given. Returns (T, energy, accepted moves).
     """
-    sd = schedule.proposal_sd
+    sd, cooling, t_min = schedule.proposal_sd, schedule.cooling, schedule.t_min
     half_lambda = 0.5 * lambda_reg
-    cooled = schedule.cooled
-    accepted = 0
-    t = 0
+    if bounds is not None:
+        lo, width = bounds[0], bounds[1] - bounds[0]
+        period = 2.0 * width
+    exp = math.exp
+    record = stride if energies is not None else 0
+    accepted = t = 0
     for i, z, u in variates:
         s_i = spins[i]
         s_new = s_i + z * sd
-        if bounds is not None:
-            s_new = _reflect(s_new, bounds[0], bounds[1])
+        if bounds is not None:  # reflect at the walls
+            y = (s_new - lo) % period
+            s_new = lo + (period - y if y > width else y)
         g = group_of[i]
         diff = s_new - s_i
         delta = (
@@ -230,15 +217,20 @@ def metropolis_kernel(spins, mirror, sums, group_of, field, lambda_reg: float,
             - field[i] * diff
             + half_lambda * (s_new * s_new - s_i * s_i)
         )
-        if u < accept_probability(delta, temperature):
+        if delta <= 0.0 or (temperature > 0.0 and u < exp(-delta / temperature)):
             spins[i] = mirror[i] = s_new
             sums[g] += diff
             energy += delta
-            temperature = cooled(temperature)
+            temperature *= cooling
+            if temperature < t_min:
+                temperature = t_min
             accepted += 1
         t += 1
         if t == stop:
             stop, energy = on_stop(t, energy)
+        if t == record:
+            energies[t // stride] = energy
+            record += stride
     return temperature, energy, accepted
 
 
@@ -273,33 +265,36 @@ def _metropolis_blocks(rng, n: int):
 
 
 def _run_metropolis(model: EnergyModel, cfg: ChainConfig, state: ChainState,
-                    rng, stops, emit) -> int:
+                    rng, energies: np.ndarray, keep) -> int:
     """Run a Metropolis chain; return its number of accepted moves.
 
     Spins and group sums are held as Python lists, which index and add much
     faster than numpy scalars. ``state.s`` mirrors the spins, written only
-    on acceptance, so a snapshot is still one array copy. After each step in
-    ``stops``, ``emit(t, state.s, energy)`` records it; every ``recompute_every``
+    on acceptance, so a snapshot is still one array copy. The kernel writes
+    the energy series into ``energies``; after each retained step,
+    ``keep(t, state.s, energy)`` keeps the snapshot. Every ``recompute_every``
     steps the group sums and the running energy are recomputed from
     ``state.s`` first, which cancels float drift.
     """
     every = cfg.recompute_every
     spins, sums = state.s.tolist(), state.sums.sums.tolist()
-    pending = iter(sorted(set(stops).union(range(every, cfg.n_iters + 1, every))))
+    pending = iter(sorted(set(cfg.retained_iterations()).union(
+        range(every, cfg.n_iters + 1, every))))
 
     def on_stop(t: int, energy: float) -> tuple[int, float]:
         if t % every == 0:
             state.sums.recompute(state.s)
             sums[:] = state.sums.sums.tolist()
             energy = hamiltonian(model, state.s, state.sums)
-        emit(t, state.s, energy)
+        keep(t, state.s, energy)
         return next(pending, 0), energy
 
     variates = islice(chain.from_iterable(_metropolis_blocks(rng, len(spins))), cfg.n_iters)
     state.temperature, state.energy, accepted = metropolis_kernel(
         spins, state.s, sums, model.graph.group_of.tolist(), model.field.tolist(),
         model.lambda_reg, cfg.schedule, state.bounds, variates,
-        state.temperature, state.energy, next(pending, 0), on_stop,
+        state.temperature, state.energy, energies, cfg.energy_stride,
+        next(pending, 0), on_stop,
     )
     return accepted
 
@@ -377,18 +372,24 @@ def langevin_step(model: EnergyModel, state: ChainState,
 
 
 def _run_langevin(model: EnergyModel, cfgs: list[ChainConfig], state: ChainState,
-                  stops: set[int], emits) -> list[DivergenceDetected | None]:
+                  traces, keeps) -> list[DivergenceDetected | None]:
     """Step the chains of ``cfgs`` together, row ``c`` of ``state.s`` being
     chain ``c``; return each chain's divergence, None where it finished.
 
-    After each step in ``stops`` every running chain's ``emit(t, s, energy)``
-    records it. A chain that diverges is dropped at that iteration.
+    After every ``energy_stride``-th step each running chain's energy goes
+    into ``traces[c].energies``, and after each retained step
+    ``keeps[c](t, s, energy)`` keeps its snapshot. A chain that diverges is
+    dropped at that iteration.
     """
+    cfg = cfgs[0]
+    stride = cfg.energy_stride
+    # only the iterations that record an energy or keep a snapshot stop the run
+    stops = set(cfg.energy_iterations()[1:]).union(cfg.retained_iterations())
     rngs = [make_rng(c.seed) for c in cfgs]
     running = list(range(len(cfgs)))  # chain index of each row
     failures: list[DivergenceDetected | None] = [None] * len(cfgs)
-    for it in range(1, cfgs[0].n_iters + 1):
-        diverged = langevin_kernel(model, state, cfgs[0].schedule, rngs)
+    for it in range(1, cfg.n_iters + 1):
+        diverged = langevin_kernel(model, state, cfg.schedule, rngs)
         if diverged:
             for row, detail in diverged:
                 failures[running[row]] = DivergenceDetected(it, detail)
@@ -400,7 +401,9 @@ def _run_langevin(model: EnergyModel, cfgs: list[ChainConfig], state: ChainState
         if it in stops:  # the step left state.sums fresh
             energies = np.atleast_1d(hamiltonian(model, state.s, state.sums))
             for c, s, energy in zip(running, state.s.reshape(len(running), -1), energies):
-                emits[c](it, s, energy)
+                if it % stride == 0:
+                    traces[c].energies[it // stride] = energy
+                keeps[c](it, s, energy)
     return failures
 
 
@@ -430,9 +433,8 @@ class ChainTrace:
 
 def _open_trace(cfg: ChainConfig, n: int, retained: np.ndarray | None, energy: float):
     """A trace of ``cfg`` holding only the starting ``energy``, and
-    ``emit(t, s, energy)``, which keeps state ``s`` and its energy after
-    step ``t`` where the two grids ask."""
-    stride = cfg.energy_stride
+    ``keep(t, s, energy)``, which keeps state ``s`` and its energy when
+    step ``t`` is on the retained grid."""
     grid = cfg.retained_iterations()
     energies = np.empty(len(cfg.energy_iterations()))
     energies[0] = energy
@@ -440,15 +442,13 @@ def _open_trace(cfg: ChainConfig, n: int, retained: np.ndarray | None, energy: f
         retained = np.empty((len(grid), n))
     retained_energies = np.empty(len(grid))
 
-    def emit(t: int, s: np.ndarray, energy: float) -> None:
-        if t % stride == 0:
-            energies[t // stride] = energy
+    def keep(t: int, s: np.ndarray, energy: float) -> None:
         if t in grid:
             j = grid.index(t)
             retained[j] = s
             retained_energies[j] = energy
 
-    return ChainTrace(energies, retained, retained_energies, 0, math.nan, cfg), emit
+    return ChainTrace(energies, retained, retained_energies, 0, math.nan, cfg), keep
 
 
 def run_chains(model: EnergyModel, cfgs: list[ChainConfig], s_ref: SpinConfiguration,
@@ -474,21 +474,20 @@ def run_chains(model: EnergyModel, cfgs: list[ChainConfig], s_ref: SpinConfigura
         raise ConfigError("chain: chains run together may differ only in seed")
     bounds = DOMAIN_BOUNDS[s_ref.domain] if cfg.bounded else None
     h_ref = hamiltonian(model, s_ref)
-    traces, emits = zip(*(_open_trace(c, n, out, h_ref)
+    traces, keeps = zip(*(_open_trace(c, n, out, h_ref)
                           for c, out in zip(cfgs, retained or [None] * len(cfgs))))
-    # only the iterations that record an energy or keep a snapshot stop the run
-    stops = set(cfg.energy_iterations()[1:]).union(cfg.retained_iterations())
     if cfg.engine is Engine.ISING:
-        for trace, emit in zip(traces, emits):
+        for trace, keep in zip(traces, keeps):
             state = init_state(model, s_ref.s, cfg.schedule, bounds)
             trace.accept_count = _run_metropolis(model, trace.config, state,
-                                                 make_rng(trace.config.seed), stops, emit)
+                                                 make_rng(trace.config.seed),
+                                                 trace.energies, keep)
             trace.final_temperature = state.temperature
         return list(traces)
     # one chain keeps the 1-D state of langevin_step: a (1, N) stack costs a few µs a step
     s0 = np.tile(s_ref.s, (len(cfgs), 1)) if len(cfgs) > 1 else s_ref.s
     state = init_state(model, s0, cfg.schedule, bounds)
-    failures = _run_langevin(model, cfgs, state, stops, emits)
+    failures = _run_langevin(model, cfgs, state, traces, keeps)
     for trace in traces:
         trace.accept_count, trace.final_temperature = cfg.n_iters, state.temperature
     return [trace if failure is None else failure for trace, failure in zip(traces, failures)]

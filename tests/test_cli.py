@@ -789,9 +789,10 @@ class TestConfig:
         assert cfg.batch_spec().alpha == 0.1
 
     def test_import_leaves_scipy_stats_and_special_out(self):
-        # scipy.special is imported lazily by the t-test; scipy.stats never
-        code = ("import sys, softspin.cli; "
-                "print(sorted(m for m in ('scipy.stats', 'scipy.special') if m in sys.modules))")
+        # scipy.special and scipy.linalg are imported lazily by the t-test and
+        # the pivoted least squares; scipy.stats never
+        code = ("import sys, softspin.cli; print(sorted(m for m in "
+                "('scipy.stats', 'scipy.special', 'scipy.linalg') if m in sys.modules))")
         src = str(Path(__file__).resolve().parents[1] / "src")
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         done = subprocess.run([sys.executable, "-c", code], capture_output=True,

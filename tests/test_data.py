@@ -93,6 +93,16 @@ class TestLoad:
         with pytest.raises(DuplicateUnitId):
             load_dataset(path, SPEC)
 
+    def test_row_longer_than_header_names_row(self, tmp_path):
+        # an unquoted delimiter shifts the row's cells; its 77 must not be dropped
+        path = write_csv(tmp_path, [
+            "u1,1,1,1,0,1,10.5,3.2,5.0",
+            "u2,2,1,2,0,2,11.0,2.9,7.5,77",
+            "u3,3,2,3,1,3,9.8,3.6,12.0",
+        ])
+        with pytest.raises(DataError, match="row 2 has more cells than the header"):
+            load_dataset(path, SPEC)
+
     def test_non_numeric_indicator(self, tmp_path):
         path = write_csv(tmp_path, ["u1,1,1,1,0,1,abc,3.2,5.0"])
         with pytest.raises(DataError):

@@ -1,5 +1,8 @@
+import csv
+
 import numpy as np
 
+from softspin import reports
 from softspin.reports import write_columns
 
 
@@ -26,3 +29,35 @@ def test_write_columns_equals_cell_by_cell_table(tmp_path):
     rows = vectorized.read_text(encoding="utf-8").splitlines()
     assert rows[2].split(",")[3] == "NA" and rows[1].split(",")[8] == "1"
     assert rows[3].split(",")[3] == "-0.0" and rows[4].split(",")[6] == str(2**40)
+
+
+def test_numeric_fast_path_equals_csv_writer(tmp_path, monkeypatch):
+    # the same table as lists goes through the per-cell formatter and csv.writer
+    columns = {
+        "iteration": range(0, 60, 10),
+        "energy": np.array([1.5, np.nan, -0.0, np.inf, -np.inf, 0.1]),
+        "tiny": np.array([-1e-320, 2.0**-1074, 5e-324, -0.0, 1e308, -2.5]),
+        "small": np.array([0.1, 1e-40, np.nan, -0.0, np.inf, -2.5], dtype=np.float32),
+        "count": np.array([0, -3, 7, 2**40, -(2**62), 1]),
+        "unsigned": np.array([1, 2, 3, 4, 255, 0], dtype=np.uint8),
+        "covered": np.array([True, False, True, False, False, True]),
+    }
+    tables = {"full": columns, "empty": {name: v[:0] for name, v in columns.items()}}
+    expected = {name: write_columns(tmp_path / f"{name}_cells.csv",
+                                    {k: list(v) for k, v in table.items()}).read_bytes()
+                for name, table in tables.items()}
+
+    real_writer = csv.writer
+
+    class HeaderOnly:  # a csv.writer that fails if it is handed the rows
+        def __init__(self, fh, **kwargs):
+            self.writerow = real_writer(fh, **kwargs).writerow
+
+        def writerows(self, rows):
+            raise AssertionError("numeric rows went through csv.writer")
+
+    monkeypatch.setattr(reports.csv, "writer", HeaderOnly)
+    for name, table in tables.items():
+        assert write_columns(tmp_path / f"{name}.csv", table).read_bytes() == expected[name]
+    rows = expected["full"].decode().splitlines()
+    assert rows[2:4] == ["10,NA,5e-324,9.99994610111476e-41,-3,2,0", "20,-0.0,5e-324,NA,7,3,1"]

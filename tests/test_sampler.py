@@ -21,8 +21,6 @@ from softspin.sampler import (
     AnnealingSchedule,
     ChainConfig,
     Engine,
-    _reflect,
-    accept_probability,
     init_state,
     langevin_step,
     make_rng,
@@ -85,18 +83,32 @@ class TestSchedule:
         assert s.cooled(0.4) == 0.4
 
 
+def one_spin_step(start, z, u, temperature=1.0, bounds=None):
+    """One metropolis_step of a lone spin (h = 0, lambda = 1, so
+    dH = (s'^2 - s^2) / 2) at ``start``, proposing ``start + z`` with
+    uniform ``u``; returns whether it was accepted and the spin after it."""
+    model = quadratic_model(h=0.0, lam=1.0)
+    sched = fixed_t(1.0, proposal_sd=1.0)
+    state = init_state(model, np.array([start]), sched, bounds)
+    state.temperature = temperature
+    accepted = metropolis_step(model, state, sched, ScriptedRng([(0, z, u)]))
+    return accepted, state.s[0]
+
+
 class TestReflect:
     def test_hand_cases(self):
-        assert _reflect(1.2, -1.0, 1.0) == pytest.approx(0.8)
-        assert _reflect(-1.3, -1.0, 1.0) == pytest.approx(-0.7)
-        assert _reflect(0.5, -1.0, 1.0) == 0.5
-        assert _reflect(103.0, 0.0, 100.0) == pytest.approx(97.0)
+        # u = 0 accepts every move whose dH is finite at T = 1
+        assert one_spin_step(0.0, 1.2, 0.0, bounds=(-1.0, 1.0)) == (True, pytest.approx(0.8))
+        assert one_spin_step(0.0, -1.3, 0.0, bounds=(-1.0, 1.0)) == (True, pytest.approx(-0.7))
+        assert one_spin_step(0.0, 0.5, 0.0, bounds=(-1.0, 1.0)) == (True, 0.5)
+        # 99 -> 103 -> 97 is downhill
+        assert one_spin_step(99.0, 4.0, 0.0, bounds=(0.0, 100.0)) == (True, pytest.approx(97.0))
 
     @given(st.floats(-50, 50, allow_nan=False))
     @settings(max_examples=200, deadline=None)
     def test_lands_inside(self, x):
-        y = _reflect(x, -1.0, 1.0)
-        assert -1.0 <= y <= 1.0
+        accepted, y = one_spin_step(0.0, x, 0.0, bounds=(-1.0, 1.0))
+        assert accepted and -1.0 <= y <= 1.0
 
 
 class TestMetropolisStep:
@@ -111,10 +123,16 @@ class TestMetropolisStep:
         assert state.s[0] == pytest.approx(1.7)  # 2.0 + (-1.0draw * 0.3)
 
     def test_accept_probability_contract(self):
-        assert accept_probability(-1.0, 0.5) == 1.0
-        assert accept_probability(0.0, 0.5) == 1.0
-        assert accept_probability(math.log(2.0), 1.0) == pytest.approx(0.5)
-        assert accept_probability(1.0, 0.0) == 0.0
+        below_one = np.nextafter(1.0, 0.0)
+        # dH = -1 and dH = 0: accepted whatever the uniform
+        assert one_spin_step(1.5, -1.0, below_one, temperature=0.5) == (True, 0.5)
+        assert one_spin_step(-0.5, 1.0, below_one, temperature=0.5) == (True, 0.5)
+        # dH = ln 2 at T = 1: accepted with probability 0.5 (pytest.approx's 1e-6)
+        z = math.sqrt(1.0 + 2.0 * math.log(2.0)) - 1.0
+        assert one_spin_step(1.0, z, 0.5 * (1.0 - 1e-6))[0]
+        assert not one_spin_step(1.0, z, 0.5 * (1.0 + 1e-6))[0]
+        # dH = 1 at T = 0: rejected even with u = 0
+        assert one_spin_step(0.5, 1.0, 0.0, temperature=0.0) == (False, 0.5)
 
     def test_acceptance_frequency_at_known_delta(self):
         # engineered proposal with dH = T ln 2 -> acceptance probability 1/2
@@ -222,6 +240,7 @@ class TestMetropolisKernel:
 
         fast = init_state(model, s0, sched, bounds)
         spins, sums = fast.s.tolist(), fast.sums.sums.tolist()
+        series = np.full(steps + 1, np.nan)
         seen = []
 
         def on_stop(t, energy):
@@ -230,16 +249,19 @@ class TestMetropolisKernel:
 
         temperature, energy, accepts = metropolis_kernel(
             spins, fast.s, sums, g.group_of.tolist(), model.field.tolist(),
-            model.lambda_reg, sched, bounds, triples, t0, fast.energy, 1, on_stop,
+            model.lambda_reg, sched, bounds, triples, t0, fast.energy,
+            series, 1, 1, on_stop,
         )
         assert accepts == sum(acc for acc, *_ in reference)
         assert 0 < accepts < steps or t0 == 0.0
         assert temperature == reference[-1][2]
         assert energy == reference[-1][3]
-        for (_, s_ref, _, e_ref), (s_list, mirror, e) in zip(reference, seen):
+        assert len(seen) == steps
+        for (_, s_ref, _, e_ref), (s_list, mirror, e), e_series in zip(
+                reference, seen, series[1:]):
             np.testing.assert_array_equal(s_list, s_ref)
             np.testing.assert_array_equal(mirror, s_ref)
-            assert e == e_ref
+            assert e == e_ref and e_series == e_ref
 
     def test_zero_temperature_rejects_uphill(self):
         model = quadratic_model(h=0.0, lam=1.0)
@@ -268,6 +290,22 @@ class TestMetropolisKernel:
         ), ref)
         np.testing.assert_array_equal(short.retained[0], long.retained[n_iters - 1])
         np.testing.assert_array_equal(short.energies, long.energies[:n_iters + 1])
+
+    def test_strided_series_is_every_stride_th_energy(self):
+        # 2 * 4096 + 6 steps is a multiple of neither 7 nor the block, and the
+        # recompute stops (multiples of 1000) fall on and off the stride grid
+        g = make_clique_graph([3, 5, 2])
+        model = EnergyModel(g, np.linspace(-0.4, 0.6, g.n), lambda_reg=1.5)
+        sched = AnnealingSchedule(cooling=0.999, t_min=0.01, proposal_sd=0.3)
+        cfg = ChainConfig(engine=Engine.ISING, n_iters=2 * METROPOLIS_BLOCK + 6,
+                          burn_in_frac=0.0, thin=5, retain_last=30, seed=13,
+                          schedule=sched, energy_stride=1, recompute_every=1000)
+        ref = SpinConfiguration(np.full(g.n, 0.1), Domain.ISING_SCALED)
+        every = run_chain(model, cfg, ref)
+        strided = run_chain(model, replace(cfg, energy_stride=7), ref)
+        assert strided.energies.shape == (len(range(0, cfg.n_iters + 1, 7)),)
+        np.testing.assert_array_equal(strided.energies, every.energies[::7])
+        np.testing.assert_array_equal(strided.retained, every.retained)
 
 
 class TestLangevinStep:
@@ -500,21 +538,24 @@ class TestRunChain:
     def test_metropolis_recompute_stops_equal_hamiltonian(self):
         # every recompute_every steps the running energy is replaced by
         # hamiltonian of the state; between those stops it carries increments
+        # (with a stride of 10 too: the series takes the energy after the recompute)
         g = make_clique_graph([3, 5, 2])
         model = EnergyModel(g, np.linspace(-0.4, 0.6, g.n), lambda_reg=1.5)
         sched = AnnealingSchedule(cooling=0.99, proposal_sd=0.3)
-        cfg = ChainConfig(engine=Engine.ISING, n_iters=400, burn_in_frac=0.0, thin=1,
-                          retain_last=400, seed=13, schedule=sched, energy_stride=1,
-                          recompute_every=50)
-        trace = run_chain(model, cfg, self.make_ref(g.n))
-        assert cfg.retained_iterations() == range(1, 401)
-        for t in range(1, 401):  # snapshot t - 1 is the state after step t
-            exact = hamiltonian(model, trace.retained[t - 1])
-            assert trace.retained_energies[t - 1] == trace.energies[t]
-            if t % 50 == 0:
-                assert trace.energies[t] == exact, t
-            else:
-                assert trace.energies[t] == pytest.approx(exact, abs=1e-12), t
+        for stride in (1, 10):
+            cfg = ChainConfig(engine=Engine.ISING, n_iters=400, burn_in_frac=0.0, thin=1,
+                              retain_last=400, seed=13, schedule=sched,
+                              energy_stride=stride, recompute_every=50)
+            trace = run_chain(model, cfg, self.make_ref(g.n))
+            assert cfg.retained_iterations() == range(1, 401)
+            for t in range(stride, 401, stride):  # snapshot t - 1 is the state after step t
+                exact = hamiltonian(model, trace.retained[t - 1])
+                energy = trace.energies[t // stride]
+                assert trace.retained_energies[t - 1] == energy
+                if t % 50 == 0:
+                    assert energy == exact, (stride, t)
+                else:
+                    assert energy == pytest.approx(exact, abs=1e-12), (stride, t)
 
 
 class SpikedRng:
