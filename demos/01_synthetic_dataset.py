@@ -8,7 +8,7 @@ Everything is a pure function of (n_units, seed, params).
 
 import numpy as np
 
-from softspin import Domain, SynthParams, scale_values, synth_dataset, unscale_values
+from softspin import Engine, SynthParams, synth_dataset
 
 dataset = synth_dataset(300, seed=11)
 print(f"units: {dataset.n}")
@@ -20,10 +20,10 @@ print(f"\ntarget percent: mean={target.mean():.3f} "
       f"min={target.min():.3f} max={target.max():.3f}")
 
 # the two simulation scales of the same observation
-scaled = scale_values(target, Domain.ISING_SCALED)
+scaled = Engine.ISING.scale(target)
 print(f"spin scale [-1, 1]: mean={scaled.mean():.3f} "
       f"min={scaled.min():.3f} max={scaled.max():.3f}")
-back = unscale_values(scaled, Domain.ISING_SCALED)
+back = Engine.ISING.unscale_inplace(scaled.copy())
 print(f"round trip error: {np.abs(back - target).max():.2e}")
 
 # profiles repeat, which is what produces the similarity cliques later

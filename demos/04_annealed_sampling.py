@@ -18,7 +18,6 @@ import numpy as np
 from softspin import (
     AnnealingSchedule,
     ChainConfig,
-    Domain,
     EnergyModel,
     Engine,
     SpinConfiguration,
@@ -28,10 +27,8 @@ from softspin import (
     hamiltonian,
     pca,
     run_parallel,
-    scale_target,
     spectrum_extremes,
     synth_dataset,
-    unscale_values,
 )
 
 
@@ -41,7 +38,7 @@ def estimate(pool_path, engine, last_n):
     The pool file holds float32 rows; they are summed in float64.
     """
     configs = np.load(pool_path)[-last_n:]
-    return unscale_values(configs.mean(axis=0, dtype=np.float64), engine.domain)
+    return engine.unscale_inplace(configs.mean(axis=0, dtype=np.float64))
 
 
 work = tempfile.TemporaryDirectory()  # removed when the script exits
@@ -55,9 +52,8 @@ y_ref = dataset.target
 
 print("=== continuous-spin Metropolis on [-1, 1] ===")
 model = EnergyModel(graph, field, lambda_reg=1.0)
-s_ref = SpinConfiguration(scale_target(dataset, Domain.ISING_SCALED),
-                          Domain.ISING_SCALED)
-h_ref = hamiltonian(model, s_ref)
+s_ref = SpinConfiguration(Engine.ISING.scale(y_ref), Engine.ISING)
+h_ref = hamiltonian(model, s_ref.s)
 cfg = ChainConfig(
     engine=Engine.ISING, n_iters=10_000, thin=5, retain_last=1200, seed=101,
     schedule=AnnealingSchedule(t0=1.0, cooling=0.999, t_min=1e-3,
@@ -75,8 +71,7 @@ print(f"reference mean {y_ref.mean():.3f} | estimated mean {est.mean():.3f} | "
 print("\n=== annealed Langevin on [0, 100] ===")
 lam = spectrum_extremes(graph)[0] + 1.0  # keeps the raw-domain energy bounded below
 model_raw = EnergyModel(graph, field, lambda_reg=lam)
-s_raw = SpinConfiguration(scale_target(dataset, Domain.RAW_PERCENT),
-                          Domain.RAW_PERCENT)
+s_raw = SpinConfiguration(Engine.LANGEVIN.scale(y_ref), Engine.LANGEVIN)
 cfg_raw = ChainConfig(
     engine=Engine.LANGEVIN, n_iters=20_000, thin=10, retain_last=1500, seed=202,
     schedule=AnnealingSchedule(t0=1.0, cooling=0.9995, t_min=1e-3, dt0=1e-6),

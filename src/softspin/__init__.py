@@ -4,16 +4,13 @@ outcomes, with a PCA-derived external field and conformal uncertainty."""
 from .data import (
     DEFAULT_INDICATORS,
     Dataset,
-    Domain,
     IndicatorSpec,
     LoadResult,
     SynthParams,
     load_dataset,
     save_dataset,
     scale_target,
-    scale_values,
     synth_dataset,
-    unscale_values,
 )
 from .indices import (
     Direction,

@@ -90,11 +90,11 @@ def residual_associations(residuals, x, names) -> dict:
         raise DataError("residual associations need matching vectors with N >= 3")
     x_ranks = np.column_stack([average_ranks(col) for col in x.T])
     with np.errstate(divide="ignore", invalid="ignore"):
-        return {
-            "index": tuple(names),
-            "pearson": np.corrcoef(r, x, rowvar=False)[0, 1:],
-            "spearman": np.corrcoef(average_ranks(r), x_ranks, rowvar=False)[0, 1:],
-        }
+        pearson = np.corrcoef(r, x, rowvar=False)[0, 1:]
+        spearman = np.corrcoef(average_ranks(r), x_ranks, rowvar=False)[0, 1:]
+    # a constant side, detected exactly: its rounded sd need not be zero
+    pearson[(np.ptp(x, axis=0) == 0.0) | (np.ptp(r) == 0.0)] = math.nan
+    return {"index": tuple(names), "pearson": pearson, "spearman": spearman}
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +104,7 @@ def _zscore_columns(x: np.ndarray) -> np.ndarray:
     mean = x.mean(axis=0)
     sd = x.std(axis=0, ddof=1)
     out = np.zeros_like(x)
-    ok = sd > 0
+    ok = np.ptp(x, axis=0) > 0.0  # constant columns exactly, as indices._column_sd
     out[:, ok] = (x[:, ok] - mean[ok]) / sd[ok]
     return out
 

@@ -15,7 +15,6 @@ from pathlib import Path
 from .config import dump_default_config, load_config
 from .errors import (
     ConfigError,
-    DataError,
     DivergenceDetected,
     ParallelChainError,
     SoftspinError,
@@ -121,8 +120,6 @@ def _exit_code(exc: Exception) -> int:
         return EXIT_DATA
     if isinstance(exc, ConfigError):
         return EXIT_CONFIG
-    if isinstance(exc, DataError):
-        return EXIT_DATA
     if isinstance(exc, SoftspinError):
         return EXIT_DATA
     return 1

@@ -18,7 +18,7 @@ from pathlib import Path
 import yaml
 
 from .conformal import BatchSpec
-from .data import (DEFAULT_INDICATORS, PROFILE_COLUMNS, Domain, IndicatorSpec, SynthParams,
+from .data import (DEFAULT_INDICATORS, PROFILE_COLUMNS, IndicatorSpec, SynthParams,
                    indicator_groups)
 from .errors import ConfigError, DataError
 from .indices import Direction
@@ -241,8 +241,9 @@ class RunConfig:
         value = self.raw["indices"]["truncate_components"]
         return None if value is None else _integer(value, "indices.truncate_components")
 
-    def domain(self, engine: Engine) -> Domain:
-        return engine.domain
+    def domain(self, engine: Engine) -> Engine:
+        """The engine itself, which owns its scale; perfbench/child.py calls this."""
+        return engine
 
     def schedule(self, engine: Engine) -> AnnealingSchedule:
         """Cooling plus the engine's own ``Engine.step_parameter``."""

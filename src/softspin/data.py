@@ -1,4 +1,4 @@
-"""Unit-level dataset: loading, validation, target scaling, synthetic generation.
+"""Unit-level dataset: loading, validation, synthetic generation.
 
 Each territorial unit has an opaque id, a five-attribute categorical profile
 (ALT, POP, SUP, CLITO, DEGURB), a set of real-valued base indicators grouped
@@ -16,7 +16,6 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from enum import Enum
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
@@ -42,19 +41,6 @@ PROFILE_DOMAINS: Mapping[str, tuple[int, ...]] = {
 }
 
 CENTER_PERIPH_LABELS = ("CentrHub", "PeriphArea")
-
-
-class Domain(str, Enum):
-    """Scale on which a simulation engine represents the target variable."""
-
-    ISING_SCALED = "ising"  # percent mapped affinely into [-1, +1]
-    RAW_PERCENT = "raw"     # original percent scale [0, 100]
-
-
-DOMAIN_BOUNDS = {
-    Domain.ISING_SCALED: (-1.0, 1.0),
-    Domain.RAW_PERCENT: (0.0, 100.0),
-}
 
 
 @contextmanager
@@ -124,8 +110,8 @@ class Dataset:
     """Per-unit columns in file order, plus the indicator table.
 
     ``profiles`` is N x 5 in ``PROFILE_COLUMNS`` order, ``indicators`` is
-    N x M in ``spec`` order and ``target`` holds raw percents; scaling into
-    the simulation domain happens through :func:`scale_target`. Every reader
+    N x M in ``spec`` order and ``target`` holds raw percents; each engine
+    maps them onto its own scale (``Engine.scale``). Every reader
     shares the three arrays, so they are read-only.
     """
 
@@ -282,30 +268,9 @@ def save_dataset(
     return Path(path)
 
 
-def scale_values(y, domain: Domain) -> np.ndarray:
-    """Map raw percent values into the given simulation domain."""
-    y = np.asarray(y, dtype=float)
-    if domain is Domain.ISING_SCALED:
-        return y / 50.0 - 1.0
-    return y.copy()
-
-
-def unscale_values(s, domain: Domain) -> np.ndarray:
-    """Inverse of :func:`scale_values`; returns raw percent values."""
-    return unscale_inplace(np.array(s, dtype=float), domain)
-
-
-def unscale_inplace(s: np.ndarray, domain: Domain) -> np.ndarray:
-    """:func:`unscale_values` written over the float array ``s``; returns ``s``."""
-    if domain is Domain.ISING_SCALED:
-        s += 1.0  # then *= 50: bit-equal to 50 * (s + 1)
-        s *= 50.0
-    return s
-
-
-def scale_target(dataset: Dataset, domain: Domain) -> np.ndarray:
-    """Reference configuration of the system in the requested domain."""
-    return scale_values(dataset.target, domain)
+def scale_target(dataset: Dataset, engine) -> np.ndarray:
+    """The target on ``engine``'s scale; perfbench/child.py still calls it."""
+    return engine.scale(dataset.target)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Domain
 from .errors import DataError
 from .graph import GroupSums, InteractionGraph
 
@@ -43,21 +42,15 @@ class EnergyModel:
 
 @dataclass
 class SpinConfiguration:
-    """A spin vector together with the domain it lives on."""
+    """A spin vector together with the ``Engine`` whose scale it is on."""
 
     s: np.ndarray
-    domain: Domain = Domain.ISING_SCALED
+    engine: object  # a sampler.Engine; energy cannot import sampler
 
     def __post_init__(self):
         self.s = np.asarray(self.s, dtype=float)
         if not np.all(np.isfinite(self.s)):
             raise DataError("spin configuration must be finite")
-
-
-def _spins(s) -> np.ndarray:
-    if isinstance(s, SpinConfiguration):
-        return s.s
-    return np.asarray(s, dtype=float)
 
 
 def _rowdot(a, b):
@@ -72,7 +65,7 @@ def hamiltonian(model: EnergyModel, s, sums: GroupSums | None = None):
     of ``s``, or else from a new :class:`~softspin.graph.GroupSums`. Returns
     a float for one configuration and a (k,) array for a stack.
     """
-    x = _spins(s)
+    x = np.asarray(s, dtype=float)
     if x.ndim not in (1, 2) or x.shape[-1] != model.graph.n:
         raise DataError("configuration length does not match the graph")
     if sums is None:
@@ -89,7 +82,7 @@ def delta_h(model: EnergyModel, s, i: int, s_new: float, sums: GroupSums | None 
     The neighbor sum is one lookup in ``sums``, the group-sum cache of
     ``s``, or in a new one when none is given.
     """
-    x = _spins(s)
+    x = np.asarray(s, dtype=float)
     if sums is None:
         sums = GroupSums(model.graph, x)
     s_i = float(x[i])
@@ -111,7 +104,7 @@ def grad(model: EnergyModel, s, sums: GroupSums | None = None,
     written into that array, and with ``work``, an array of the same shape,
     the product lambda * s is formed there.
     """
-    x = _spins(s)
+    x = np.asarray(s, dtype=float)
     if sums is None:
         sums = GroupSums(model.graph, x)
     out = np.take(sums.sums, sums.index, out=out, mode="clip")

@@ -34,9 +34,7 @@ from .data import (
     load_dataset,
     replaced,
     save_dataset,
-    scale_target,
     synth_dataset,
-    unscale_inplace,
 )
 from .energy import (
     EnergyModel,
@@ -175,9 +173,8 @@ def _simulate_engine(cfg: RunConfig, out: Path, dataset, field, graph,
             stale.unlink()
     lam = _resolve_lambda(cfg, engine, graph)
     model = EnergyModel(graph, field, lambda_reg=lam)
-    domain = engine.domain
-    s_ref = SpinConfiguration(scale_target(dataset, domain), domain)
-    h_ref = hamiltonian(model, s_ref)
+    s_ref = SpinConfiguration(engine.scale(dataset.target), engine)
+    h_ref = hamiltonian(model, s_ref.s)
     chain_cfg = cfg.chain_config(engine)
     k = cfg.k_chains(engine)
     configs_path = out / f"retained_{engine.value}_configs.npy"
@@ -197,7 +194,7 @@ def _simulate_engine(cfg: RunConfig, out: Path, dataset, field, graph,
     written += [configs_path, energies_path]
     meta = {
         "engine": engine.value,
-        "domain": domain.value,
+        "bounds": list(engine.bounds),
         "n_units": dataset.n,
         "k_chains": k,
         "base_seed": chain_cfg.seed,
@@ -271,9 +268,8 @@ def _conformal_engine(cfg: RunConfig, out: Path, dataset, engine: Engine) -> lis
     # stay float32 on the engine's scale, and the float64 means are unscaled
     # (an affine map, so it commutes with the mean)
     pool = _read_last_rows(mapped, spec.n_total)
-    y_est = unscale_inplace(pool[-cfg.estimate_last_n:].mean(axis=0, dtype=np.float64),
-                            engine.domain)
-    batches = unscale_inplace(batch_means(pool, spec, workers=cfg.workers), engine.domain)
+    y_est = engine.unscale_inplace(pool[-cfg.estimate_last_n:].mean(axis=0, dtype=np.float64))
+    batches = engine.unscale_inplace(batch_means(pool, spec, workers=cfg.workers))
     del pool  # freed before repeat_splits sorts a copy of the batches
     splits = repeat_splits(batches, y_obs, spec)
     lo, hi, width, covered = splits.lo, splits.hi, splits.width, splits.covered

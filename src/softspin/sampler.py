@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DOMAIN_BOUNDS, Domain, replaced
+from .data import replaced
 from .energy import EnergyModel, SpinConfiguration, grad, hamiltonian
 from .errors import ConfigError, DivergenceDetected, ParallelChainError
 from .graph import GroupSums
@@ -38,10 +38,25 @@ class Engine(str, Enum):
         """The one ``AnnealingSchedule`` step field this engine reads."""
         return "proposal_sd" if self is Engine.ISING else "dt0"
 
+    def scale(self, y) -> np.ndarray:
+        """Raw percents on this engine's scale, as a new array: mapped
+        affinely onto [-1, 1] for Ising, unchanged for Langevin."""
+        y = np.asarray(y, dtype=float)
+        return y / 50.0 - 1.0 if self is Engine.ISING else y.copy()
+
+    def unscale_inplace(self, s: np.ndarray) -> np.ndarray:
+        """The inverse of :meth:`scale`, written over the float array ``s``;
+        returns ``s``."""
+        if self is Engine.ISING:
+            s += 1.0  # then *= 50: bit-equal to 50 * (s + 1)
+            s *= 50.0
+        return s
+
     @property
-    def domain(self) -> Domain:
-        """The one scale this engine runs on: [-1, 1] or the raw percent."""
-        return Domain.ISING_SCALED if self is Engine.ISING else Domain.RAW_PERCENT
+    def bounds(self) -> tuple[float, float]:
+        """The image of the percent range [0, 100] under :meth:`scale`."""
+        lo, hi = self.scale([0.0, 100.0]).tolist()
+        return lo, hi
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -86,7 +101,7 @@ class AnnealingSchedule:
 class ChainConfig:
     """Run-length, retention and reproducibility settings of one chain.
 
-    ``bounded`` keeps the state inside the reference configuration's domain
+    ``bounded`` keeps the state inside the reference engine's ``bounds``
     ([-1, 1] or [0, 100]); False lifts the boundary entirely (used by
     unbounded diagnostics). Metropolis proposals are reflected at the
     bounds, which preserves proposal symmetry; Langevin states are clamped,
@@ -472,8 +487,8 @@ def run_chains(model: EnergyModel, cfgs: list[ChainConfig], s_ref: SpinConfigura
     cfg = cfgs[0]
     if any(replace(c, seed=cfg.seed) != cfg for c in cfgs):
         raise ConfigError("chain: chains run together may differ only in seed")
-    bounds = DOMAIN_BOUNDS[s_ref.domain] if cfg.bounded else None
-    h_ref = hamiltonian(model, s_ref)
+    bounds = s_ref.engine.bounds if cfg.bounded else None
+    h_ref = hamiltonian(model, s_ref.s)
     traces, keeps = zip(*(_open_trace(c, n, out, h_ref)
                           for c, out in zip(cfgs, retained or [None] * len(cfgs))))
     if cfg.engine is Engine.ISING:

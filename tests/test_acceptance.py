@@ -15,7 +15,7 @@ from conftest import make_clique_graph
 from softspin.analysis import ols_standardized
 from softspin.cli import main as cli_main
 from softspin.conformal import BatchSpec, repeat_splits
-from softspin.data import Domain, SynthParams, scale_target, synth_dataset
+from softspin.data import SynthParams, synth_dataset
 from softspin.energy import EnergyModel, SpinConfiguration, grad, hamiltonian
 from softspin.graph import build_graph
 from softspin.indices import build_composites, external_field, mpi, pca, standardize
@@ -126,7 +126,7 @@ class TestCriterion2GibbsAgreement:
             engine=Engine.ISING, n_iters=1_000_000, burn_in_frac=0.01, thin=1,
             retain_last=990_000, seed=0, schedule=fixed_t(1.0, proposal_sd=0.8),
         )
-        trace = run_chain(model, cfg, SpinConfiguration(np.zeros(2), Domain.ISING_SCALED))
+        trace = run_chain(model, cfg, SpinConfiguration(np.zeros(2), Engine.ISING))
         tv = self.total_variation(trace.retained)
         check(
             "criterion 2 (Gibbs agreement, block kernel)", tv <= 0.05,
@@ -285,16 +285,14 @@ def paper_scale_setup():
     graph = build_graph(dataset)
     field = external_field(pca(*build_composites(dataset)))
     model = EnergyModel(graph, field, lambda_reg=10.0)
-    s_ref = SpinConfiguration(
-        scale_target(dataset, Domain.ISING_SCALED), Domain.ISING_SCALED
-    )
+    s_ref = SpinConfiguration(Engine.ISING.scale(dataset.target), Engine.ISING)
     return model, s_ref
 
 
 class TestCriterion7AnnealingBehavior:
     def test_600k_run_descends_below_reference(self):
         model, s_ref = paper_scale_setup()
-        h_ref = hamiltonian(model, s_ref)
+        h_ref = hamiltonian(model, s_ref.s)
         assert h_ref > 0, "fixture precondition: positive reference energy"
         cfg = ChainConfig(
             engine=Engine.ISING, n_iters=600_000, burn_in_frac=0.10,
@@ -347,9 +345,7 @@ class TestCriterion8PerformanceEnvelope:
         model, s_ref_ising = paper_scale_setup()
         lam = float(model.graph.group_sizes.max())  # largest clique keeps H convex
         model = EnergyModel(model.graph, model.field, lambda_reg=lam)
-        dataset_ref = SpinConfiguration(
-            (s_ref_ising.s + 1.0) * 50.0, Domain.RAW_PERCENT
-        )
+        dataset_ref = SpinConfiguration((s_ref_ising.s + 1.0) * 50.0, Engine.LANGEVIN)
         cfg = ChainConfig(
             engine=Engine.LANGEVIN, n_iters=600_000, burn_in_frac=0.10,
             thin=1000, retain_last=500, seed=8,

@@ -114,11 +114,18 @@ class TestAssociations:
         assert table["spearman"][1] == pytest.approx(1.0, abs=1e-12)
         assert table["pearson"][1] < 1.0 - 1e-6
 
-    def test_constant_residuals_missing(self, rng):
+    @pytest.mark.parametrize("value", [0.0, 0.1, 7.3])
+    def test_constant_residuals_missing(self, rng, value):
+        # a nonzero constant's rounded sd need not be exactly zero
         comp = rng.normal(size=(40, 3))
-        table = residual_associations(np.zeros(40), comp, _names(comp))
+        table = residual_associations(np.full(40, value), comp, _names(comp))
         assert np.all(np.isnan(table["pearson"]))
         assert np.all(np.isnan(table["spearman"]))
+
+    def test_constant_composite_missing(self, rng):
+        comp = np.column_stack([rng.normal(size=40), np.full(40, 0.1)])
+        table = residual_associations(rng.normal(size=40), comp, _names(comp))
+        assert not np.isnan(table["pearson"][0]) and np.isnan(table["pearson"][1])
 
     def test_against_scipy(self, rng):
         comp = rng.normal(size=(70, 4))
@@ -171,6 +178,13 @@ class TestOLS:
         for j in range(3):
             r = np.corrcoef(y, x[:, j])[0, 1]
             assert res["beta_std"][j] == pytest.approx(r, abs=1e-10)
+
+    @pytest.mark.parametrize("value", [0.0, 0.1, 7.3])
+    def test_constant_residuals_give_zero_betas(self, rng, value):
+        # at N=1383 the rounded sd of a column of 0.1 is about 4e-17, not 0
+        x = rng.normal(size=(1383, 3))
+        res = ols_standardized(np.full(1383, value), x, _names(x))
+        np.testing.assert_array_equal(res["beta_std"], np.zeros(3))
 
     def test_all_collinear(self):
         x = np.zeros((20, 2))

@@ -15,7 +15,7 @@ import yaml
 from softspin.cli import main
 from softspin.config import DEFAULT_CONFIG, config_hash, load_config
 from softspin.conformal import batch_means, repeat_splits, six_number
-from softspin.data import DEFAULT_PROFILE_WEIGHTS, unscale_values
+from softspin.data import DEFAULT_PROFILE_WEIGHTS
 from softspin.errors import ConfigError
 from softspin.pipeline import _read_last_rows
 from softspin.reports import read_column, read_table
@@ -640,11 +640,11 @@ class TestArtifactLayouts:
         # the pool: float32 rows on the engine's scale, averaged, then unscaled
         cfg = load_config(run_dir.parent / "config.yaml")
         spec = cfg.batch_spec()
-        domain = Engine(engine).domain
+        unscale = Engine(engine).unscale_inplace
         pool = np.load(run_dir / f"retained_{engine}_configs.npy")[-spec.n_total:]
         assert pool.dtype == np.float32
         y_obs = read_column(run_dir / "dataset.csv", "target")
-        splits = repeat_splits(unscale_values(batch_means(pool, spec), domain), y_obs, spec)
+        splits = repeat_splits(unscale(batch_means(pool, spec)), y_obs, spec)
         header, rows = read_table(run_dir / f"calibration_{engine}.csv")
         assert header == ["seed", "q_hat", "degenerate", "test_coverage"]
         assert [int(r[0]) for r in rows] == list(range(spec.seed, spec.seed + spec.repeats))
@@ -657,7 +657,7 @@ class TestArtifactLayouts:
         y_est = pool[-cfg.estimate_last_n:].mean(axis=0, dtype=np.float64)
         np.testing.assert_array_equal(
             read_column(run_dir / f"uncertainty_{engine}.csv", "y_est"),
-            unscale_values(y_est, domain))
+            unscale(y_est))
 
     def test_report_gives_raw_band_and_offset(self, run_dir):
         text = (run_dir / "report.txt").read_text()
@@ -688,6 +688,12 @@ class TestArtifactLayouts:
         header, rows = read_table(run_dir / "trace_ising_00.csv")
         assert header == ["iteration", "energy"]
         assert rows[0][0] == "0"
+
+    @pytest.mark.parametrize("engine", ["ising", "langevin"])
+    def test_retained_json_gives_bounds(self, run_dir, engine):
+        meta = json.loads((run_dir / f"retained_{engine}.json").read_text())
+        assert meta["bounds"] == list(Engine(engine).bounds)
+        assert "domain" not in meta
 
     def test_pooled_rows_labelled_from_json(self, run_dir):
         # row i of the pooled arrays is chain i % k_chains, whose final

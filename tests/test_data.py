@@ -5,15 +5,12 @@ from hypothesis import strategies as st
 
 from softspin.data import (
     DEFAULT_INDICATORS,
-    Domain,
     IndicatorSpec,
     SynthParams,
     load_dataset,
     save_dataset,
     scale_target,
-    scale_values,
     synth_dataset,
-    unscale_values,
 )
 from softspin.errors import (
     BadCategory,
@@ -22,6 +19,7 @@ from softspin.errors import (
     MissingColumn,
     TargetOutOfRange,
 )
+from softspin.sampler import Engine
 
 SPEC = [IndicatorSpec("A", 1, "G1"), IndicatorSpec("B", -1, "G1")]
 HEADER = "unit_id,ALT,POP,SUP,CLITO,DEGURB,A,B,target"
@@ -145,32 +143,40 @@ class TestRoundTrip:
 
 class TestScaling:
     def test_endpoints_and_midpoint(self):
-        assert scale_values([0.0], Domain.ISING_SCALED)[0] == -1.0
-        assert scale_values([50.0], Domain.ISING_SCALED)[0] == 0.0
-        assert scale_values([100.0], Domain.ISING_SCALED)[0] == 1.0
+        assert Engine.ISING.scale([0.0])[0] == -1.0
+        assert Engine.ISING.scale([50.0])[0] == 0.0
+        assert Engine.ISING.scale([100.0])[0] == 1.0
 
     def test_observed_mean_value(self):
         # direct affine evaluation: 2 * 7.9339 / 100 - 1
-        got = scale_values([7.9339], Domain.ISING_SCALED)[0]
+        got = Engine.ISING.scale([7.9339])[0]
         assert got == pytest.approx(-0.841322, abs=1e-9)
 
     def test_raw_identity(self):
         y = np.array([0.0, 7.5, 100.0])
-        np.testing.assert_array_equal(scale_values(y, Domain.RAW_PERCENT), y)
+        np.testing.assert_array_equal(Engine.LANGEVIN.scale(y), y)
 
     @given(st.lists(st.floats(0, 100, allow_nan=False), min_size=1, max_size=50))
     @settings(max_examples=100, deadline=None)
     def test_round_trip(self, ys):
         y = np.array(ys)
-        for domain in Domain:
-            back = unscale_values(scale_values(y, domain), domain)
+        for engine in Engine:
+            back = engine.unscale_inplace(engine.scale(y))
             assert np.max(np.abs(back - y)) <= 1e-12
+
+    @pytest.mark.parametrize("engine", list(Engine))
+    def test_bounds_are_the_image_of_the_percent_range(self, engine):
+        y = np.array([0.0, 100.0])
+        scaled = engine.scale(y)
+        assert engine.bounds == tuple(scaled)
+        scaled += 1.0
+        np.testing.assert_array_equal(y, [0.0, 100.0])  # scale returned a new array
 
     def test_scale_target_uses_dataset_target(self):
         d = synth_dataset(10, seed=2)
         np.testing.assert_array_equal(
-            scale_target(d, Domain.ISING_SCALED),
-            scale_values(d.target, Domain.ISING_SCALED),
+            scale_target(d, Engine.ISING),
+            Engine.ISING.scale(d.target),
         )
 
 

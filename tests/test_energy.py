@@ -4,7 +4,6 @@ import pytest
 from conftest import dense_coupling, make_clique_graph
 from softspin.energy import (
     EnergyModel,
-    SpinConfiguration,
     delta_h,
     energy_ratio,
     grad,
@@ -73,12 +72,6 @@ class TestHamiltonian:
         h0 = hamiltonian(model, s)
         perm = np.array([2, 0, 1, 3, 5, 6, 4])  # permutes within each clique
         assert hamiltonian(model, s[np.argsort(perm)]) == pytest.approx(h0, rel=1e-12)
-
-    def test_accepts_spin_configuration(self, rng):
-        model = random_model(rng)
-        s = rng.normal(size=model.graph.n)
-        cfg = SpinConfiguration(s)
-        assert hamiltonian(model, cfg) == hamiltonian(model, s)
 
     def test_row_equals_plain_dot_products(self, rng):
         # the same operations, in the same order, as x @ x on one row

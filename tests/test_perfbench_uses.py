@@ -3,13 +3,19 @@
 The benchmark imports softspin names and reads ``RunConfig`` attributes in a
 child process; its own smoke test is slow and outside the tier-1 suite. These
 checks parse its sources instead, so a change that deletes or renames such a
-name fails here in about a second.
+name fails here in about a second. The last one also runs the benchmark's
+kernel timing at N=60, so a name that exists but no longer takes the
+benchmark's arguments fails too.
 """
 
 import ast
 import importlib
+import json
+import math
+import sys
 from pathlib import Path
 
+from softspin import pipeline
 from softspin.config import load_config
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -67,3 +73,26 @@ def test_config_attributes_read_by_child_exist():
             and node.value.id == "cfg"}
     assert read, "child.py reads no cfg attribute"
     assert sorted(name for name in read if not hasattr(cfg, name)) == []
+
+
+def test_kernel_timing_runs_on_a_smoke_run_directory(tmp_path, monkeypatch):
+    # the names above exist; this calls them as the benchmark's kernel mode
+    # does, on the smoke paper_pool tree at N=60 with one worker
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    monkeypatch.syspath_prepend(str(BENCH))
+    child = importlib.import_module("child")
+    workloads = importlib.import_module("workloads")
+    tree = dict(workloads.SMOKE["paper_pool"]["tree"], workers=1, out=str(tmp_path / "run"))
+    assert tree["synth"]["n_units"] == 60
+    config = tmp_path / "config.yaml"
+    config.write_text(json.dumps(tree), encoding="utf-8")  # JSON is YAML
+    cfg = load_config(config)
+    for name in child.SETUP_STAGES:
+        getattr(pipeline, name)(cfg, cfg.out)
+    result = child.time_kernels(cfg, {"ising": 200, "langevin": 20})
+    times = [result[f"{name}_us"] for name in
+             ("ising_step", "langevin_step", "noise_draw", "hamiltonian", "grad",
+              "group_sums_recompute", "delta_h")]
+    times += result["serial_chain_s"].values()
+    assert len(times) == 9
+    assert all(math.isfinite(t) and t > 0 for t in times)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from conftest import make_clique_graph
 from softspin import sampler
-from softspin.data import Domain, unscale_values
 from softspin.energy import EnergyModel, SpinConfiguration, grad, hamiltonian
 from softspin.errors import (
     ConfigError,
@@ -278,7 +277,7 @@ class TestMetropolisKernel:
     def test_chain_is_prefix_across_block_boundary(self, n_iters):
         model = quadratic_model(n=5)
         sched = AnnealingSchedule(cooling=0.999, t_min=0.01, proposal_sd=0.3)
-        ref = SpinConfiguration(np.full(5, 0.1), Domain.ISING_SCALED)
+        ref = SpinConfiguration(np.full(5, 0.1), Engine.ISING)
         long_n = 2 * METROPOLIS_BLOCK + 3
         long = run_chain(model, ChainConfig(
             engine=Engine.ISING, n_iters=long_n, burn_in_frac=0.0, thin=1,
@@ -300,7 +299,7 @@ class TestMetropolisKernel:
         cfg = ChainConfig(engine=Engine.ISING, n_iters=2 * METROPOLIS_BLOCK + 6,
                           burn_in_frac=0.0, thin=5, retain_last=30, seed=13,
                           schedule=sched, energy_stride=1, recompute_every=1000)
-        ref = SpinConfiguration(np.full(g.n, 0.1), Domain.ISING_SCALED)
+        ref = SpinConfiguration(np.full(g.n, 0.1), Engine.ISING)
         every = run_chain(model, cfg, ref)
         strided = run_chain(model, replace(cfg, energy_stride=7), ref)
         assert strided.energies.shape == (len(range(0, cfg.n_iters + 1, 7)),)
@@ -445,8 +444,8 @@ class TestLangevinStep:
 
 
 class TestRunChain:
-    def make_ref(self, n=6, domain=Domain.ISING_SCALED, value=0.1):
-        return SpinConfiguration(np.full(n, value), domain)
+    def make_ref(self, n=6, engine=Engine.ISING, value=0.1):
+        return SpinConfiguration(np.full(n, value), engine)
 
     def test_zero_iterations(self):
         model = quadratic_model(n=6)
@@ -518,7 +517,7 @@ class TestRunChain:
         sched = AnnealingSchedule(t0=1.0, cooling=0.999, t_min=1e-3, dt0=1e8)
         cfg = ChainConfig(engine=Engine.LANGEVIN, n_iters=100, seed=1, schedule=sched)
         with pytest.raises(DivergenceDetected) as err:
-            run_chain(model, cfg, self.make_ref(3, Domain.RAW_PERCENT, 50.0))
+            run_chain(model, cfg, self.make_ref(3, Engine.LANGEVIN, 50.0))
         assert err.value.iteration is not None and err.value.iteration >= 1
 
     def test_incremental_energy_consistency_along_chain(self):
@@ -582,7 +581,7 @@ class TestLangevinStack:
         g = make_clique_graph(self.GRAPH)
         rng = np.random.default_rng(17)
         model = EnergyModel(g, rng.normal(size=g.n), lambda_reg=6.0)
-        ref = SpinConfiguration(rng.uniform(20, 80, size=g.n), Domain.RAW_PERCENT)
+        ref = SpinConfiguration(rng.uniform(20, 80, size=g.n), Engine.LANGEVIN)
         cfg = ChainConfig(engine=Engine.LANGEVIN, n_iters=400, burn_in_frac=0.1, thin=3,
                           retain_last=50, seed=30, energy_stride=7, bounded=bounded,
                           schedule=AnnealingSchedule(cooling=0.995, t_min=0.05, dt0=0.02))
@@ -609,7 +608,7 @@ class TestLangevinStack:
         shapes = []
 
         def counting(model, s, sums=None):
-            shapes.append(np.shape(getattr(s, "s", s)))  # a SpinConfiguration or an array
+            shapes.append(np.shape(s))
             return hamiltonian(model, s, sums)
 
         monkeypatch.setattr(sampler, "hamiltonian", counting)
@@ -678,7 +677,7 @@ class TestLangevinStack:
 class TestRunParallel:
     """Chains write rows ``j * k + c`` of one pool file in place."""
 
-    REF = SpinConfiguration(np.zeros(5), Domain.ISING_SCALED)
+    REF = SpinConfiguration(np.zeros(5), Engine.ISING)
 
     def test_single_chain_equals_run_chain(self, tmp_path):
         model = quadratic_model(n=5)
@@ -742,7 +741,7 @@ class TestRunParallel:
         sched = AnnealingSchedule(t0=1.0, cooling=0.999, t_min=1e-3, dt0=1e8)
         cfg = ChainConfig(engine=Engine.LANGEVIN, n_iters=50, retain_last=5,
                           schedule=sched)
-        ref = SpinConfiguration(np.full(3, 50.0), Domain.RAW_PERCENT)
+        ref = SpinConfiguration(np.full(3, 50.0), Engine.LANGEVIN)
         with pytest.raises(ParallelChainError):
             run_parallel(model, cfg, ref, 2, tmp_path / "pool.npy", workers=workers)
         assert list(tmp_path.iterdir()) == []  # neither pool.npy nor pool.npy.tmp
@@ -752,7 +751,7 @@ class TestRunParallel:
         # a start of the wrong length fails each slice job as a whole
         model = quadratic_model(n=5)
         cfg = ChainConfig(engine=Engine.ISING, n_iters=100, retain_last=5, seed=0)
-        ref = SpinConfiguration(np.zeros(4), Domain.ISING_SCALED)
+        ref = SpinConfiguration(np.zeros(4), Engine.ISING)
         with pytest.raises(ParallelChainError) as err:
             run_parallel(model, cfg, ref, 3, tmp_path / "pool.npy", workers=workers)
         assert [i for i, _ in err.value.failures] == [0, 1, 2]
@@ -763,7 +762,7 @@ class TestRunParallel:
         model = quadratic_model(n=3)
         sched = AnnealingSchedule(t0=1.0, cooling=0.999, t_min=1e-3, dt0=1e8)
         cfg = ChainConfig(engine=Engine.LANGEVIN, n_iters=50, seed=0, schedule=sched)
-        ref = SpinConfiguration(np.full(3, 50.0), Domain.RAW_PERCENT)
+        ref = SpinConfiguration(np.full(3, 50.0), Engine.LANGEVIN)
         with pytest.raises(ParallelChainError) as err:
             run_parallel(model, cfg, ref, 2, tmp_path / "pool.npy")
         indices = [i for i, _ in err.value.failures]
@@ -779,7 +778,7 @@ class TestPosteriorMean:
         model = quadratic_model(n=4)
         cfg = ChainConfig(engine=Engine.ISING, n_iters=200, thin=2, retain_last=10,
                           seed=40)
-        ref = SpinConfiguration(np.zeros(4), Domain.ISING_SCALED)
+        ref = SpinConfiguration(np.zeros(4), Engine.ISING)
         run_parallel(model, cfg, ref, 2, tmp_path / "pool.npy")
         last = [run_chain(model, replace(cfg, seed=cfg.seed + c), ref).retained[-1]
                 for c in range(2)]
@@ -787,12 +786,12 @@ class TestPosteriorMean:
                                       np.array(last, dtype=np.float32))
 
     def test_ising_domain_unscaled_to_percent(self):
-        # the conformal stage unscales each engine's pool means by ``engine.domain``
+        # the conformal stage unscales each engine's pool means by ``engine.unscale_inplace``
         zeros = np.zeros((2, 2))
         np.testing.assert_array_equal(
-            unscale_values(zeros, Engine.ISING.domain).mean(axis=0), np.full(2, 50.0)
+            Engine.ISING.unscale_inplace(np.array(zeros)).mean(axis=0), np.full(2, 50.0)
         )
-        np.testing.assert_array_equal(unscale_values(zeros, Engine.LANGEVIN.domain), zeros)
+        np.testing.assert_array_equal(Engine.LANGEVIN.unscale_inplace(np.array(zeros)), zeros)
 
     def test_pooled_retained_ordering(self, tmp_path):
         # the per-chain energies stacked as the pipeline stacks them line up
@@ -800,7 +799,7 @@ class TestPosteriorMean:
         model = quadratic_model(n=4)
         cfg = ChainConfig(engine=Engine.ISING, n_iters=300, thin=3, retain_last=20,
                           seed=40)
-        ref = SpinConfiguration(np.zeros(4), Domain.ISING_SCALED)
+        ref = SpinConfiguration(np.zeros(4), Engine.ISING)
         traces = run_parallel(model, cfg, ref, 3, tmp_path / "pool.npy")
         configs = np.load(tmp_path / "pool.npy")
         energies = np.stack([t.retained_energies for t in traces], axis=1).reshape(-1)
@@ -823,7 +822,7 @@ class TestStationaryAgreement:
         # analytic mean h/lambda and variance T/lambda within 5%
         h, lam, t = 0.8, 2.0, 0.6
         model = quadratic_model(h=h, lam=lam, n=10)
-        ref = SpinConfiguration(np.full(10, h / lam), Domain.RAW_PERCENT)
+        ref = SpinConfiguration(np.full(10, h / lam), Engine.LANGEVIN)
 
         m_cfg = ChainConfig(
             engine=Engine.ISING, n_iters=200_000, burn_in_frac=0.1, thin=20,
