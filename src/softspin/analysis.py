@@ -13,7 +13,8 @@ import math
 import numpy as np
 
 from .data import Dataset
-from .errors import AllCollinear, DataError
+from .errors import DataError
+from .indices import _column_sd
 
 _PIVOT_TOL = 1e-10
 
@@ -28,9 +29,10 @@ def compare(y_ref, y_est) -> dict:
     mean(d) / (sd(d)/sqrt(N)) with N-1 degrees of freedom, and the 95%
     confidence interval of the mean difference. Returns statistic -> value
     in the row order of ``comparison_<engine>.csv``. The t entries are None
-    when the paired differences have zero variance (the test is undefined;
-    the error metrics still apply) and ``correlation`` is None when either
-    side is constant.
+    when the paired differences have zero sd (the test is undefined; the
+    error metrics still apply) and ``correlation`` is None when either side
+    has zero sd. A constant vector has an sd of exactly zero, as in
+    ``indices._column_sd``.
     """
     ref = np.asarray(y_ref, dtype=float)
     est = np.asarray(y_est, dtype=float)
@@ -40,11 +42,11 @@ def compare(y_ref, y_est) -> dict:
     d = est - ref
 
     pearson = None
-    if ref.std() > 0 and est.std() > 0:
+    if _column_sd(ref, 0) > 0.0 and _column_sd(est, 0) > 0.0:
         pearson = float(np.corrcoef(ref, est)[0, 1])
 
     mean_diff = float(d.mean())
-    sd = float(d.std(ddof=1))
+    sd = _column_sd(d, 1)
     df = n - 1
     if sd == 0.0:
         t_stat = p = lo = hi = None
@@ -119,10 +121,10 @@ def _pivoted_lstsq(design: np.ndarray, y: np.ndarray) -> np.ndarray:
     diag = np.abs(np.diag(r))
     lead = diag[0] if diag.size else 0.0
     if lead <= 0.0:
-        raise AllCollinear("design matrix is identically zero")
+        raise DataError("design matrix is identically zero")
     rank = int(np.sum(diag >= _PIVOT_TOL * lead))
     if rank == 0:
-        raise AllCollinear("no column survives the collinearity filter")
+        raise DataError("no column survives the collinearity filter")
     kept = np.sort(piv[:rank])
     beta_kept, *_ = np.linalg.lstsq(design[:, kept], y, rcond=None)
     beta = np.full(design.shape[1], math.nan)

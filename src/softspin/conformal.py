@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, EmptyCalibration, InsufficientPool
+from .errors import ConfigError, DataError
 from .sampler import make_rng
 
 
@@ -70,7 +70,7 @@ def batch_means(pool, spec: BatchSpec, workers: int = 1) -> np.ndarray:
         raise ConfigError("pool must be a (configs x units) matrix")
     p = pool.shape[0]
     if p < spec.batch_size:
-        raise InsufficientPool(f"pool of {p} configs < batch size {spec.batch_size}")
+        raise DataError(f"pool of {p} configs < batch size {spec.batch_size}")
     idx = make_rng(spec.seed).integers(0, p, size=(spec.n_batches, spec.batch_size))
     out = np.empty((spec.n_batches, pool.shape[1]))
 
@@ -119,26 +119,21 @@ def nonconformity(y, q_lo, q_hi):
     return np.maximum.reduce([q_lo - y, y - q_hi, np.zeros_like(y)])
 
 
-class Calibration(NamedTuple):
-    q_hat: float
-    order_index: int
-    degenerate: bool
-
-
-def calibrate(scores, alpha: float) -> Calibration:
+def calibrate(scores, alpha: float) -> tuple[float, bool]:
     """Conformal offset: the ceil((n+1)(1-alpha))-th smallest score.
 
-    When that index exceeds n (too few calibration points for the level) the
-    maximum score is used and flagged as degenerate rather than failing.
+    Returns (q_hat, degenerate). When that index exceeds n (too few
+    calibration points for the level) the maximum score is used and flagged
+    as degenerate rather than failing.
     """
     x = np.sort(np.asarray(scores, dtype=float))
     n = x.shape[0]
     if n < 1:
-        raise EmptyCalibration("no calibration scores")
+        raise DataError("no calibration scores")
     k = math.ceil((n + 1) * (1.0 - alpha) - 1e-9)
     if k > n:
-        return Calibration(float(x[-1]), n, True)
-    return Calibration(float(x[max(k, 1) - 1]), max(k, 1), False)
+        return float(x[-1]), True
+    return float(x[max(k, 1) - 1]), False
 
 
 @dataclass(frozen=True)
@@ -199,7 +194,7 @@ def repeat_splits(batches, y_obs, spec: BatchSpec) -> Splits:
     n = y_obs.shape[0]
     n_cal = int(spec.calib_frac * n)
     if n_cal < 1 or n_cal >= n:
-        raise EmptyCalibration(
+        raise DataError(
             f"calib_frac {spec.calib_frac} leaves an empty calibration or test set at N={n}"
         )
     q_lo, q_hi = _raw_bounds(batches, spec.alpha)
@@ -209,7 +204,7 @@ def repeat_splits(batches, y_obs, spec: BatchSpec) -> Splits:
     for r, row in enumerate(calib):
         row[make_rng(spec.seed + r).permutation(n)[:n_cal]] = True
         scores = nonconformity(y_obs[row], q_lo[row], q_hi[row])
-        q_hat[r], _, degenerate[r] = calibrate(scores, spec.alpha)
+        q_hat[r], degenerate[r] = calibrate(scores, spec.alpha)
     return Splits(q_lo, q_hi, y_obs, q_hat, degenerate, calib)
 
 

@@ -21,14 +21,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    BadCategory,
-    ConfigError,
-    DataError,
-    DuplicateUnitId,
-    MissingColumn,
-    TargetOutOfRange,
-)
+from .errors import ConfigError, DataError
 
 PROFILE_COLUMNS = ("ALT", "POP", "SUP", "CLITO", "DEGURB")
 
@@ -130,7 +123,7 @@ class Dataset:
         seen = set()
         for unit_id in self.unit_ids:
             if unit_id in seen:
-                raise DuplicateUnitId(unit_id)
+                raise DataError(f"duplicate unit id {unit_id!r}")
             seen.add(unit_id)
 
     @property
@@ -164,13 +157,17 @@ def _is_missing(value) -> bool:
     return value is None or str(value).strip() == ""
 
 
+def _bad_category(row, column, value) -> DataError:
+    return DataError(f"row {row}: column {column!r} has value {value!r} outside its domain")
+
+
 def _parse_category(raw, row, column):
     try:
         value = int(str(raw).strip())
     except ValueError:
-        raise BadCategory(row, column, raw) from None
+        raise _bad_category(row, column, raw) from None
     if value not in PROFILE_DOMAINS[column]:
-        raise BadCategory(row, column, raw)
+        raise _bad_category(row, column, raw)
     return value
 
 
@@ -214,7 +211,7 @@ def load_dataset(
         required.append(target_column)
         for name in required:
             if name not in header:
-                raise MissingColumn(name)
+                raise DataError(f"missing required column {name!r}")
         has_type = center_periph_column in header
 
         ids, profiles, indicators, targets, labels = [], [], [], [], []
@@ -230,13 +227,13 @@ def load_dataset(
             indicators.append([_parse_float(row[item.name], row_no, item.name) for item in spec])
             target = _parse_float(row[target_column], row_no, target_column)
             if not 0.0 <= target <= 100.0:
-                raise TargetOutOfRange(row_no, target)
+                raise DataError(f"row {row_no}: target value {target!r} outside [0, 100]")
             targets.append(target)
             label = None
             if has_type and not _is_missing(row.get(center_periph_column)):
                 label = str(row[center_periph_column]).strip()
                 if label not in CENTER_PERIPH_LABELS:
-                    raise BadCategory(row_no, center_periph_column, label)
+                    raise _bad_category(row_no, center_periph_column, label)
             labels.append(label)
 
     dataset = Dataset(tuple(ids), profiles, indicators, targets, tuple(labels), spec)

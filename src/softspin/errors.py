@@ -1,4 +1,9 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, one per exit code of the CLI.
+
+``ConfigError`` exits with 2, ``DataError`` (invalid input, a degenerate
+computation or a missing artifact) with 3 and ``DivergenceDetected`` with 4;
+a ``ParallelChainError`` exits with 4 when one of its chains diverged, else 3.
+A failed stage prints one stderr line ``[<stage>] <Class>: <message>``.
 
 Every exception survives pickling across process boundaries (parallel chain
 execution) through the one ``SoftspinError.__reduce__``.
@@ -22,48 +27,7 @@ class ConfigError(SoftspinError):
 
 
 class DataError(SoftspinError):
-    """Invalid input data."""
-
-
-class MissingColumn(DataError):
-    def __init__(self, name):
-        super().__init__(f"missing required column {name!r}")
-        self.name = name
-
-
-class BadCategory(DataError):
-    def __init__(self, row, column, value):
-        super().__init__(
-            f"row {row}: column {column!r} has value {value!r} outside its domain"
-        )
-        self.row = row
-        self.column = column
-        self.value = value
-
-
-class TargetOutOfRange(DataError):
-    def __init__(self, row, value):
-        super().__init__(f"row {row}: target value {value!r} outside [0, 100]")
-        self.row = row
-        self.value = value
-
-
-class DuplicateUnitId(DataError):
-    def __init__(self, unit_id):
-        super().__init__(f"duplicate unit id {unit_id!r}")
-        self.unit_id = unit_id
-
-
-class ZeroVariance(SoftspinError):
-    def __init__(self, name):
-        super().__init__(f"zero variance in {name!r}")
-        self.name = name
-
-
-class DegenerateRow(SoftspinError):
-    def __init__(self, row):
-        super().__init__(f"standardized profile mean is zero at row {row}")
-        self.row = row
+    """Invalid input data, a degenerate computation or a missing artifact."""
 
 
 class DivergenceDetected(SoftspinError):
@@ -73,18 +37,6 @@ class DivergenceDetected(SoftspinError):
         super().__init__(f"state diverged{where}{extra}")
         self.iteration = iteration
         self.detail = detail
-
-
-class InsufficientPool(SoftspinError):
-    """Retained pool smaller than the requested batch size."""
-
-
-class EmptyCalibration(SoftspinError):
-    """Calibration split contains no units."""
-
-
-class AllCollinear(SoftspinError):
-    """No regressor survives the collinearity filter."""
 
 
 class ParallelChainError(SoftspinError):
@@ -98,12 +50,3 @@ class ParallelChainError(SoftspinError):
         lines = [f"chain {i}: {exc}" for i, exc in failures]
         super().__init__("; ".join(lines))
         self.failures = list(failures)
-
-
-class MissingArtifact(DataError):
-    def __init__(self, stage, path):
-        super().__init__(
-            f"missing artifact for stage {stage!r}: {path} (run the earlier stages first)"
-        )
-        self.stage = stage
-        self.path = str(path)

@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .data import Dataset, indicator_groups
-from .errors import DataError, DegenerateRow, ZeroVariance
+from .errors import DataError
 
 
 class Direction(str, Enum):
@@ -27,7 +27,7 @@ class Direction(str, Enum):
 
 def _column_sd(x: np.ndarray, ddof: int) -> float:
     if x.shape[0] <= ddof:
-        raise ZeroVariance("column with too few values")
+        raise DataError("zero variance in 'column with too few values'")
     if np.ptp(x) == 0.0:  # constant column, exact zero regardless of rounding
         return 0.0
     return float(np.std(x, ddof=ddof))
@@ -44,7 +44,7 @@ def standardize(column, polarity: int, *, ddof: int = 1, name: str = "column") -
         raise DataError(f"{name!r}: polarity must be +1 or -1")
     sd = _column_sd(x, ddof)
     if sd == 0.0:
-        raise ZeroVariance(name)
+        raise DataError(f"zero variance in {name!r}")
     return 10.0 * polarity * (x - x.mean()) / sd + 100.0
 
 
@@ -62,7 +62,7 @@ def mpi(z_block, direction: Direction = Direction.NEGATIVE, *, ddof: int = 1) ->
     m = z.mean(axis=1)
     bad = np.nonzero(m == 0.0)[0]
     if bad.size:
-        raise DegenerateRow(int(bad[0]))
+        raise DataError(f"standardized profile mean is zero at row {int(bad[0])}")
     if z.shape[1] == 1:
         s2 = np.zeros_like(m)
     else:
@@ -106,7 +106,7 @@ def _standardized(x: np.ndarray, names: tuple[str, ...], ddof: int) -> np.ndarra
     sd = np.array([_column_sd(x[:, j], ddof) for j in range(x.shape[1])])
     for j, s in enumerate(sd):
         if s == 0.0:
-            raise ZeroVariance(names[j])
+            raise DataError(f"zero variance in {names[j]!r}")
     return (x - x.mean(axis=0)) / sd
 
 

@@ -43,7 +43,7 @@ from .energy import (
     hamiltonian,
     log_likelihood_ratio,
 )
-from .errors import ConfigError, MissingArtifact
+from .errors import ConfigError, DataError
 from .graph import build_graph, spectrum_extremes
 from .indices import build_composites, external_field, pca
 from .reports import (
@@ -62,7 +62,8 @@ from .sampler import Engine, run_parallel
 
 def _require(path: Path, stage: str) -> Path:
     if not path.exists():
-        raise MissingArtifact(stage, path)
+        raise DataError(f"missing artifact for stage {stage!r}: {path} "
+                        "(run the earlier stages first)")
     return path
 
 

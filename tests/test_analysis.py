@@ -15,7 +15,7 @@ from softspin.analysis import (
     ols_standardized,
     residual_associations,
 )
-from softspin.errors import AllCollinear, DataError
+from softspin.errors import DataError
 
 
 def _paired(df, t):
@@ -78,6 +78,20 @@ class TestCompare:
     def test_length_mismatch(self):
         with pytest.raises(DataError):
             compare(np.zeros(3), np.zeros(4))
+
+    def test_constant_side_has_no_correlation(self, rng):
+        # at N=1383 the rounded sd of a column of 0.1 is about 4e-17, not 0
+        y = rng.uniform(1.0, 30.0, size=1383)
+        assert compare(y, np.full(1383, 0.1))["correlation"] is None
+        assert compare(np.full(1383, 0.1), y)["correlation"] is None
+
+    def test_constant_differences_have_no_t_test(self):
+        ref = np.tile([0.0, 0.1], 692)[:1383]
+        est = ref + 0.1
+        assert np.ptp(est - ref) == 0.0  # exactly constant, yet its rounded sd is not 0
+        rep = compare(ref, est)
+        assert rep["mean_diff"] == pytest.approx(0.1)
+        assert all(rep[k] is None for k in ("t_stat", "t_pvalue", "ci95_lo", "ci95_hi"))
 
     @given(
         st.lists(st.floats(-100, 100, allow_nan=False), min_size=2, max_size=40),
@@ -188,7 +202,7 @@ class TestOLS:
 
     def test_all_collinear(self):
         x = np.zeros((20, 2))
-        with pytest.raises(AllCollinear):
+        with pytest.raises(DataError, match="design matrix is identically zero"):
             ols_standardized(np.arange(20.0), x, _names(x))
 
     def test_needs_enough_rows(self, rng):

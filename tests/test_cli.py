@@ -412,7 +412,7 @@ class TestPipeline:
         assert not list(out.glob("*.tmp"))
         capsys.readouterr()
         assert main([reader, *args]) == 3
-        assert "MissingArtifact" in capsys.readouterr().err
+        assert "missing artifact for stage" in capsys.readouterr().err
 
     def test_failed_rerun_removes_previous_pool(self, tmp_path):
         out = tmp_path / "run"
@@ -566,33 +566,69 @@ class TestStages:
         assert main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 3
         assert not out.exists() or not any(out.iterdir())
 
-    @pytest.mark.parametrize("column, cell", [
-        ("ALT", "abc"), ("A", "nan"), ("A", "inf"), ("center_periph", "Foo"),
-    ])
-    def test_bad_cell_fails_before_any_artifact(self, tmp_path, column, cell):
-        header = ["unit_id", "ALT", "POP", "SUP", "CLITO", "DEGURB", "A", "B", "target",
-                  "center_periph"]
-        rows = [
-            ["u1", "1", "1", "1", "0", "1", "1.0", "9.0", "5.0", "CentrHub"],
-            ["u2", "2", "2", "2", "0", "2", "2.0", "7.0", "6.0", "PeriphArea"],
-            ["u3", "3", "3", "3", "1", "3", "4.0", "4.0", "7.0", "PeriphArea"],
-        ]
-        data = tmp_path / "units.csv"
-        tree = dict(TINY, dataset={"path": str(data)},
-                    indicators=[{"name": "A", "polarity": 1, "group": "G1"},
-                                {"name": "B", "polarity": -1, "group": "G2"}])
-        cfg_path = write_config(tmp_path, tree)
-
-        def write_data():
-            data.write_text("".join(",".join(r) + "\n" for r in [header, *rows]), encoding="utf-8")
-
-        write_data()
+    # a cell of row 2 replaced, or a column dropped (cell None), and the message
+    # the failed stage prints after its class name
+    @pytest.mark.parametrize("column, cell, message", [
+        ("ALT", "abc", "row 2: column 'ALT' has value 'abc' outside its domain"),
+        ("A", "nan", "row 2: column 'A' is not finite: 'nan'"),
+        ("A", "inf", "row 2: column 'A' is not finite: 'inf'"),
+        ("center_periph", "Foo", "row 2: column 'center_periph' has value 'Foo' outside its domain"),
+        ("target", "105.0", "row 2: target value 105.0 outside [0, 100]"),
+        ("unit_id", "u1", "duplicate unit id 'u1'"),
+        ("B", None, "missing required column 'B'"),
+    ], ids=["ALT-abc", "A-nan", "A-inf", "center_periph-Foo", "target-105.0", "unit_id-u1",
+            "B-dropped"])
+    def test_bad_cell_fails_before_any_artifact(self, tmp_path, capsys, column, cell, message):
+        header, rows = _units_table()
+        cfg_path, write_data = _units_config(tmp_path)
+        write_data(header, rows)
         assert main(["validate", "--config", str(cfg_path), "--out", str(tmp_path / "ok")]) == 0
-        rows[1][header.index(column)] = cell
-        write_data()
+        j = header.index(column)
+        if cell is None:
+            for r in (header, *rows):
+                del r[j]
+        else:
+            rows[1][j] = cell
+        write_data(header, rows)
         out = tmp_path / "run"
+        capsys.readouterr()
         assert main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 3
+        assert f": {message}\n" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+
+    def test_constant_indicator_fails_with_data_exit(self, tmp_path, capsys):
+        header, rows = _units_table()
+        for r in rows:
+            r[header.index("A")] = "3.0"
+        cfg_path, write_data = _units_config(tmp_path)
+        write_data(header, rows)
+        assert main(["pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 3
+        assert ": zero variance in 'A'\n" in capsys.readouterr().err
+
+
+def _units_table():
+    header = ["unit_id", "ALT", "POP", "SUP", "CLITO", "DEGURB", "A", "B", "target",
+              "center_periph"]
+    rows = [
+        ["u1", "1", "1", "1", "0", "1", "1.0", "9.0", "5.0", "CentrHub"],
+        ["u2", "2", "2", "2", "0", "2", "2.0", "7.0", "6.0", "PeriphArea"],
+        ["u3", "3", "3", "3", "1", "3", "4.0", "4.0", "7.0", "PeriphArea"],
+    ]
+    return header, rows
+
+
+def _units_config(tmp_path):
+    """A TINY config over units.csv with indicators A (G1) and B (G2), and the
+    function that writes a header and rows to that file."""
+    data = tmp_path / "units.csv"
+    tree = dict(TINY, dataset={"path": str(data)},
+                indicators=[{"name": "A", "polarity": 1, "group": "G1"},
+                            {"name": "B", "polarity": -1, "group": "G2"}])
+
+    def write_data(header, rows):
+        data.write_text("".join(",".join(r) + "\n" for r in [header, *rows]), encoding="utf-8")
+
+    return write_config(tmp_path, tree), write_data
 
 
 @pytest.fixture(scope="module")

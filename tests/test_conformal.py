@@ -16,7 +16,7 @@ from softspin.conformal import (
     repeat_splits,
     six_number,
 )
-from softspin.errors import ConfigError, EmptyCalibration, InsufficientPool
+from softspin.errors import ConfigError, DataError
 from softspin.sampler import make_rng
 
 
@@ -86,7 +86,7 @@ class TestBatchMeans:
 
     def test_insufficient_pool(self, rng):
         spec = BatchSpec(n_total=100, n_batches=5, batch_size=50, seed=0)
-        with pytest.raises(InsufficientPool):
+        with pytest.raises(DataError, match="pool of 10 configs < batch size 50"):
             batch_means(rng.normal(size=(10, 2)), spec)
 
 
@@ -138,27 +138,20 @@ class TestNonconformity:
 
 class TestCalibrate:
     def test_all_zero_scores(self):
-        assert calibrate(np.zeros(50), 0.1).q_hat == 0.0
+        assert calibrate(np.zeros(50), 0.1) == (0.0, False)
 
     def test_order_index_99(self):
         scores = np.arange(1.0, 100.0)  # 1..99
-        cal = calibrate(scores, 0.10)
-        assert cal.order_index == 90
-        assert cal.q_hat == 90.0
-        assert not cal.degenerate
+        assert calibrate(scores, 0.10) == (90.0, False)  # the 90th smallest
 
     def test_order_index_ten(self):
-        cal = calibrate(np.arange(1.0, 11.0), 0.5)
-        assert cal.order_index == 6
-        assert cal.q_hat == 6.0
+        assert calibrate(np.arange(1.0, 11.0), 0.5) == (6.0, False)  # the 6th smallest
 
     def test_degenerate_small_sample(self):
-        cal = calibrate(np.array([1.0, 2.0, 3.0]), 0.05)
-        assert cal.degenerate
-        assert cal.q_hat == 3.0
+        assert calibrate(np.array([1.0, 2.0, 3.0]), 0.05) == (3.0, True)
 
     def test_empty(self):
-        with pytest.raises(EmptyCalibration):
+        with pytest.raises(DataError, match="no calibration scores"):
             calibrate(np.array([]), 0.1)
 
 
@@ -207,7 +200,7 @@ class TestConformalIntervals:
 
     def test_empty_calibration(self):
         batches, y = exchangeable_fixture(30)
-        with pytest.raises(EmptyCalibration):
+        with pytest.raises(DataError, match="leaves an empty calibration or test set at N=30"):
             repeat_splits(batches, y, self.spec(calib_frac=0.01))
 
     def test_rows_equal_splits_rebuilt_by_hand(self):
@@ -221,11 +214,11 @@ class TestConformalIntervals:
         for r in range(spec.repeats):
             calib_idx = np.sort(make_rng(spec.seed + r).permutation(120)[:n_cal])
             test_idx = np.setdiff1d(np.arange(120), calib_idx)
-            cal = calibrate(nonconformity(y[calib_idx], q_lo[calib_idx], q_hi[calib_idx]),
-                            spec.alpha)
-            lo, hi = q_lo - cal.q_hat, q_hi + cal.q_hat
+            q_hat, degenerate = calibrate(
+                nonconformity(y[calib_idx], q_lo[calib_idx], q_hi[calib_idx]), spec.alpha)
+            lo, hi = q_lo - q_hat, q_hi + q_hat
             covered = (y >= lo) & (y <= hi)
-            assert (res.q_hat[r], res.degenerate[r]) == (cal.q_hat, cal.degenerate)
+            assert (res.q_hat[r], res.degenerate[r]) == (q_hat, degenerate)
             np.testing.assert_array_equal(np.flatnonzero(res.calib[r]), calib_idx)
             np.testing.assert_array_equal(res.lo[r], lo)
             np.testing.assert_array_equal(res.hi[r], hi)

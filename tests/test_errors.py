@@ -1,6 +1,5 @@
 import inspect
 import pickle
-from pathlib import Path
 
 import pytest
 
@@ -11,19 +10,9 @@ INSTANCES = [
     errors.SoftspinError("base"),
     errors.ConfigError("engines: at least one engine must be enabled"),
     errors.DataError("field must be finite"),
-    errors.MissingColumn("ALT"),
-    errors.BadCategory(3, "POP", 9),
-    errors.TargetOutOfRange(4, 120.5),
-    errors.DuplicateUnitId("u7"),
-    errors.ZeroVariance("MPI1"),
-    errors.DegenerateRow(2),
     errors.DivergenceDetected(12, "non-finite state"),
-    errors.InsufficientPool("retained pool smaller than the batch size"),
-    errors.EmptyCalibration("no calibration scores"),
-    errors.AllCollinear("no regressor survives"),
     errors.ParallelChainError([(1, errors.DivergenceDetected(5, "state escaped the domain guard")),
                                (3, errors.DivergenceDetected())]),
-    errors.MissingArtifact("conformal", Path("run") / "retained_ising_configs.npy"),
 ]
 
 
