@@ -12,6 +12,7 @@ downstream vector and matrix.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 from contextlib import contextmanager
@@ -189,6 +190,7 @@ def load_dataset(
     unit_id_column: str = "unit_id",
     target_column: str = "target",
     center_periph_column: str = "center_periph",
+    content: bytes | None = None,
 ) -> LoadResult:
     """Load a delimited text file of unit records.
 
@@ -197,11 +199,13 @@ def load_dataset(
     (unnamed columns may repeat); a center/periphery column is optional. Rows
     with an empty required cell are rejected (counted, not fatal); rows with
     extra cells, out-of-domain categories, out-of-range targets or duplicate
-    ids raise. Row numbers in errors are 1-based data rows.
+    ids raise. Row numbers in errors are 1-based data rows. ``content``, if
+    given, is the file's bytes, already read.
     """
     spec = tuple(spec)
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    text = (path.read_bytes() if content is None else content).decode("utf-8")
+    with io.StringIO(text, newline="") as fh:
         reader = csv.DictReader(fh, delimiter=delimiter)
         header = reader.fieldnames or []
         if repeated := sorted({name for name in header if name and header.count(name) > 1}):

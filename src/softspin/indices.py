@@ -25,12 +25,20 @@ class Direction(str, Enum):
     NEGATIVE = "negative"  # mean - dispersion penalty (default)
 
 
-def _column_sd(x: np.ndarray, ddof: int) -> float:
+def _column_sd(x: np.ndarray, ddof: int, name: str = "column") -> float:
     if x.shape[0] <= ddof:
-        raise DataError("zero variance in 'column with too few values'")
+        raise DataError(f"too few values in {name!r}: {x.shape[0]}, need more than ddof={ddof}")
     if np.ptp(x) == 0.0:  # constant column, exact zero regardless of rounding
         return 0.0
     return float(np.std(x, ddof=ddof))
+
+
+def nonzero_sd(x: np.ndarray, ddof: int, name: str) -> float:
+    """The sd of the column ``name``; a constant column raises."""
+    sd = _column_sd(x, ddof, name)
+    if sd == 0.0:
+        raise DataError(f"zero variance in {name!r}")
+    return sd
 
 
 def standardize(column, polarity: int, *, ddof: int = 1, name: str = "column") -> np.ndarray:
@@ -42,9 +50,7 @@ def standardize(column, polarity: int, *, ddof: int = 1, name: str = "column") -
     x = np.asarray(column, dtype=float)
     if polarity not in (1, -1):
         raise DataError(f"{name!r}: polarity must be +1 or -1")
-    sd = _column_sd(x, ddof)
-    if sd == 0.0:
-        raise DataError(f"zero variance in {name!r}")
+    sd = nonzero_sd(x, ddof, name)
     return 10.0 * polarity * (x - x.mean()) / sd + 100.0
 
 
@@ -103,10 +109,7 @@ def build_composites(
 
 
 def _standardized(x: np.ndarray, names: tuple[str, ...], ddof: int) -> np.ndarray:
-    sd = np.array([_column_sd(x[:, j], ddof) for j in range(x.shape[1])])
-    for j, s in enumerate(sd):
-        if s == 0.0:
-            raise DataError(f"zero variance in {names[j]!r}")
+    sd = np.array([nonzero_sd(x[:, j], ddof, name) for j, name in enumerate(names)])
     return (x - x.mean(axis=0)) / sd
 
 

@@ -10,9 +10,11 @@ every numeric output.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -43,9 +45,9 @@ from .energy import (
     hamiltonian,
     log_likelihood_ratio,
 )
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, ParallelChainError
 from .graph import build_graph, spectrum_extremes
-from .indices import build_composites, external_field, pca
+from .indices import build_composites, external_field, nonzero_sd, pca
 from .reports import (
     read_column,
     read_table,
@@ -73,8 +75,20 @@ def _dataset_path(cfg: RunConfig, out: Path) -> Path:
     return _require(out / "dataset.csv", "synth")
 
 
+_last_load: tuple = (None, None)  # (key, LoadResult) of this process's last parse
+
+
 def _load_dataset(cfg: RunConfig, out: Path) -> LoadResult:
-    return load_dataset(_dataset_path(cfg, out), cfg.indicator_spec(), **cfg.dataset_options)
+    """The dataset file, parsed again only when its bytes (by sha256), spec
+    or options differ from the last parse's; its arrays are read-only."""
+    global _last_load
+    path = _dataset_path(cfg, out)
+    content = path.read_bytes()
+    spec, options = cfg.indicator_spec(), cfg.dataset_options
+    key = (hashlib.sha256(content).digest(), spec, options)
+    if _last_load[0] != key:
+        _last_load = key, load_dataset(path, spec, content=content, **options)
+    return _last_load[1]
 
 
 def _read_composites(out: Path):
@@ -113,6 +127,8 @@ def stage_validate(cfg: RunConfig, out: Path) -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
     result = _load_dataset(cfg, out)
     d = result.dataset
+    for j, name in enumerate(d.indicator_names):  # as the field stage will standardize them
+        nonzero_sd(d.indicators[:, j], cfg.indices_ddof, name)
     lines = [
         f"source: {_dataset_path(cfg, out).name}",
         f"accepted records: {d.n}",
@@ -162,14 +178,16 @@ def stage_simulate(cfg: RunConfig, out: Path) -> list[Path]:
 
 def _simulate_engine(cfg: RunConfig, out: Path, dataset, field, graph,
                      engine: Engine) -> list[Path]:
-    """Run one engine's chains and write its artifacts.
+    """Run one engine's chains and write its artifacts, the traces by the workers.
 
     The engine's ``retained_<engine>*`` and ``trace_<engine>_*.csv`` files
     from an earlier run are deleted first. ``run_parallel`` writes
-    ``retained_<engine>_configs.npy`` only once every chain has finished, so a
-    failed run leaves no pool, no metadata and no trace behind.
+    ``retained_<engine>_configs.npy`` only once every chain has finished, and
+    the traces are deleted when any chain fails, so a failed run leaves no
+    pool, no metadata and no trace behind.
     """
-    for pattern in (f"retained_{engine.value}*", f"trace_{engine.value}_*.csv"):
+    traces_glob = f"trace_{engine.value}_*.csv"
+    for pattern in (f"retained_{engine.value}*", traces_glob):
         for stale in out.glob(pattern):
             stale.unlink()
     lam = _resolve_lambda(cfg, engine, graph)
@@ -179,14 +197,14 @@ def _simulate_engine(cfg: RunConfig, out: Path, dataset, field, graph,
     chain_cfg = cfg.chain_config(engine)
     k = cfg.k_chains(engine)
     configs_path = out / f"retained_{engine.value}_configs.npy"
-    traces = run_parallel(model, chain_cfg, s_ref, k, configs_path, workers=cfg.workers)
-    written = [
-        write_columns(
-            out / f"trace_{engine.value}_{idx:02d}.csv",
-            {"iteration": chain_cfg.energy_iterations(), "energy": trace.energies},
-        )
-        for idx, trace in enumerate(traces)
-    ]
+    try:
+        traces = run_parallel(model, chain_cfg, s_ref, k, configs_path, workers=cfg.workers,
+                              finish=partial(_write_trace, out, engine))
+    except ParallelChainError:
+        for trace in out.glob(traces_glob):
+            trace.unlink()
+        raise
+    written = [_trace_path(out, engine, idx) for idx in range(k)]
     # row j * k + c is chain c's snapshot j, as in the configs file
     energies = np.stack([t.retained_energies for t in traces], axis=1).reshape(-1)
     energies_path = out / f"retained_{engine.value}_energies.npy"
@@ -221,6 +239,15 @@ def _simulate_engine(cfg: RunConfig, out: Path, dataset, field, graph,
     return written
 
 
+def _trace_path(out: Path, engine: Engine, idx: int) -> Path:
+    return out / f"trace_{engine.value}_{idx:02d}.csv"
+
+
+def _write_trace(out: Path, engine: Engine, idx: int, trace) -> None:
+    write_columns(_trace_path(out, engine, idx),
+                  {"iteration": trace.config.energy_iterations(), "energy": trace.energies})
+
+
 def _read_retained(out: Path, engine: Engine, names: tuple[str, ...], mmap_mode=None):
     """The retained metadata plus only the named arrays of ``engine``."""
     meta_path = _require(out / f"retained_{engine.value}.json", "simulate")
@@ -230,19 +257,6 @@ def _read_retained(out: Path, engine: Engine, names: tuple[str, ...], mmap_mode=
         path = _require(out / f"retained_{engine.value}_{name}.npy", "simulate")
         arrays[name] = np.load(path, mmap_mode=mmap_mode)
     return meta, arrays
-
-
-def _read_last_rows(mapped: np.memmap, n_rows: int) -> np.ndarray:
-    """A copy of the last ``n_rows`` rows of a mapped C-order .npy file.
-
-    The rows are read from the file, not through the mapping: touched pages
-    of a mapping count in the resident set on top of the copy.
-    """
-    rows = np.empty((n_rows, *mapped.shape[1:]), dtype=mapped.dtype)
-    with open(mapped.filename, "rb") as fh:
-        fh.seek(mapped.offset + (mapped.shape[0] - n_rows) * mapped.strides[0])
-        fh.readinto(rows)
-    return rows
 
 
 def stage_conformal(cfg: RunConfig, out: Path) -> list[Path]:
@@ -265,13 +279,13 @@ def _conformal_engine(cfg: RunConfig, out: Path, dataset, engine: Engine) -> lis
             f"conformal: retained pool {mapped.shape[0]} of engine "
             f"{engine.value} is smaller than n_total={spec.n_total}"
         )
-    # only the last n_total rows are used, so only they are read; the rows
+    # only the last n_total rows are used, so only their pages are read; they
     # stay float32 on the engine's scale, and the float64 means are unscaled
     # (an affine map, so it commutes with the mean)
-    pool = _read_last_rows(mapped, spec.n_total)
+    pool = mapped[-spec.n_total:]
     y_est = engine.unscale_inplace(pool[-cfg.estimate_last_n:].mean(axis=0, dtype=np.float64))
     batches = engine.unscale_inplace(batch_means(pool, spec, workers=cfg.workers))
-    del pool  # freed before repeat_splits sorts a copy of the batches
+    del pool, mapped  # unmapped, its touched pages leave the RSS before repeat_splits sorts
     splits = repeat_splits(batches, y_obs, spec)
     lo, hi, width, covered = splits.lo, splits.hi, splits.width, splits.covered
     # a unit's coverage is the share of splits that cover it; its adaptivity

@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 import yaml
 
+from softspin import pipeline
 from softspin.cli import main
 from softspin.config import DEFAULT_CONFIG, config_hash, load_config
 from softspin.conformal import batch_means, repeat_splits, six_number
 from softspin.data import DEFAULT_PROFILE_WEIGHTS
 from softspin.errors import ConfigError
-from softspin.pipeline import _read_last_rows
 from softspin.reports import read_column, read_table
 from softspin.sampler import Engine
 
@@ -393,7 +393,51 @@ class TestPipeline:
         assert main(["simulate", "--config", str(cfg_path), "--out", str(out),
                      "--workers", workers]) == 4
         assert not list(out.glob("retained_langevin_configs*"))
+        assert not list(out.glob("trace_langevin_*"))
         assert main(["conformal", "--config", str(cfg_path), "--out", str(out)]) == 3
+
+    def test_failed_trace_write_exits_3_and_leaves_no_trace(self, tmp_path, monkeypatch,
+                                                            capsys):
+        # chain 0's trace is written, chain 1's write fails where the chain ran
+        cfg_path = write_config(tmp_path, engines=["ising"])
+        out = tmp_path / "run"
+        args = ["--config", str(cfg_path), "--out", str(out)]
+        for stage in ("synth", "field"):
+            assert main([stage, *args]) == 0
+        write_columns = pipeline.write_columns
+
+        def failing(path, columns):
+            if path.name == "trace_ising_01.csv":
+                raise OSError("disk full")
+            return write_columns(path, columns)
+
+        monkeypatch.setattr(pipeline, "write_columns", failing)
+        capsys.readouterr()
+        assert main(["simulate", *args]) == 3
+        assert "ParallelChainError: chain 0: disk full; chain 1: disk full" in capsys.readouterr().err
+        assert not list(out.glob("trace_*")) and not list(out.glob("retained_*"))
+
+    def test_one_dataset_parse_per_pipeline(self, tmp_path, parses):
+        cfg_path = write_config(tmp_path)
+        assert main(["pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 0
+        assert parses == [tmp_path / "run" / "dataset.csv"]
+
+    def test_rewritten_dataset_of_the_same_size_is_parsed_again(self, tmp_path, parses):
+        header, rows = _units_table()
+        cfg_path, write_data = _units_config(tmp_path)
+        cfg = load_config(cfg_path)
+        data = Path(cfg.dataset_path)
+        write_data(header, rows)
+        first = pipeline._load_dataset(cfg, tmp_path)
+        assert pipeline._load_dataset(cfg, tmp_path) is first
+        assert len(parses) == 1
+        size = data.stat().st_size
+        rows[1][header.index("A")] = "2.5"  # was 2.0: same size, other bytes
+        write_data(header, rows)
+        assert data.stat().st_size == size
+        second = pipeline._load_dataset(cfg, tmp_path)
+        assert len(parses) == 2
+        assert second.dataset.indicators[1, 0] == 2.5 and first.dataset.indicators[1, 0] == 2.0
 
 
     @pytest.mark.parametrize("before, stage, name, patch, reader", _FAULTS.values(),
@@ -464,14 +508,28 @@ class TestPipeline:
 
 
 class TestStages:
-    def test_read_last_rows_equals_load_slice(self, tmp_path):
-        pool = np.random.default_rng(0).normal(size=(37, 5))
-        np.save(tmp_path / "pool.npy", pool)
-        mapped = np.load(tmp_path / "pool.npy", mmap_mode="r")
-        for n_rows in (1, 20, 37):
-            rows = _read_last_rows(mapped, n_rows)
-            assert rows.flags.writeable and not isinstance(rows, np.memmap)
-            np.testing.assert_array_equal(rows, pool[-n_rows:])
+    @pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="needs /proc/self/maps")
+    def test_conformal_unmaps_the_pool_before_the_splits(self, tmp_path, monkeypatch):
+        # the batches are gathered through the mapping of the pool file, and
+        # the mapping is gone, its pages out of the resident set, before
+        # repeat_splits sorts a copy of the batches
+        cfg_path = write_config(tmp_path, engines=["ising"])
+        out = tmp_path / "run"
+        for stage in ("synth", "field", "simulate"):
+            assert main([stage, "--config", str(cfg_path), "--out", str(out)]) == 0
+        mapped = []
+
+        def watching(fn):
+            def call(*args, **kwargs):
+                maps = Path("/proc/self/maps").read_text()
+                mapped.append((fn.__name__, "retained_ising_configs.npy" in maps))
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(pipeline, "batch_means", watching(pipeline.batch_means))
+        monkeypatch.setattr(pipeline, "repeat_splits", watching(pipeline.repeat_splits))
+        assert main(["conformal", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert mapped == [("batch_means", True), ("repeat_splits", False)]
 
     def test_report_requires_upstream(self, tmp_path):
         cfg_path = write_config(tmp_path)
@@ -596,6 +654,26 @@ class TestStages:
         assert f": {message}\n" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    def test_validate_rejects_a_constant_indicator(self, tmp_path, capsys):
+        header, rows = _units_table()
+        for r in rows:
+            r[header.index("A")] = "3.0"
+        cfg_path, write_data = _units_config(tmp_path)
+        write_data(header, rows)
+        out = tmp_path / "run"
+        assert main(["validate", "--config", str(cfg_path), "--out", str(out)]) == 3
+        assert "[validate] DataError: zero variance in 'A'\n" in capsys.readouterr().err
+        assert not (out / "validation.txt").exists()
+
+    def test_one_row_dataset_names_the_column(self, tmp_path, capsys):
+        header, rows = _units_table()
+        cfg_path, write_data = _units_config(tmp_path)
+        write_data(header, rows[:1])
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert ": too few values in 'A': 1, need more than ddof=1\n" in err
+
     def test_constant_indicator_fails_with_data_exit(self, tmp_path, capsys):
         header, rows = _units_table()
         for r in rows:
@@ -629,6 +707,21 @@ def _units_config(tmp_path):
         data.write_text("".join(",".join(r) + "\n" for r in [header, *rows]), encoding="utf-8")
 
     return write_config(tmp_path, tree), write_data
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The paths ``pipeline`` parses from now on, with its memo emptied."""
+    calls = []
+    load_dataset = pipeline.load_dataset
+
+    def counted(path, *args, **kwargs):
+        calls.append(path)
+        return load_dataset(path, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "load_dataset", counted)
+    monkeypatch.setattr(pipeline, "_last_load", (None, None))
+    return calls
 
 
 @pytest.fixture(scope="module")
