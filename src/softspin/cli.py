@@ -2,8 +2,9 @@
 
 Subcommands run either the full pipeline or exactly one stage against the
 artifacts of a run directory, from a YAML configuration (built-in defaults
-when omitted). Exit codes: 0 ok, 2 configuration error, 3 data error,
-4 numeric divergence.
+when omitted). Exit codes: 0 ok, 1 any other error (such as an OSError
+while writing an artifact), 2 configuration error, 3 data error, 4 numeric
+divergence.
 """
 
 from __future__ import annotations

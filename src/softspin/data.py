@@ -16,7 +16,7 @@ import io
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
@@ -147,11 +147,10 @@ class Dataset:
 
 @dataclass
 class LoadResult:
-    """A validated dataset plus the rejection count reported separately."""
+    """A validated dataset plus the rows rejected from it."""
 
     dataset: Dataset
-    n_rejected: int
-    rejected_rows: list[int] = field(default_factory=list)
+    rejected_rows: list[int]
 
 
 def _is_missing(value) -> bool:
@@ -241,7 +240,7 @@ def load_dataset(
             labels.append(label)
 
     dataset = Dataset(tuple(ids), profiles, indicators, targets, tuple(labels), spec)
-    return LoadResult(dataset, len(rejected), rejected)
+    return LoadResult(dataset, rejected)
 
 
 def save_dataset(

@@ -14,7 +14,6 @@ import hashlib
 import json
 import math
 import sys
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +44,7 @@ from .energy import (
     hamiltonian,
     log_likelihood_ratio,
 )
-from .errors import ConfigError, DataError, ParallelChainError
+from .errors import ConfigError, DataError
 from .graph import build_graph, spectrum_extremes
 from .indices import build_composites, external_field, nonzero_sd, pca
 from .reports import (
@@ -132,7 +131,7 @@ def stage_validate(cfg: RunConfig, out: Path) -> list[Path]:
     lines = [
         f"source: {_dataset_path(cfg, out).name}",
         f"accepted records: {d.n}",
-        f"rejected records: {result.n_rejected}",
+        f"rejected records: {len(result.rejected_rows)}",
         f"rejected rows: {','.join(map(str, result.rejected_rows)) or '-'}",
         f"indicators: {len(d.spec)}",
         f"composite groups: {len({s.group for s in d.spec})}",
@@ -178,16 +177,15 @@ def stage_simulate(cfg: RunConfig, out: Path) -> list[Path]:
 
 def _simulate_engine(cfg: RunConfig, out: Path, dataset, field, graph,
                      engine: Engine) -> list[Path]:
-    """Run one engine's chains and write its artifacts, the traces by the workers.
+    """Run one engine's chains and write its artifacts.
 
-    The engine's ``retained_<engine>*`` and ``trace_<engine>_*.csv`` files
-    from an earlier run are deleted first. ``run_parallel`` writes
+    The engine's ``retained_<engine>*`` and ``trace_<engine>*`` files from an
+    earlier run are deleted first. ``run_parallel`` writes
     ``retained_<engine>_configs.npy`` only once every chain has finished, and
-    the traces are deleted when any chain fails, so a failed run leaves no
-    pool, no metadata and no trace behind.
+    the rest is written after it, so a failed run leaves no pool, no trace
+    and no metadata behind.
     """
-    traces_glob = f"trace_{engine.value}_*.csv"
-    for pattern in (f"retained_{engine.value}*", traces_glob):
+    for pattern in (f"retained_{engine.value}*", f"trace_{engine.value}*"):
         for stale in out.glob(pattern):
             stale.unlink()
     lam = _resolve_lambda(cfg, engine, graph)
@@ -197,20 +195,15 @@ def _simulate_engine(cfg: RunConfig, out: Path, dataset, field, graph,
     chain_cfg = cfg.chain_config(engine)
     k = cfg.k_chains(engine)
     configs_path = out / f"retained_{engine.value}_configs.npy"
-    try:
-        traces = run_parallel(model, chain_cfg, s_ref, k, configs_path, workers=cfg.workers,
-                              finish=partial(_write_trace, out, engine))
-    except ParallelChainError:
-        for trace in out.glob(traces_glob):
-            trace.unlink()
-        raise
-    written = [_trace_path(out, engine, idx) for idx in range(k)]
-    # row j * k + c is chain c's snapshot j, as in the configs file
-    energies = np.stack([t.retained_energies for t in traces], axis=1).reshape(-1)
-    energies_path = out / f"retained_{engine.value}_energies.npy"
-    with replaced(energies_path) as tmp, tmp.open("wb") as fh:
-        np.save(fh, energies)  # to a handle: np.save appends .npy to a path
-    written += [configs_path, energies_path]
+    traces = run_parallel(model, chain_cfg, s_ref, k, configs_path, workers=cfg.workers)
+    written = [
+        configs_path,
+        # row j * k + c is chain c's snapshot j, as in the configs file
+        _save(out / f"retained_{engine.value}_energies.npy",
+              np.stack([t.retained_energies for t in traces], axis=1).reshape(-1)),
+        # row j is iteration j * energy_stride, column c is chain c
+        _save(out / f"trace_{engine.value}.npy", np.stack([t.energies for t in traces], axis=1)),
+    ]
     meta = {
         "engine": engine.value,
         "bounds": list(engine.bounds),
@@ -239,13 +232,10 @@ def _simulate_engine(cfg: RunConfig, out: Path, dataset, field, graph,
     return written
 
 
-def _trace_path(out: Path, engine: Engine, idx: int) -> Path:
-    return out / f"trace_{engine.value}_{idx:02d}.csv"
-
-
-def _write_trace(out: Path, engine: Engine, idx: int, trace) -> None:
-    write_columns(_trace_path(out, engine, idx),
-                  {"iteration": trace.config.energy_iterations(), "energy": trace.energies})
+def _save(path: Path, array: np.ndarray) -> Path:
+    with replaced(path) as tmp, tmp.open("wb") as fh:
+        np.save(fh, array)  # to a handle: np.save appends .npy to a path
+    return path
 
 
 def _read_retained(out: Path, engine: Engine, names: tuple[str, ...], mmap_mode=None):

@@ -34,39 +34,14 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _column_cells(values) -> list[str]:
-    """The cells of one column, as :func:`_cell` writes them.
-
-    A numpy column is converted with one ``tolist()`` and formatted by its
-    dtype; anything else goes through :func:`_cell` value by value.
-    """
-    if isinstance(values, np.ndarray):
-        kind, array, values = values.dtype.kind, values, values.tolist()
-        if kind == "f" and not np.isnan(array).any():
-            return list(map(repr, values))
-        if kind == "f":
-            return ["NA" if v != v else repr(v) for v in values]
-        if kind == "b":
-            return ["1" if v else "0" for v in values]
-        if kind in "iu":
-            return list(map(str, values))
-    elif isinstance(values, range):
-        return list(map(str, values))
-    return [_cell(v) for v in values]
-
-
 def write_columns(path, columns: dict) -> Path:
     """A table with one column per entry of ``columns`` (header -> values)."""
-    cells = [_column_cells(values) for values in columns.values()]
-    numeric = all(isinstance(v, range) or (isinstance(v, np.ndarray) and v.dtype.kind in "biuf")
-                  for v in columns.values())
+    cells = [map(_cell, v.tolist() if isinstance(v, np.ndarray) else v)
+             for v in columns.values()]
     with replaced(path) as tmp, tmp.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(list(columns))
-        if numeric:  # no cell needs csv quoting
-            fh.writelines(f"{','.join(row)}\n" for row in zip(*cells))
-        else:
-            writer.writerows(zip(*cells))
+        writer.writerows(zip(*cells))
     return Path(path)
 
 
@@ -154,6 +129,5 @@ def write_json(path, payload: dict) -> Path:
 # Six-number summary tables (coverage/adaptivity, energy ratios)
 
 def write_six_number_table(path, rows: dict[str, SixNumber]) -> Path:
-    header = ["metric", "min", "q1", "median", "mean", "q3", "max"]
     data = [[name, *summary] for name, summary in rows.items()]
-    return write_columns(path, dict(zip(header, zip(*data))))
+    return write_columns(path, dict(zip(("metric", *SixNumber._fields), zip(*data))))

@@ -523,19 +523,16 @@ def run_chain(model: EnergyModel, cfg: ChainConfig, s_ref: SpinConfiguration,
 
 
 def _slice_job(model: EnergyModel, cfgs: list[ChainConfig], s_ref: SpinConfiguration,
-               pool_path: Path, first: int, k: int, finish) -> list[ChainTrace | DivergenceDetected]:
+               pool_path: Path, first: int, k: int) -> list[ChainTrace | DivergenceDetected]:
     """Run chains ``first`` onwards of ``k`` into rows ``j * k + c`` of the
-    .npy file at ``pool_path``, leaving only the energies in the traces;
-    ``finish(c, trace)``, if given, takes each finished chain."""
+    .npy file at ``pool_path``, leaving only the energies in the traces."""
     pool = np.load(pool_path, mmap_mode="r+")
     rows = pool.reshape(cfgs[0].retain_last, k, model.graph.n)
     results = run_chains(model, cfgs, s_ref,
                          [rows[:, c] for c in range(first, first + len(cfgs))])
-    for c, result in enumerate(results, first):
+    for result in results:
         if isinstance(result, ChainTrace):
             result.retained = None  # the rows are in the file: unmap, and pickle nothing back
-            if finish is not None:
-                finish(c, result)
     return results
 
 
@@ -546,7 +543,6 @@ def run_parallel(
     k_chains: int,
     pool_path: Path,
     workers: int = 1,
-    finish=None,
 ) -> list[ChainTrace]:
     """Run ``k_chains`` independent chains with seeds ``cfg.seed`` + index.
 
@@ -555,9 +551,7 @@ def run_parallel(
     configuration, cache and random stream, so the result is invariant to
     the worker count and scheduling; traces come back in chain-index order.
     A failing chain does not abort its siblings: all failures are collected
-    and raised together afterwards. ``finish(chain_index, trace)``, if
-    given, is picklable and runs in the job's process on each finished
-    chain; an exception it raises fails the job's chains.
+    and raised together afterwards.
 
     The chains write their snapshots in place into one float32 .npy file of
     ``k_chains x retain_last`` rows: row ``j * k + c`` is chain ``c``'s
@@ -576,8 +570,8 @@ def run_parallel(
         # create the file; each job maps it on its own
         np.lib.format.open_memmap(partial, mode="w+", dtype=np.float32,
                                   shape=(cfg.retain_last * k_chains, model.graph.n))
-        jobs = [(model, [configs[c] for c in chains], s_ref, partial, int(chains[0]), k_chains,
-                 finish) for chains in slices]
+        jobs = [(model, [configs[c] for c in chains], s_ref, partial, int(chains[0]), k_chains)
+                for chains in slices]
         if len(jobs) == 1:
             outcomes = [_outcome(_slice_job, *jobs[0])]
         else:

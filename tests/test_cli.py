@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,9 +18,11 @@ from softspin.cli import main
 from softspin.config import DEFAULT_CONFIG, config_hash, load_config
 from softspin.conformal import batch_means, repeat_splits, six_number
 from softspin.data import DEFAULT_PROFILE_WEIGHTS
+from softspin.energy import EnergyModel, SpinConfiguration
 from softspin.errors import ConfigError
+from softspin.graph import build_graph
 from softspin.reports import read_column, read_table
-from softspin.sampler import Engine
+from softspin.sampler import Engine, run_chain
 
 TINY = {
     "seed": 777,
@@ -203,8 +206,7 @@ class TestPipeline:
         expected = [
             "dataset.csv", "validation.txt", "composites.csv", "external_field.csv",
             "field_diagnostics.txt", "groups.csv", "graph_summary.txt",
-            "trace_ising_00.csv", "trace_ising_01.csv",
-            "trace_langevin_00.csv", "trace_langevin_01.csv",
+            "trace_ising.npy", "trace_langevin.npy",
             "retained_ising_configs.npy", "retained_langevin_configs.npy",
             "retained_ising.json", "retained_langevin.json",
             "uncertainty_ising.csv", "uncertainty_langevin.csv",
@@ -220,7 +222,7 @@ class TestPipeline:
             assert (out / name).exists(), name
         manifest = json.loads((out / "manifest.json").read_text())
         traces = [a for a in manifest["artifacts"] if a.startswith("trace_")]
-        assert len(traces) == 4  # 2 engines x 2 chains
+        assert len(traces) == 2  # one table per engine
         assert manifest["config_sha256"]
         assert manifest["config"]["seed"] == 777
 
@@ -229,8 +231,8 @@ class TestPipeline:
         out = tmp_path / "run"
         assert main(["pipeline", "--config", str(cfg_path), "--out", str(out),
                      "--engine", "ising"]) == 0
-        assert (out / "trace_ising_00.csv").exists()
-        assert not (out / "trace_langevin_00.csv").exists()
+        assert (out / "trace_ising.npy").exists()
+        assert not (out / "trace_langevin.npy").exists()
 
     def test_engine_flag_both_runs_both(self, tmp_path):
         cfg_path = write_config(tmp_path, engines=["ising"])
@@ -239,8 +241,8 @@ class TestPipeline:
             assert main([stage, "--config", str(cfg_path), "--out", str(out)]) == 0
         assert main(["simulate", "--config", str(cfg_path), "--out", str(out),
                      "--engine", "both"]) == 0
-        assert (out / "trace_ising_00.csv").exists()
-        assert (out / "trace_langevin_00.csv").exists()
+        assert (out / "trace_ising.npy").exists()
+        assert (out / "trace_langevin.npy").exists()
 
     def test_repeated_engine_fails_at_load(self, tmp_path):
         assert_fails_at_load(tmp_path, dict(TINY, engines=["ising", "ising"]))
@@ -253,7 +255,7 @@ class TestPipeline:
         for stage in ("simulate", "conformal", "analyze", "report"):
             assert main([stage, "--config", str(cfg_path), "--out", str(out),
                          "--engine", "langevin"]) == 0, stage
-        assert (out / "trace_langevin_00.csv").exists()
+        assert (out / "trace_langevin.npy").exists()
         assert (out / "report.txt").exists()
         assert not list(out.glob("*ising*"))
 
@@ -286,7 +288,7 @@ class TestPipeline:
         out = tmp_path / "run"
         code = main(["pipeline", "--config", str(cfg_path), "--out", str(out)])
         assert code == 2
-        assert not (out / "trace_ising_00.csv").exists()
+        assert not list(out.glob("trace_*"))
 
     @pytest.mark.parametrize("value", [-1, "abc", None])
     def test_bad_lambda_reg_fails_at_load(self, tmp_path, value):
@@ -373,11 +375,34 @@ class TestPipeline:
         prefixes = ("retained_", "trace_", "uncertainty_", "unit_results_",
                     "coverage_adaptivity_")
         names = sorted(p.name for p in one.iterdir() if p.name.startswith(prefixes))
-        # per engine: 2 traces, json, configs, energies and 3 conformal tables
-        assert len(names) == 2 * (2 + 3 + 3)
+        # per engine: the trace table, json, configs, energies and 3 conformal tables
+        assert len(names) == 2 * (1 + 3 + 3)
         assert names == sorted(p.name for p in two.iterdir() if p.name.startswith(prefixes))
         for name in names:
             assert (one / name).read_bytes() == (two / name).read_bytes(), name
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_trace_columns_are_the_chains_energies(self, tmp_path, workers):
+        cfg_path = write_config(tmp_path)
+        out = tmp_path / "run"
+        args = ["--config", str(cfg_path), "--out", str(out)]
+        for stage in ("synth", "field"):
+            assert main([stage, *args]) == 0
+        assert main(["simulate", *args, "--workers", workers]) == 0
+        cfg = load_config(cfg_path)
+        dataset = pipeline._load_dataset(cfg, out).dataset
+        graph = build_graph(dataset)
+        field = read_column(out / "external_field.csv", "h")
+        for engine in cfg.engines:
+            meta = json.loads((out / f"retained_{engine.value}.json").read_text())
+            model = EnergyModel(graph, field, lambda_reg=meta["lambda_reg"])
+            ref = SpinConfiguration(engine.scale(dataset.target), engine)
+            chain_cfg = cfg.chain_config(engine)
+            trace = np.load(out / f"trace_{engine.value}.npy")
+            assert trace.shape[1] == cfg.k_chains(engine)
+            for c in range(trace.shape[1]):
+                solo = run_chain(model, replace(chain_cfg, seed=chain_cfg.seed + c), ref)
+                np.testing.assert_array_equal(trace[:, c], solo.energies)
 
     def test_divergence_exit_code(self, tmp_path):
         cfg_path = write_config(tmp_path, DIVERGING)
@@ -393,29 +418,25 @@ class TestPipeline:
         assert main(["simulate", "--config", str(cfg_path), "--out", str(out),
                      "--workers", workers]) == 4
         assert not list(out.glob("retained_langevin_configs*"))
-        assert not list(out.glob("trace_langevin_*"))
+        assert not list(out.glob("trace_langevin*"))  # the table and its .tmp
         assert main(["conformal", "--config", str(cfg_path), "--out", str(out)]) == 3
 
-    def test_failed_trace_write_exits_3_and_leaves_no_trace(self, tmp_path, monkeypatch,
-                                                            capsys):
-        # chain 0's trace is written, chain 1's write fails where the chain ran
+    def test_failed_trace_write_exits_1_and_writes_no_metadata(self, tmp_path, capsys):
+        # an OSError is no data error: exit 1, and without the metadata the
+        # next stage finds the run unfinished
         cfg_path = write_config(tmp_path, engines=["ising"])
         out = tmp_path / "run"
         args = ["--config", str(cfg_path), "--out", str(out)]
         for stage in ("synth", "field"):
             assert main([stage, *args]) == 0
-        write_columns = pipeline.write_columns
-
-        def failing(path, columns):
-            if path.name == "trace_ising_01.csv":
-                raise OSError("disk full")
-            return write_columns(path, columns)
-
-        monkeypatch.setattr(pipeline, "write_columns", failing)
+        (out / "trace_ising.npy.tmp").mkdir()  # the trace table cannot be opened
         capsys.readouterr()
-        assert main(["simulate", *args]) == 3
-        assert "ParallelChainError: chain 0: disk full; chain 1: disk full" in capsys.readouterr().err
-        assert not list(out.glob("trace_*")) and not list(out.glob("retained_*"))
+        assert main(["simulate", *args]) == 1
+        assert capsys.readouterr().err.startswith("[simulate] IsADirectoryError: ")
+        assert not (out / "trace_ising.npy").exists()
+        assert not (out / "retained_ising.json").exists()
+        assert main(["conformal", *args]) == 3
+        assert "missing artifact for stage 'simulate'" in capsys.readouterr().err
 
     def test_one_dataset_parse_per_pipeline(self, tmp_path, parses):
         cfg_path = write_config(tmp_path)
@@ -465,19 +486,19 @@ class TestPipeline:
         diverging = write_config(tmp_path, DIVERGING)
         assert main(["simulate", "--config", str(diverging), "--out", str(out)]) == 4
         assert not list(out.glob("retained_langevin*"))
+        assert not list(out.glob("trace_langevin*"))
         assert main(["conformal", "--config", str(diverging), "--out", str(out)]) == 3
 
     def test_rerun_with_fewer_chains_removes_stale_traces(self, tmp_path):
         out = tmp_path / "run"
         three = write_config(tmp_path, _section("ising", k_chains=3, retain_last=100))
         assert main(["pipeline", "--config", str(three), "--out", str(out)]) == 0
-        assert (out / "trace_ising_02.csv").exists()
+        assert np.load(out / "trace_ising.npy").shape[1] == 3
         assert main(["pipeline", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert sorted(p.name for p in out.glob("trace_*")) == [
-            "trace_ising_00.csv", "trace_ising_01.csv",
-            "trace_langevin_00.csv", "trace_langevin_01.csv",
-        ]
+            "trace_ising.npy", "trace_langevin.npy"]
+        assert np.load(out / "trace_ising.npy").shape[1] == 2
         assert sorted(p.name for p in out.iterdir()) == sorted(
             [*manifest["artifacts"], "manifest.json"])
 
@@ -814,9 +835,14 @@ class TestArtifactLayouts:
         assert len(na) == 1 and na[0] in ("MPI1", "MPI6")
 
     def test_energy_trace_layout(self, run_dir):
-        header, rows = read_table(run_dir / "trace_ising_00.csv")
-        assert header == ["iteration", "energy"]
-        assert rows[0][0] == "0"
+        # row j is iteration j * energy_stride, column c is chain c; row 0 is h_ref
+        for engine in ("ising", "langevin"):
+            meta = json.loads((run_dir / f"retained_{engine}.json").read_text())
+            trace = np.load(run_dir / f"trace_{engine}.npy")
+            assert trace.dtype == np.float64
+            assert trace.shape == (meta["n_iters"] // meta["energy_stride"] + 1,
+                                   meta["k_chains"])
+            assert (trace[0] == meta["h_ref"]).all()
 
     @pytest.mark.parametrize("engine", ["ising", "langevin"])
     def test_retained_json_gives_bounds(self, run_dir, engine):

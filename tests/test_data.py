@@ -34,7 +34,7 @@ class TestLoad:
         ])
         result = load_dataset(path, SPEC)
         assert result.dataset.n == 3
-        assert result.n_rejected == 0
+        assert result.rejected_rows == []
         assert result.dataset.unit_ids == ("u1", "u2", "u3")
         assert result.dataset.profiles[1].tolist() == [2, 1, 2, 0, 2]
 
@@ -59,7 +59,7 @@ class TestLoad:
             i + 1 for i, r in enumerate(rows) if "" in r.split(",")
         ]
         assert result.rejected_rows == expected_rejects
-        assert result.n_rejected == 1
+        assert len(result.rejected_rows) == 1
         assert result.dataset.n == 2
 
     def test_missing_column(self, tmp_path):

@@ -1,6 +1,5 @@
 import math
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 import pytest
@@ -8,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_clique_graph
-from softspin import pipeline, sampler
+from softspin import sampler
 from softspin.energy import EnergyModel, SpinConfiguration, grad, hamiltonian
 from softspin.errors import (
     ConfigError,
@@ -16,7 +15,6 @@ from softspin.errors import (
     ParallelChainError,
 )
 from softspin.graph import GroupSums
-from softspin.reports import write_columns
 from softspin.sampler import (
     METROPOLIS_BLOCK,
     AnnealingSchedule,
@@ -736,24 +734,6 @@ class TestRunParallel:
             for j in range(cfg.retain_last):
                 np.testing.assert_array_equal(pool[j * k + c],
                                               solo.retained[j].astype(np.float32))
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_finish_writes_each_trace_where_its_chain_ran(self, tmp_path, workers):
-        # the pipeline's trace writer runs in the workers; its files hold the
-        # bytes of the returned energies written in this process
-        model = quadratic_model(n=5)
-        cfg = ChainConfig(engine=Engine.ISING, n_iters=300, thin=3, retain_last=20,
-                          seed=11, energy_stride=7)
-        runs = tmp_path / "runs"
-        runs.mkdir()
-        traces = run_parallel(model, cfg, self.REF, 3, tmp_path / "pool.npy", workers=workers,
-                              finish=partial(pipeline._write_trace, runs, Engine.ISING))
-        assert sorted(p.name for p in runs.iterdir()) == [
-            f"trace_ising_0{c}.csv" for c in range(3)]
-        for c, trace in enumerate(traces):
-            expected = write_columns(tmp_path / "expected.csv", {
-                "iteration": cfg.energy_iterations(), "energy": trace.energies})
-            assert (runs / f"trace_ising_0{c}.csv").read_bytes() == expected.read_bytes()
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_divergence_leaves_no_pool_file(self, tmp_path, workers):
