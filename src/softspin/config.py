@@ -354,7 +354,9 @@ def _validate(cfg: RunConfig) -> None:
         spec = cfg.batch_spec()
     except ConfigError as exc:
         raise ConfigError(f"conformal: {exc}") from exc
-    if spec.seed + spec.repeats - 1 >= 2**128:  # a Philox key is 128 bits
+    # every stream seed lies in softspin's range [0, 2**128); SeedSequence
+    # itself would hash any non-negative int
+    if spec.seed + spec.repeats - 1 >= 2**128:
         raise ConfigError("conformal: seed + repeats - 1 must be < 2**128")
     if not 1 <= cfg.estimate_last_n <= spec.n_total:
         raise ConfigError(f"conformal: estimate_last_n={cfg.estimate_last_n} is outside "

@@ -6,10 +6,10 @@ randomly chosen spin with Gaussian noise and accepts with the Boltzmann
 rule, cooling on acceptance; the Langevin engine performs full-vector
 gradient steps with temperature-scaled noise and a step size proportional
 to the current temperature, cooling every step, so drift and noise shrink
-together. Chains are reproducible: each one owns a counter-based Philox
-stream keyed by its seed, and parallel runs assign stream keys by chain
-index so results do not depend on scheduling. A Metropolis chain draws its
-variates from that stream in fixed-size blocks (``METROPOLIS_BLOCK``).
+together. Chains are reproducible: each one owns an SFC64 stream seeded
+by its seed, and parallel runs assign seeds by chain index so results do
+not depend on scheduling. A Metropolis chain draws its variates from that
+stream in fixed-size blocks (``METROPOLIS_BLOCK``).
 """
 
 from __future__ import annotations
@@ -60,8 +60,9 @@ class Engine(str, Enum):
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    """Counter-based 64-bit generator; distinct seeds give independent streams."""
-    return np.random.Generator(np.random.Philox(key=seed))
+    """The stream of ``seed``: numpy's SFC64, seeded through ``SeedSequence``,
+    so distinct seeds give independent streams."""
+    return np.random.Generator(np.random.SFC64(seed))
 
 
 @dataclass(frozen=True)
@@ -171,7 +172,7 @@ class ChainState:
     sums: GroupSums
     energy: float | np.ndarray
     bounds: tuple[float, float] | None
-    work: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    work: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
 
 
 def init_state(model: EnergyModel, s0, schedule: AnnealingSchedule,

@@ -180,12 +180,12 @@ class TestCriterion4IncrementalEnergy:
         n = graph.n
         model = EnergyModel(graph, rng.normal(size=n), lambda_reg=1.0)
         sched = fixed_t(5.0, proposal_sd=0.1)  # hot chain accepts most moves
-        philox = make_rng(17)
+        stream = make_rng(17)
         state = init_state(model, rng.uniform(-1, 1, size=n), sched, (-1.0, 1.0))
         accepted = 0
         steps = 0
         while accepted < 100_000:
-            accepted += metropolis_step(model, state, sched, philox)
+            accepted += metropolis_step(model, state, sched, stream)
             steps += 1
             assert steps < 10_000_000
         drift = abs(state.energy - hamiltonian(model, state.s))

@@ -917,7 +917,7 @@ class TestConfig:
         assert [e.value for e in cfg.engines] == ["ising", "langevin"]
 
     def test_range_edges_run(self, tmp_path):
-        # the largest Philox keys (k_chains 2, repeats 5) and the end points
+        # the largest seeds in range (k_chains 2, repeats 5) and the end points
         # of estimate_last_n and truncate_components pass load and run
         tree = dict(
             _section("conformal", seed=2**128 - 5, estimate_last_n=1),

@@ -558,7 +558,7 @@ class TestRunChain:
 
 
 class SpikedRng:
-    """Test double: a chain's real Philox stream, except that noise draw
+    """Test double: a chain's real SFC64 stream, except that noise draw
     number ``at`` (counting from 1) puts ``value`` into its first unit."""
 
     def __init__(self, seed, at, value):
