@@ -7,6 +7,8 @@ coverage on the held-out units; the per-unit interval width is the
 adaptivity that would drive an uncertainty map.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from softspin import BatchSpec, batch_means, repeat_splits, six_number
@@ -41,9 +43,10 @@ print("interval width (adaptivity):")
 print(f"  min={ws.min:.4f} q1={ws.q1:.4f} median={ws.median:.4f} "
       f"mean={ws.mean:.4f} q3={ws.q3:.4f} max={ws.max:.4f}")
 
-# tighter significance never shrinks an interval (same splits)
-spec05 = BatchSpec(n_total=pool_size, n_batches=2000, batch_size=10,
-                   alpha=0.05, calib_frac=0.5, seed=99, repeats=25)
-wide = repeat_splits(batch_means(pool, spec05), y_obs, spec05)
-print(f"\nalpha 0.10 -> 0.05 widens every interval: "
-      f"{bool(np.all(wide.width >= splits.width - 1e-12))}")
+# on the same batches and splits, a tighter significance nests the raw bands,
+# but the offset q_hat may still shrink, so a calibrated interval can narrow
+wide = repeat_splits(batches, y_obs, replace(spec, alpha=0.05))
+nested = bool(np.all(wide.q_lo <= splits.q_lo) and np.all(wide.q_hi >= splits.q_hi))
+print(f"\nalpha 0.10 -> 0.05 nests the raw bands: {nested}")
+print(f"share of (split, unit) intervals that widened: "
+      f"{np.mean(wide.width > splits.width):.4f}")

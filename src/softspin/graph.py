@@ -74,10 +74,9 @@ class GroupSums:
     sums every row, and one ``take`` gathers every unit's group sum.
     """
 
-    __slots__ = ("graph", "index", "sums", "_flat", "_shape")
+    __slots__ = ("index", "sums", "_flat", "_shape")
 
     def __init__(self, graph: InteractionGraph, s):
-        self.graph = graph
         s = np.asarray(s, dtype=float)
         if s.ndim == 1:
             self.index = graph.group_of

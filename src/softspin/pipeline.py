@@ -41,7 +41,6 @@ from .energy import (
     EnergyModel,
     SpinConfiguration,
     energy_ratio,
-    hamiltonian,
     log_likelihood_ratio,
 )
 from .errors import ConfigError, DataError
@@ -191,7 +190,6 @@ def _simulate_engine(cfg: RunConfig, out: Path, dataset, field, graph,
     lam = _resolve_lambda(cfg, engine, graph)
     model = EnergyModel(graph, field, lambda_reg=lam)
     s_ref = SpinConfiguration(engine.scale(dataset.target), engine)
-    h_ref = hamiltonian(model, s_ref.s)
     chain_cfg = cfg.chain_config(engine)
     k = cfg.k_chains(engine)
     configs_path = out / f"retained_{engine.value}_configs.npy"
@@ -224,7 +222,7 @@ def _simulate_engine(cfg: RunConfig, out: Path, dataset, field, graph,
             "t_min": chain_cfg.schedule.t_min,
             engine.step_parameter: getattr(chain_cfg.schedule, engine.step_parameter),
         },
-        "h_ref": h_ref,
+        "h_ref": float(traces[0].energies[0]),  # row 0 of every trace: H(s_ref)
         "final_temperatures": [t.final_temperature for t in traces],
         "accept_counts": [t.accept_count for t in traces],
     }

@@ -18,6 +18,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from itertools import chain, islice
 from pathlib import Path
 
@@ -102,7 +103,7 @@ class AnnealingSchedule:
 class ChainConfig:
     """Run-length, retention and reproducibility settings of one chain.
 
-    ``bounded`` keeps the state inside the reference engine's ``bounds``
+    ``bounded`` keeps the state inside ``engine.bounds``
     ([-1, 1] or [0, 100]); False lifts the boundary entirely (used by
     unbounded diagnostics). Metropolis proposals are reflected at the
     bounds, which preserves proposal symmetry; Langevin states are clamped,
@@ -280,18 +281,18 @@ def _metropolis_blocks(rng, n: int):
         yield zip(sites, normals, uniforms)
 
 
-def _run_metropolis(model: EnergyModel, cfg: ChainConfig, state: ChainState,
-                    rng, energies: np.ndarray, keep) -> int:
-    """Run a Metropolis chain; return its number of accepted moves.
+def _run_metropolis(model: EnergyModel, state: ChainState, trace: ChainTrace) -> None:
+    """Run the Metropolis chain of ``trace`` from ``state`` and fill the trace.
 
     Spins and group sums are held as Python lists, which index and add much
     faster than numpy scalars. ``state.s`` mirrors the spins, written only
     on acceptance, so a snapshot is still one array copy. The kernel writes
-    the energy series into ``energies``; after each retained step,
-    ``keep(t, state.s, energy)`` keeps the snapshot. Every ``recompute_every``
-    steps the group sums and the running energy are recomputed from
-    ``state.s`` first, which cancels float drift.
+    the energy series into ``trace.energies``, and ``trace.keep`` keeps the
+    snapshot after each retained step. Every ``recompute_every`` steps the
+    group sums and the running energy are recomputed from ``state.s`` first,
+    which cancels float drift.
     """
+    cfg, keep = trace.config, trace.keep
     every = cfg.recompute_every
     spins, sums = state.s.tolist(), state.sums.sums.tolist()
     pending = iter(sorted(set(cfg.retained_iterations()).union(
@@ -305,14 +306,15 @@ def _run_metropolis(model: EnergyModel, cfg: ChainConfig, state: ChainState,
         keep(t, state.s, energy)
         return next(pending, 0), energy
 
-    variates = islice(chain.from_iterable(_metropolis_blocks(rng, len(spins))), cfg.n_iters)
-    state.temperature, state.energy, accepted = metropolis_kernel(
+    variates = islice(chain.from_iterable(_metropolis_blocks(make_rng(cfg.seed), len(spins))),
+                      cfg.n_iters)
+    state.temperature, state.energy, trace.accept_count = metropolis_kernel(
         spins, state.s, sums, model.graph.group_of.tolist(), model.field.tolist(),
         model.lambda_reg, cfg.schedule, state.bounds, variates,
-        state.temperature, state.energy, energies, cfg.energy_stride,
+        state.temperature, state.energy, trace.energies, cfg.energy_stride,
         next(pending, 0), on_stop,
     )
-    return accepted
+    trace.final_temperature = state.temperature
 
 
 def langevin_kernel(model: EnergyModel, state: ChainState,
@@ -387,23 +389,22 @@ def langevin_step(model: EnergyModel, state: ChainState,
         raise DivergenceDetected(detail=detail)
 
 
-def _run_langevin(model: EnergyModel, cfgs: list[ChainConfig], state: ChainState,
-                  traces, keeps) -> list[DivergenceDetected | None]:
-    """Step the chains of ``cfgs`` together, row ``c`` of ``state.s`` being
+def _run_langevin(model: EnergyModel, state: ChainState,
+                  traces: list[ChainTrace]) -> list[DivergenceDetected | None]:
+    """Step the chains of ``traces`` together, row ``c`` of ``state.s`` being
     chain ``c``; return each chain's divergence, None where it finished.
 
     After every ``energy_stride``-th step each running chain's energy goes
-    into ``traces[c].energies``, and after each retained step
-    ``keeps[c](t, s, energy)`` keeps its snapshot. A chain that diverges is
-    dropped at that iteration.
+    into its ``energies``, and after each retained step its ``keep`` keeps
+    the snapshot. A chain that diverges is dropped at that iteration.
     """
-    cfg = cfgs[0]
+    cfg = traces[0].config
     stride = cfg.energy_stride
     # only the iterations that record an energy or keep a snapshot stop the run
     stops = set(cfg.energy_iterations()[1:]).union(cfg.retained_iterations())
-    rngs = [make_rng(c.seed) for c in cfgs]
-    running = list(range(len(cfgs)))  # chain index of each row
-    failures: list[DivergenceDetected | None] = [None] * len(cfgs)
+    rngs = [make_rng(trace.config.seed) for trace in traces]
+    running = list(range(len(traces)))  # chain index of each row
+    failures: list[DivergenceDetected | None] = [None] * len(traces)
     for it in range(1, cfg.n_iters + 1):
         diverged = langevin_kernel(model, state, cfg.schedule, rngs)
         if diverged:
@@ -419,27 +420,38 @@ def _run_langevin(model: EnergyModel, cfgs: list[ChainConfig], state: ChainState
             for c, s, energy in zip(running, state.s.reshape(len(running), -1), energies):
                 if it % stride == 0:
                     traces[c].energies[it // stride] = energy
-                keeps[c](it, s, energy)
+                traces[c].keep(it, s, energy)
     return failures
 
 
 @dataclass
 class ChainTrace:
-    """What a finished chain leaves behind beyond its ``config``.
+    """What a chain leaves behind beyond its ``config``.
 
-    ``energies`` is the energy series at ``config.energy_iterations()``;
-    ``retained`` holds the snapshots at ``config.retained_iterations()``
-    in chronological order, with their energies in ``retained_energies``.
-    ``retained`` is None when the chain wrote its snapshots into a pool file
-    (see :func:`run_parallel`).
+    ``energies`` is the energy series at ``config.energy_iterations()``,
+    starting with the reference energy; ``retained`` holds the snapshots at
+    ``config.retained_iterations()`` in chronological order, with their
+    energies in ``retained_energies``. ``retained`` is None when the chain
+    wrote its snapshots into a pool file (see :func:`run_parallel`).
     """
 
+    config: ChainConfig
     energies: np.ndarray
     retained: np.ndarray | None
     retained_energies: np.ndarray
-    accept_count: int
-    final_temperature: float
-    config: ChainConfig
+    accept_count: int = 0
+    final_temperature: float = math.nan
+
+    @cached_property
+    def _grid(self) -> range:  # computed once: keep runs after every retained step
+        return self.config.retained_iterations()
+
+    def keep(self, t: int, s: np.ndarray, energy: float) -> None:
+        """Keep state ``s`` and its ``energy`` if step ``t`` is on the retained grid."""
+        if t in self._grid:
+            j = self._grid.index(t)
+            self.retained[j] = s
+            self.retained_energies[j] = energy
 
     @property
     def acceptance_rate(self) -> float:
@@ -447,90 +459,70 @@ class ChainTrace:
         return self.accept_count / n_iters if n_iters else 0.0
 
 
-def _open_trace(cfg: ChainConfig, n: int, retained: np.ndarray | None, energy: float):
-    """A trace of ``cfg`` holding only the starting ``energy``, and
-    ``keep(t, s, energy)``, which keeps state ``s`` and its energy when
-    step ``t`` is on the retained grid."""
-    grid = cfg.retained_iterations()
-    energies = np.empty(len(cfg.energy_iterations()))
-    energies[0] = energy
-    if retained is None:
-        retained = np.empty((len(grid), n))
-    retained_energies = np.empty(len(grid))
-
-    def keep(t: int, s: np.ndarray, energy: float) -> None:
-        if t in grid:
-            j = grid.index(t)
-            retained[j] = s
-            retained_energies[j] = energy
-
-    return ChainTrace(energies, retained, retained_energies, 0, math.nan, cfg), keep
-
-
-def run_chains(model: EnergyModel, cfgs: list[ChainConfig], s_ref: SpinConfiguration,
-               retained: list[np.ndarray | None] | None = None,
+def run_chains(model: EnergyModel, cfg: ChainConfig, s_ref: SpinConfiguration,
+               seeds: list[int], retained: list[np.ndarray] | None = None,
                ) -> list[ChainTrace | DivergenceDetected]:
-    """Run chains that differ only in seed: burn-in, thinned retention.
+    """Run one chain of ``cfg`` per seed: burn-in, thinned retention.
 
-    Every chain starts at the reference configuration. Energies are recorded
-    every ``energy_stride`` iterations; the Metropolis group-sum cache and
-    running energy are fully recomputed every ``recompute_every`` iterations
-    to cancel float drift. Metropolis chains run one after another; Langevin
-    chains are stepped together as the rows of one (k, N) stack, which gives
-    each chain the same bits as a run on its own. Chain ``c``'s snapshots go
-    into ``retained[c]``, a (retain_last, N) output array such as a view of
-    a memory-mapped pool, or into a new array. Returns, per chain, its trace
-    or the divergence that stopped it, with the iteration attached.
+    Every chain starts at the reference configuration. ``cfg.engine`` alone
+    sets the dynamics and, if ``cfg.bounded``, the bounds; a reference on
+    the other engine's scale raises :class:`ConfigError`. Energies are
+    recorded every ``energy_stride`` iterations; the Metropolis group-sum
+    cache and running energy are fully recomputed every ``recompute_every``
+    iterations to cancel float drift. Metropolis chains run one after
+    another; Langevin chains are stepped together as the rows of one (k, N)
+    stack, which gives each chain the same bits as a run on its own. Chain
+    ``c``'s snapshots go into ``retained[c]``, a (retain_last, N) output
+    array such as a view of a memory-mapped pool, or into a new array.
+    Returns, per chain, its trace (``config`` is ``cfg`` with seed
+    ``seeds[c]``) or the divergence that stopped it, iteration attached.
     """
     n = model.graph.n
     if s_ref.s.shape != (n,):
         raise ConfigError("chain: reference configuration length does not match N")
-    cfg = cfgs[0]
-    if any(replace(c, seed=cfg.seed) != cfg for c in cfgs):
-        raise ConfigError("chain: chains run together may differ only in seed")
-    bounds = s_ref.engine.bounds if cfg.bounded else None
-    h_ref = hamiltonian(model, s_ref.s)
-    traces, keeps = zip(*(_open_trace(c, n, out, h_ref)
-                          for c, out in zip(cfgs, retained or [None] * len(cfgs))))
+    if s_ref.engine is not cfg.engine:
+        raise ConfigError(f"chain: a {cfg.engine.value} chain needs a reference on its "
+                          f"own scale, not on the {s_ref.engine.value} scale")
+    bounds = cfg.engine.bounds if cfg.bounded else None
+    h_ref = hamiltonian(model, s_ref.s)  # row 0 of every energy series; the run writes the rest
+    traces = [ChainTrace(replace(cfg, seed=seed), np.full(len(cfg.energy_iterations()), h_ref),
+                         np.empty((cfg.retain_last, n)) if retained is None else retained[c],
+                         np.empty(cfg.retain_last))
+              for c, seed in enumerate(seeds)]
     if cfg.engine is Engine.ISING:
-        for trace, keep in zip(traces, keeps):
-            state = init_state(model, s_ref.s, cfg.schedule, bounds)
-            trace.accept_count = _run_metropolis(model, trace.config, state,
-                                                 make_rng(trace.config.seed),
-                                                 trace.energies, keep)
-            trace.final_temperature = state.temperature
-        return list(traces)
+        for trace in traces:
+            _run_metropolis(model, init_state(model, s_ref.s, cfg.schedule, bounds), trace)
+        return traces
     # one chain keeps the 1-D state of langevin_step: a (1, N) stack costs a few µs a step
-    s0 = np.tile(s_ref.s, (len(cfgs), 1)) if len(cfgs) > 1 else s_ref.s
+    s0 = np.tile(s_ref.s, (len(traces), 1)) if len(traces) > 1 else s_ref.s
     state = init_state(model, s0, cfg.schedule, bounds)
-    failures = _run_langevin(model, cfgs, state, traces, keeps)
+    failures = _run_langevin(model, state, traces)
     for trace in traces:
         trace.accept_count, trace.final_temperature = cfg.n_iters, state.temperature
     return [trace if failure is None else failure for trace, failure in zip(traces, failures)]
 
 
-def run_chain(model: EnergyModel, cfg: ChainConfig, s_ref: SpinConfiguration,
-              retained: np.ndarray | None = None) -> ChainTrace:
-    """Run one chain: :func:`run_chains` with one config.
+def run_chain(model: EnergyModel, cfg: ChainConfig, s_ref: SpinConfiguration) -> ChainTrace:
+    """Run one chain: :func:`run_chains` with the one seed ``cfg.seed``.
 
     Divergence is raised as :class:`DivergenceDetected` with the iteration
-    attached. The snapshots go into ``retained``, a (retain_last, N) output
-    array, or into a new array.
+    attached.
     """
-    (result,) = run_chains(model, [cfg], s_ref, [retained])
+    (result,) = run_chains(model, cfg, s_ref, [cfg.seed])
     if isinstance(result, DivergenceDetected):
         raise result
     return result
 
 
-def _slice_job(model: EnergyModel, cfgs: list[ChainConfig], s_ref: SpinConfiguration,
-               pool_path: Path, first: int, k: int) -> list[ChainTrace | DivergenceDetected]:
-    """Run chains ``first`` onwards of ``k`` into rows ``j * k + c`` of the
-    .npy file at ``pool_path``, leaving only the energies in the traces."""
+def _slice_job(model: EnergyModel, cfg: ChainConfig, s_ref: SpinConfiguration, pool_path: Path,
+               chains: list[int], k: int) -> list[ChainTrace | DivergenceDetected]:
+    """Run each chain ``c`` in ``chains`` of ``k`` with seed ``cfg.seed + c``
+    into rows ``j * k + c`` of the .npy file at ``pool_path``, leaving only
+    the energies in the traces."""
     pool = np.load(pool_path, mmap_mode="r+")
-    rows = pool.reshape(cfgs[0].retain_last, k, model.graph.n)
-    results = run_chains(model, cfgs, s_ref,
-                         [rows[:, c] for c in range(first, first + len(cfgs))])
+    rows = pool.reshape(cfg.retain_last, k, model.graph.n)
+    results = run_chains(model, cfg, s_ref, [cfg.seed + c for c in chains],
+                         [rows[:, c] for c in chains])
     for result in results:
         if isinstance(result, ChainTrace):
             result.retained = None  # the rows are in the file: unmap, and pickle nothing back
@@ -564,15 +556,13 @@ def run_parallel(
     """
     if k_chains < 1:
         raise ConfigError("k_chains must be >= 1")
-    configs = [replace(cfg, seed=cfg.seed + i) for i in range(k_chains)]
     slices = np.array_split(range(k_chains), min(max(workers, 1), k_chains))
     results: list[ChainTrace | Exception] = []
     with replaced(pool_path) as partial:
         # create the file; each job maps it on its own
         np.lib.format.open_memmap(partial, mode="w+", dtype=np.float32,
                                   shape=(cfg.retain_last * k_chains, model.graph.n))
-        jobs = [(model, [configs[c] for c in chains], s_ref, partial, int(chains[0]), k_chains)
-                for chains in slices]
+        jobs = [(model, cfg, s_ref, partial, chains.tolist(), k_chains) for chains in slices]
         if len(jobs) == 1:
             outcomes = [_outcome(_slice_job, *jobs[0])]
         else:
@@ -581,7 +571,7 @@ def run_parallel(
                 outcomes = [_outcome(fut.result) for fut in futures]
         for job, outcome in zip(jobs, outcomes):
             # a job that failed as a whole fails each of its chains
-            results += outcome if isinstance(outcome, list) else [outcome] * len(job[1])
+            results += outcome if isinstance(outcome, list) else [outcome] * len(job[4])
         failures = [(i, r) for i, r in enumerate(results) if isinstance(r, Exception)]
         if failures:
             raise ParallelChainError(failures)

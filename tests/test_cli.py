@@ -850,19 +850,25 @@ class TestArtifactLayouts:
         assert meta["bounds"] == list(Engine(engine).bounds)
         assert "domain" not in meta
 
-    def test_pooled_rows_labelled_from_json(self, run_dir):
+    def test_pooled_rows_labelled_from_json(self, run_dir, tmp_path):
         # row i of the pooled arrays is chain i % k_chains, whose final
-        # temperature scales that row's log-likelihood ratio
+        # temperature scales that row's log-likelihood ratio, unless
+        # model.temperature sets one temperature for every row
         meta = json.loads((run_dir / "retained_ising.json").read_text())
         energies = np.load(run_dir / "retained_ising_energies.npy")
         configs = np.load(run_dir / "retained_ising_configs.npy")
         k = meta["k_chains"]
         assert configs.shape == (k * meta["retain_last"], 60) == (energies.size, 60)
         temps = np.asarray(meta["final_temperatures"])[np.arange(energies.size) % k]
-        expected = six_number(-(energies - meta["h_ref"]) / temps)
-        _, rows = read_table(run_dir / "energy_ratio_ising.csv")
-        assert rows[1][0] == "log_likelihood_ratio"
-        assert [float(v) for v in rows[1][1:]] == pytest.approx(list(expected), rel=1e-12)
+        fixed = tmp_path / "run"
+        shutil.copytree(run_dir, fixed)
+        cfg_path = write_config(tmp_path, model={"temperature": 0.25})
+        assert main(["analyze", "--config", str(cfg_path), "--out", str(fixed)]) == 0
+        for out, t in ((run_dir, temps), (fixed, 0.25)):
+            expected = six_number(-(energies - meta["h_ref"]) / t)
+            _, rows = read_table(out / "energy_ratio_ising.csv")
+            assert rows[1][0] == "log_likelihood_ratio"
+            assert [float(v) for v in rows[1][1:]] == pytest.approx(list(expected), rel=1e-12)
 
     def test_group_table_layout(self, run_dir):
         header, rows = read_table(run_dir / "groups.csv")

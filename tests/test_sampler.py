@@ -485,10 +485,11 @@ class TestRunChain:
         model = quadratic_model(n=6)
         cfg = ChainConfig(engine=engine, n_iters=400, burn_in_frac=0.15, thin=7,
                           retain_last=12, seed=5, schedule=sched)
-        trace = run_chain(model, cfg, self.make_ref())
+        ref = self.make_ref(engine=engine)
+        trace = run_chain(model, cfg, ref)
         for j, t in enumerate(cfg.retained_iterations()):
             short = replace(cfg, n_iters=t, thin=1, burn_in_frac=0.0, retain_last=1)
-            last = run_chain(model, short, self.make_ref())
+            last = run_chain(model, short, ref)
             np.testing.assert_array_equal(trace.retained[j], last.retained[0])
             assert trace.retained_energies[j] == last.retained_energies[0]
 
@@ -511,6 +512,15 @@ class TestRunChain:
         trace = run_chain(model, cfg, self.make_ref(4))
         assert trace.final_temperature >= sched.t_min - 1e-15
         assert trace.final_temperature <= sched.t0
+
+    def test_reference_on_the_other_scale_rejected(self):
+        # the chain's engine alone sets the bounds, so a reference tagged
+        # with the other engine is on the wrong scale
+        model = quadratic_model(n=6)
+        for engine, other in ((Engine.ISING, Engine.LANGEVIN), (Engine.LANGEVIN, Engine.ISING)):
+            cfg = ChainConfig(engine=engine, n_iters=10, seed=1)
+            with pytest.raises(ConfigError, match="own scale"):
+                run_chain(model, cfg, self.make_ref(engine=other))
 
     def test_langevin_divergence_reports_iteration(self):
         model = quadratic_model(n=3)
@@ -591,10 +601,10 @@ class TestLangevinStack:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_rows_equal_chains_run_alone(self, k, bounded):
         model, ref, cfg = self.make_case(bounded)
-        cfgs = [replace(cfg, seed=cfg.seed + c) for c in range(k)]
-        stacked = run_chains(model, cfgs, ref)
-        for c_cfg, trace in zip(cfgs, stacked):
-            solo = run_chain(model, c_cfg, ref)
+        stacked = run_chains(model, cfg, ref, [cfg.seed + c for c in range(k)])
+        for c, trace in enumerate(stacked):
+            assert trace.config == replace(cfg, seed=cfg.seed + c)
+            solo = run_chain(model, trace.config, ref)
             np.testing.assert_array_equal(trace.retained, solo.retained)
             np.testing.assert_array_equal(trace.energies, solo.energies)
             np.testing.assert_array_equal(trace.retained_energies, solo.retained_energies)
@@ -612,15 +622,10 @@ class TestLangevinStack:
             return hamiltonian(model, s, sums)
 
         monkeypatch.setattr(sampler, "hamiltonian", counting)
-        run_chains(model, [replace(cfg, seed=cfg.seed + c) for c in range(3)], ref)
+        run_chains(model, cfg, ref, [cfg.seed + c for c in range(3)])
         stops = set(cfg.energy_iterations()[1:]).union(cfg.retained_iterations())
         # the reference, then the stack at the start and at each stop
         assert shapes == [(model.graph.n,)] + [(3, model.graph.n)] * (1 + len(stops))
-
-    def test_rows_differ_only_in_seed(self):
-        model, ref, cfg = self.make_case(True)
-        with pytest.raises(ConfigError):
-            run_chains(model, [cfg, replace(cfg, seed=31, thin=2)], ref)
 
     @pytest.mark.parametrize("bounded, value, detail", [
         (True, np.inf, "non-finite state"),
@@ -634,7 +639,7 @@ class TestLangevinStack:
         monkeypatch.setattr(sampler, "make_rng", lambda seed: (
             SpikedRng(seed, spikes[seed], value) if seed in spikes else make_rng(seed)))
         cfgs = [replace(cfg, seed=cfg.seed + c) for c in range(5)]
-        results = run_chains(model, cfgs, ref)
+        results = run_chains(model, cfg, ref, [c_cfg.seed for c_cfg in cfgs])
         for c, c_cfg in enumerate(cfgs):
             if c_cfg.seed in spikes:
                 with pytest.raises(DivergenceDetected) as solo:
@@ -822,14 +827,14 @@ class TestStationaryAgreement:
         # analytic mean h/lambda and variance T/lambda within 5%
         h, lam, t = 0.8, 2.0, 0.6
         model = quadratic_model(h=h, lam=lam, n=10)
-        ref = SpinConfiguration(np.full(10, h / lam), Engine.LANGEVIN)
+        s0 = np.full(10, h / lam)
 
         m_cfg = ChainConfig(
             engine=Engine.ISING, n_iters=200_000, burn_in_frac=0.1, thin=20,
             retain_last=9000, seed=71, bounded=False,
             schedule=fixed_t(t, proposal_sd=1.0),
         )
-        m_trace = run_chain(model, m_cfg, ref)
+        m_trace = run_chain(model, m_cfg, SpinConfiguration(s0, Engine.ISING))
         m_samples = m_trace.retained.ravel()
 
         l_cfg = ChainConfig(
@@ -837,7 +842,7 @@ class TestStationaryAgreement:
             retain_last=9000, seed=72, bounded=False,
             schedule=fixed_t(t, dt0=0.02),
         )
-        l_trace = run_chain(model, l_cfg, ref)
+        l_trace = run_chain(model, l_cfg, SpinConfiguration(s0, Engine.LANGEVIN))
         l_samples = l_trace.retained.ravel()
 
         for samples in (m_samples, l_samples):
