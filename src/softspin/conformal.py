@@ -75,8 +75,9 @@ def batch_means(pool, spec: BatchSpec, workers: int = 1) -> np.ndarray:
     out = np.empty((spec.n_batches, pool.shape[1]))
 
     def fill(start: int, stop: int) -> None:
-        for b in range(start, stop):
-            out[b] = pool[idx[b]].mean(axis=0, dtype=np.float64)
+        for b in range(start, stop):  # the sum and divide of .mean, with no temporary
+            np.add.reduce(pool[idx[b]], axis=0, dtype=np.float64, out=out[b])
+        out[start:stop] /= spec.batch_size
 
     workers = max(1, min(workers, spec.n_batches))
     bounds = np.linspace(0, spec.n_batches, workers + 1).astype(int)
@@ -91,13 +92,26 @@ def _order_index(p: float, n: int) -> int:
     return min(max(k, 1), n)
 
 
-def _raw_bounds(batches: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Order-statistic quantiles along the first axis (per column of B x N)."""
-    sorted_cols = np.sort(batches, axis=0)
-    b = batches.shape[0]
-    lo = sorted_cols[_order_index(alpha / 2.0, b) - 1]
-    hi = sorted_cols[_order_index(1.0 - alpha / 2.0, b) - 1]
-    return lo, hi
+def _raw_bounds(batches: np.ndarray, alpha: float,
+                workers: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Order-statistic quantiles along the first axis (per column of B x N).
+
+    Blocks of columns are sorted on ``workers`` threads (numpy's sort
+    releases the GIL). A column's order statistics depend on no other
+    column, so the result is the same for any ``workers``.
+    """
+    b, n = batches.shape
+    block = 16  # columns: 1.3 MB of scratch per thread at B=10,000
+    rows = [_order_index(alpha / 2.0, b) - 1, _order_index(1.0 - alpha / 2.0, b) - 1]
+    out = np.empty((2, n))
+
+    def take(start: int) -> None:
+        out[:, start:start + block] = np.sort(batches[:, start:start + block], axis=0)[rows]
+
+    starts = range(0, n, block)
+    with ThreadPoolExecutor(max_workers=max(1, min(workers, len(starts)))) as threads:
+        list(threads.map(take, starts))
+    return out[0], out[1]
 
 
 def empirical_quantiles(column, alpha: float) -> tuple[float, float]:
@@ -109,8 +123,8 @@ def empirical_quantiles(column, alpha: float) -> tuple[float, float]:
     x = np.asarray(column, dtype=float)
     if x.shape[0] < 2:
         raise ConfigError("need at least two replicates")
-    lo, hi = _raw_bounds(x, alpha)
-    return float(lo), float(hi)
+    lo, hi = _raw_bounds(x[:, None], alpha)
+    return float(lo[0]), float(hi[0])
 
 
 def nonconformity(y, q_lo, q_hi):
@@ -178,14 +192,15 @@ class Splits:
         return (self.covered & test).sum(axis=1) / test.sum(axis=1)
 
 
-def repeat_splits(batches, y_obs, spec: BatchSpec) -> Splits:
+def repeat_splits(batches, y_obs, spec: BatchSpec, workers: int = 1) -> Splits:
     """Calibrated prediction intervals for every unit, over ``spec.repeats``
     calibration/test splits.
 
     The raw quantiles are computed once. Split r permutes the units with
     seed ``spec.seed + r`` and takes the first ``int(calib_frac * N)`` as its
     calibration set, whose scores give its offset ``q_hat[r]``. Row 0, seeded
-    with ``spec.seed``, is the primary split.
+    with ``spec.seed``, is the primary split. ``workers`` threads take the
+    raw quantiles; the result is bit-identical for every ``workers``.
     """
     batches = np.asarray(batches, dtype=float)
     y_obs = np.asarray(y_obs, dtype=float)
@@ -197,7 +212,7 @@ def repeat_splits(batches, y_obs, spec: BatchSpec) -> Splits:
         raise DataError(
             f"calib_frac {spec.calib_frac} leaves an empty calibration or test set at N={n}"
         )
-    q_lo, q_hi = _raw_bounds(batches, spec.alpha)
+    q_lo, q_hi = _raw_bounds(batches, spec.alpha, workers)
     calib = np.zeros((spec.repeats, n), dtype=bool)
     q_hat = np.empty(spec.repeats)
     degenerate = np.empty(spec.repeats, dtype=bool)

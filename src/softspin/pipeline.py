@@ -274,7 +274,7 @@ def _conformal_engine(cfg: RunConfig, out: Path, dataset, engine: Engine) -> lis
     y_est = engine.unscale_inplace(pool[-cfg.estimate_last_n:].mean(axis=0, dtype=np.float64))
     batches = engine.unscale_inplace(batch_means(pool, spec, workers=cfg.workers))
     del pool, mapped  # unmapped, its touched pages leave the RSS before repeat_splits sorts
-    splits = repeat_splits(batches, y_obs, spec)
+    splits = repeat_splits(batches, y_obs, spec, workers=cfg.workers)
     lo, hi, width, covered = splits.lo, splits.hi, splits.width, splits.covered
     # a unit's coverage is the share of splits that cover it; its adaptivity
     # is its mean calibrated width

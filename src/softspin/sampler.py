@@ -519,7 +519,8 @@ def _slice_job(model: EnergyModel, cfg: ChainConfig, s_ref: SpinConfiguration, p
     """Run each chain ``c`` in ``chains`` of ``k`` with seed ``cfg.seed + c``
     into rows ``j * k + c`` of the .npy file at ``pool_path``, leaving only
     the energies in the traces."""
-    pool = np.load(pool_path, mmap_mode="r+")
+    # a plain ndarray: each row write to a memmap runs its Python __array_finalize__
+    pool = np.load(pool_path, mmap_mode="r+").view(np.ndarray)
     rows = pool.reshape(cfg.retain_last, k, model.graph.n)
     results = run_chains(model, cfg, s_ref, [cfg.seed + c for c in chains],
                          [rows[:, c] for c in chains])

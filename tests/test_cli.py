@@ -372,11 +372,11 @@ class TestPipeline:
             for stage in ("simulate", "conformal"):  # workers are conformal threads too
                 assert main([stage, "--config", str(cfg_path), "--out", str(out),
                              "--workers", workers]) == 0
-        prefixes = ("retained_", "trace_", "uncertainty_", "unit_results_",
+        prefixes = ("retained_", "trace_", "calibration_", "uncertainty_", "unit_results_",
                     "coverage_adaptivity_")
         names = sorted(p.name for p in one.iterdir() if p.name.startswith(prefixes))
-        # per engine: the trace table, json, configs, energies and 3 conformal tables
-        assert len(names) == 2 * (1 + 3 + 3)
+        # per engine: the trace table, json, configs, energies and 4 conformal tables
+        assert len(names) == 2 * (1 + 3 + 4)
         assert names == sorted(p.name for p in two.iterdir() if p.name.startswith(prefixes))
         for name in names:
             assert (one / name).read_bytes() == (two / name).read_bytes(), name

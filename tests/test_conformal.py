@@ -1,3 +1,4 @@
+import math
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from softspin.conformal import (
     BatchSpec,
+    _raw_bounds,
     batch_means,
     calibrate,
     empirical_quantiles,
@@ -53,17 +55,18 @@ class TestBatchMeans:
 
     def test_bit_equal_for_any_worker_count(self, rng):
         # 101 batches: neither 2 nor 3 threads split them evenly
-        pool = rng.normal(size=(300, 5))
         spec = BatchSpec(n_total=300, n_batches=101, batch_size=25, seed=4)
-        stream = make_rng(spec.seed)  # draw, then average, one batch at a time
-        serial = np.array([pool[stream.integers(0, 300, size=25)].mean(axis=0)
-                           for _ in range(101)])
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads as often as possible
         try:
-            for workers in (1, 2, 3):
-                out = batch_means(pool, spec, workers=workers)
-                np.testing.assert_array_equal(out.view(np.uint64), serial.view(np.uint64))
+            for dtype in (np.float64, np.float32):
+                pool = rng.normal(50.0, 30.0, size=(300, 5)).astype(dtype)
+                stream = make_rng(spec.seed)  # draw, then average, one batch at a time
+                serial = np.array([pool[stream.integers(0, 300, size=25)].mean(
+                    axis=0, dtype=np.float64) for _ in range(101)])
+                for workers in (1, 2, 3):
+                    out = batch_means(pool, spec, workers=workers)
+                    np.testing.assert_array_equal(out.view(np.uint64), serial.view(np.uint64))
         finally:
             sys.setswitchinterval(interval)
 
@@ -112,6 +115,67 @@ class TestEmpiricalQuantiles:
     def test_ordering(self, xs, alpha):
         lo, hi = empirical_quantiles(np.array(xs), alpha)
         assert lo <= hi
+
+
+class TestRawBounds:
+    @staticmethod
+    def awkward_batches(rng):
+        # 101 x 37: 16-column blocks leave a short last one, three blocks for three threads
+        batches = rng.normal(size=(101, 37))
+        batches[:, 3] = np.round(batches[:, 3])  # ties
+        batches[:, 4] = 2.5  # a constant column
+        batches[::2, 5], batches[1::2, 5] = 0.0, -0.0  # ties that differ in their bits
+        batches[[0, 50, 99], 20] = np.nan  # NaN sorts last
+        return batches
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_equal_one_sort_of_the_whole_matrix(self, rng, workers):
+        # B=101 at alpha 0.05: order statistics ceil(2.525) = 3 and ceil(98.475) = 99
+        batches = self.awkward_batches(rng)
+        whole = np.sort(batches, axis=0)
+        spec = BatchSpec(n_total=101, n_batches=101, batch_size=1, alpha=0.05, repeats=4)
+        y_obs = rng.normal(size=37)
+        serial = repeat_splits(batches, y_obs, spec)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            lo, hi = _raw_bounds(batches, 0.05, workers)
+            splits = repeat_splits(batches, y_obs, spec, workers=workers)
+        finally:
+            sys.setswitchinterval(interval)
+        for got in (lo, splits.q_lo):
+            np.testing.assert_array_equal(got.view(np.uint64), whole[2].view(np.uint64))
+        for got in (hi, splits.q_hi):
+            np.testing.assert_array_equal(got.view(np.uint64), whole[98].view(np.uint64))
+        assert np.isnan(hi[20]) and not np.isnan(lo[20])
+        np.testing.assert_array_equal(splits.q_hat.view(np.uint64),
+                                      serial.q_hat.view(np.uint64))
+        np.testing.assert_array_equal(splits.degenerate, serial.degenerate)
+
+    def test_fewer_columns_than_threads(self, rng):
+        batches = rng.normal(size=(40, 1))
+        lo, hi = _raw_bounds(batches, 0.1, workers=2)  # order statistics 2 and 38
+        whole = np.sort(batches, axis=0)
+        assert lo.shape == hi.shape == (1,)
+        assert (lo[0], hi[0]) == (whole[1, 0], whole[37, 0])
+
+    @given(
+        st.lists(st.sampled_from([-1.5, -0.0, 0.0, 2.0, 7.25]) | st.floats(-100, 100),
+                 min_size=2, max_size=60),
+        st.floats(0.01, 0.99),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_one_column_path_is_a_sort_of_the_column(self, xs, alpha):
+        # empirical_quantiles on a 1-D column: the k-th smallest, k = ceil(p * B)
+        x = np.array(xs)
+        b = x.shape[0]
+        ordered = np.sort(x)
+        lo = ordered[min(max(math.ceil(alpha / 2 * b - 1e-9), 1), b) - 1]
+        hi = ordered[min(max(math.ceil((1 - alpha / 2) * b - 1e-9), 1), b) - 1]
+        got = empirical_quantiles(x, alpha)
+        assert all(type(v) is float for v in got)
+        np.testing.assert_array_equal(np.array(got).view(np.uint64),
+                                      np.array([lo, hi]).view(np.uint64))
 
 
 class TestNonconformity:
