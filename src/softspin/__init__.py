@@ -36,7 +36,6 @@ from .sampler import (
     ChainConfig,
     ChainTrace,
     Engine,
-    langevin_step,
     make_rng,
     metropolis_step,
     run_chain,
@@ -47,7 +46,6 @@ from .conformal import (
     Splits,
     batch_means,
     calibrate,
-    empirical_quantiles,
     nonconformity,
     repeat_splits,
     six_number,

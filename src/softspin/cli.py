@@ -2,9 +2,9 @@
 
 Subcommands run either the full pipeline or exactly one stage against the
 artifacts of a run directory, from a YAML configuration (built-in defaults
-when omitted). Exit codes: 0 ok, 1 any other error (such as an OSError
-while writing an artifact), 2 configuration error, 3 data error, 4 numeric
-divergence.
+when omitted). It exits with 0 when the command succeeds, with the failure's
+``exit_code`` (see ``softspin.errors``) and with 1 for any other error, such
+as an OSError while writing an artifact.
 """
 
 from __future__ import annotations
@@ -14,12 +14,7 @@ import sys
 from pathlib import Path
 
 from .config import dump_default_config, load_config
-from .errors import (
-    ConfigError,
-    DivergenceDetected,
-    ParallelChainError,
-    SoftspinError,
-)
+from .errors import ConfigError, SoftspinError
 from .pipeline import (
     run_pipeline,
     stage_analyze,
@@ -31,11 +26,6 @@ from .pipeline import (
     stage_synth,
     stage_validate,
 )
-
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_DATA = 3
-EXIT_DIVERGENCE = 4
 
 # subcommand -> (what it runs, help text)
 _STAGES = {
@@ -84,10 +74,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.print_config:
         sys.stdout.write(dump_default_config())
-        return EXIT_OK
+        return 0
     if args.command is None:
         parser.print_help()
-        return EXIT_CONFIG
+        return ConfigError.exit_code
 
     stage = args.command
     try:
@@ -100,30 +90,16 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, overrides)
     except (ConfigError, OSError) as exc:
         print(f"[config] {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return ConfigError.exit_code
 
     try:
         written = _STAGES[stage][0](cfg, cfg.out)
     except Exception as exc:  # stage-tagged reporting with stable exit codes
         print(f"[{stage}] {type(exc).__name__}: {exc}", file=sys.stderr)
-        return _exit_code(exc)
+        return exc.exit_code if isinstance(exc, SoftspinError) else 1
     for path in written:
         print(path)
-    return EXIT_OK
-
-
-def _exit_code(exc: Exception) -> int:
-    if isinstance(exc, DivergenceDetected):
-        return EXIT_DIVERGENCE
-    if isinstance(exc, ParallelChainError):
-        if any(isinstance(e, DivergenceDetected) for _, e in exc.failures):
-            return EXIT_DIVERGENCE
-        return EXIT_DATA
-    if isinstance(exc, ConfigError):
-        return EXIT_CONFIG
-    if isinstance(exc, SoftspinError):
-        return EXIT_DATA
-    return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -398,12 +398,21 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(f"indicators: names {clash} are the dataset's id, profile, "
                           f"target or center/periphery columns")
     if cfg.dataset_path is None:  # the synth section is read only to synthesize
-        if cfg.synth_units < n_groups + 2:  # the linear-model baseline needs N > K + 1
-            raise ConfigError(f"synth: n_units must be >= {n_groups + 2}, the groups plus 2")
-        if int(spec.calib_frac * cfg.synth_units) < 1:
-            raise ConfigError(f"conformal: calib_frac={spec.calib_frac} leaves no calibration "
-                              f"unit at n_units={cfg.synth_units}")
+        check_unit_count(cfg, cfg.synth_units, "synth")
         cfg.synth_params()
+
+
+def check_unit_count(cfg: RunConfig, n_units: int, source: str, error=ConfigError) -> None:
+    """Raise ``error`` unless ``n_units`` units leave the linear-model baseline
+    more units than its K + 1 coefficients and the conformal stage at least
+    one calibration unit. ``source`` names where N comes from."""
+    need = len(indicator_groups(cfg.indicator_spec())) + 2
+    if n_units < need:
+        raise error(f"{source}: n_units must be >= {need}, the groups plus 2")
+    calib_frac = cfg.batch_spec().calib_frac
+    if int(calib_frac * n_units) < 1:
+        raise error(f"conformal: calib_frac={calib_frac} leaves no calibration "
+                    f"unit at n_units={n_units}")
 
 
 def load_config(path=None, overrides: dict | None = None) -> RunConfig:

@@ -80,10 +80,15 @@ def batch_means(pool, spec: BatchSpec, workers: int = 1) -> np.ndarray:
         out[start:stop] /= spec.batch_size
 
     workers = max(1, min(workers, spec.n_batches))
-    bounds = np.linspace(0, spec.n_batches, workers + 1).astype(int)
-    with ThreadPoolExecutor(max_workers=workers) as threads:
-        list(threads.map(fill, bounds[:-1], bounds[1:]))
+    _on_threads(fill, np.linspace(0, spec.n_batches, workers + 1).astype(int), workers)
     return out
+
+
+def _on_threads(fn, bounds, workers: int) -> None:
+    """Call ``fn(start, stop)`` for each pair of consecutive ``bounds`` on up
+    to ``workers`` threads, reading every result so an error raises."""
+    with ThreadPoolExecutor(max_workers=max(1, min(workers, len(bounds) - 1))) as threads:
+        list(threads.map(fn, bounds[:-1], bounds[1:]))
 
 
 def _order_index(p: float, n: int) -> int:
@@ -105,26 +110,11 @@ def _raw_bounds(batches: np.ndarray, alpha: float,
     rows = [_order_index(alpha / 2.0, b) - 1, _order_index(1.0 - alpha / 2.0, b) - 1]
     out = np.empty((2, n))
 
-    def take(start: int) -> None:
-        out[:, start:start + block] = np.sort(batches[:, start:start + block], axis=0)[rows]
+    def take(start: int, stop: int) -> None:
+        out[:, start:stop] = np.sort(batches[:, start:stop], axis=0)[rows]
 
-    starts = range(0, n, block)
-    with ThreadPoolExecutor(max_workers=max(1, min(workers, len(starts)))) as threads:
-        list(threads.map(take, starts))
+    _on_threads(take, range(0, n + block, block), workers)
     return out[0], out[1]
-
-
-def empirical_quantiles(column, alpha: float) -> tuple[float, float]:
-    """Raw order-statistic quantiles at levels alpha/2 and 1 - alpha/2.
-
-    Pure order statistics (index ceil(p*B), 1-based, no interpolation), the
-    convention pinned for the calibration arithmetic.
-    """
-    x = np.asarray(column, dtype=float)
-    if x.shape[0] < 2:
-        raise ConfigError("need at least two replicates")
-    lo, hi = _raw_bounds(x[:, None], alpha)
-    return float(lo[0]), float(hi[0])
 
 
 def nonconformity(y, q_lo, q_hi):
@@ -144,10 +134,10 @@ def calibrate(scores, alpha: float) -> tuple[float, bool]:
     n = x.shape[0]
     if n < 1:
         raise DataError("no calibration scores")
-    k = math.ceil((n + 1) * (1.0 - alpha) - 1e-9)
+    k = _order_index(1.0 - alpha, n + 1)
     if k > n:
         return float(x[-1]), True
-    return float(x[max(k, 1) - 1]), False
+    return float(x[k - 1]), False
 
 
 @dataclass(frozen=True)
@@ -213,13 +203,13 @@ def repeat_splits(batches, y_obs, spec: BatchSpec, workers: int = 1) -> Splits:
             f"calib_frac {spec.calib_frac} leaves an empty calibration or test set at N={n}"
         )
     q_lo, q_hi = _raw_bounds(batches, spec.alpha, workers)
+    scores = nonconformity(y_obs, q_lo, q_hi)  # a unit's score is the same in every split
     calib = np.zeros((spec.repeats, n), dtype=bool)
     q_hat = np.empty(spec.repeats)
     degenerate = np.empty(spec.repeats, dtype=bool)
     for r, row in enumerate(calib):
         row[make_rng(spec.seed + r).permutation(n)[:n_cal]] = True
-        scores = nonconformity(y_obs[row], q_lo[row], q_hi[row])
-        q_hat[r], degenerate[r] = calibrate(scores, spec.alpha)
+        q_hat[r], degenerate[r] = calibrate(scores[row], spec.alpha)
     return Splits(q_lo, q_hi, y_obs, q_hat, degenerate, calib)
 
 

@@ -199,11 +199,12 @@ def load_dataset(
     with an empty required cell are rejected (counted, not fatal); rows with
     extra cells, out-of-domain categories, out-of-range targets or duplicate
     ids raise. Row numbers in errors are 1-based data rows. ``content``, if
-    given, is the file's bytes, already read.
+    given, is the file's bytes, already read; a leading UTF-8 byte-order
+    mark, as spreadsheet exports write, is skipped.
     """
     spec = tuple(spec)
     path = Path(path)
-    text = (path.read_bytes() if content is None else content).decode("utf-8")
+    text = (path.read_bytes() if content is None else content).decode("utf-8-sig")
     with io.StringIO(text, newline="") as fh:
         reader = csv.DictReader(fh, delimiter=delimiter)
         header = reader.fieldnames or []

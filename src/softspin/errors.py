@@ -1,9 +1,7 @@
 """Exception types shared across the package, one per exit code of the CLI.
 
-``ConfigError`` exits with 2, ``DataError`` (invalid input, a degenerate
-computation or a missing artifact) with 3 and ``DivergenceDetected`` with 4;
-a ``ParallelChainError`` exits with 4 when one of its chains diverged, else 3.
-A failed stage prints one stderr line ``[<stage>] <Class>: <message>``.
+Each class carries the code the CLI exits with as ``exit_code``. A failed
+stage prints one stderr line ``[<stage>] <Class>: <message>``.
 
 Every exception survives pickling across process boundaries (parallel chain
 execution) through the one ``SoftspinError.__reduce__``.
@@ -15,6 +13,8 @@ import copyreg
 class SoftspinError(Exception):
     """Base class for package errors."""
 
+    exit_code = 3
+
     def __reduce__(self):
         # ``cls.__new__(cls, *args)`` sets the message without running
         # ``__init__``, whose parameters differ by class; the attributes
@@ -25,12 +25,16 @@ class SoftspinError(Exception):
 class ConfigError(SoftspinError):
     """Invalid or inconsistent run configuration."""
 
+    exit_code = 2
+
 
 class DataError(SoftspinError):
     """Invalid input data, a degenerate computation or a missing artifact."""
 
 
 class DivergenceDetected(SoftspinError):
+    exit_code = 4
+
     def __init__(self, iteration=None, detail=""):
         where = "" if iteration is None else f" at iteration {iteration}"
         extra = f": {detail}" if detail else ""
@@ -50,3 +54,9 @@ class ParallelChainError(SoftspinError):
         lines = [f"chain {i}: {exc}" for i, exc in failures]
         super().__init__("; ".join(lines))
         self.failures = list(failures)
+
+    @property
+    def exit_code(self) -> int:
+        """4 when one of the chains diverged, else 3."""
+        diverged = any(isinstance(exc, DivergenceDetected) for _, exc in self.failures)
+        return DivergenceDetected.exit_code if diverged else SoftspinError.exit_code

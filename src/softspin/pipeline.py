@@ -28,7 +28,7 @@ from .analysis import (
     residual_associations,
 )
 from .conformal import batch_means, repeat_splits, six_number
-from .config import RunConfig, config_hash, manifest_config
+from .config import RunConfig, check_unit_count, config_hash, manifest_config
 from .data import (
     PROFILE_COLUMNS,
     LoadResult,
@@ -166,6 +166,7 @@ def stage_graph(cfg: RunConfig, out: Path) -> list[Path]:
 def stage_simulate(cfg: RunConfig, out: Path) -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
     dataset = _load_dataset(cfg, out).dataset
+    check_unit_count(cfg, dataset.n, "dataset", DataError)  # a file's N is known only now
     field = _read_field(out)
     graph = build_graph(dataset)
     written: list[Path] = []

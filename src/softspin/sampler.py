@@ -378,17 +378,6 @@ def langevin_kernel(model: EnergyModel, state: ChainState,
     return diverged
 
 
-def langevin_step(model: EnergyModel, state: ChainState,
-                  schedule: AnnealingSchedule, rng) -> None:
-    """One Langevin update of one chain: :func:`langevin_kernel` with one row.
-
-    A diverging step raises :class:`DivergenceDetected` with the guard's
-    detail and leaves the state as it was.
-    """
-    for _, detail in langevin_kernel(model, state, schedule, (rng,)):
-        raise DivergenceDetected(detail=detail)
-
-
 def _run_langevin(model: EnergyModel, state: ChainState,
                   traces: list[ChainTrace]) -> list[DivergenceDetected | None]:
     """Step the chains of ``traces`` together, row ``c`` of ``state.s`` being
@@ -493,7 +482,7 @@ def run_chains(model: EnergyModel, cfg: ChainConfig, s_ref: SpinConfiguration,
         for trace in traces:
             _run_metropolis(model, init_state(model, s_ref.s, cfg.schedule, bounds), trace)
         return traces
-    # one chain keeps the 1-D state of langevin_step: a (1, N) stack costs a few µs a step
+    # one chain keeps a 1-D state: a (1, N) stack costs a few µs a step
     s0 = np.tile(s_ref.s, (len(traces), 1)) if len(traces) > 1 else s_ref.s
     state = init_state(model, s0, cfg.schedule, bounds)
     failures = _run_langevin(model, state, traces)

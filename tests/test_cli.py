@@ -1,3 +1,4 @@
+import codecs
 import csv
 import io
 import json
@@ -17,7 +18,7 @@ from softspin import pipeline
 from softspin.cli import main
 from softspin.config import DEFAULT_CONFIG, config_hash, load_config
 from softspin.conformal import batch_means, repeat_splits, six_number
-from softspin.data import DEFAULT_PROFILE_WEIGHTS
+from softspin.data import DEFAULT_PROFILE_WEIGHTS, load_dataset
 from softspin.energy import EnergyModel, SpinConfiguration
 from softspin.errors import ConfigError
 from softspin.graph import build_graph
@@ -674,6 +675,34 @@ class TestStages:
         assert main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 3
         assert f": {message}\n" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+
+    def test_byte_order_marked_dataset_loads(self, tmp_path):
+        # a spreadsheet's "CSV UTF-8" export starts the file with a byte-order mark
+        out = tmp_path / "run"
+        assert main(["synth", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 0
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(codecs.BOM_UTF8 + (out / "dataset.csv").read_bytes())
+        plain, bom = (load_dataset(path).dataset for path in (out / "dataset.csv", marked))
+        for name in ("unit_ids", "profiles", "indicators", "target", "center_periph", "spec"):
+            np.testing.assert_array_equal(getattr(bom, name), getattr(plain, name))
+        cfg_path = write_config(tmp_path, TINY, dataset={"path": str(marked)})
+        assert main(["validate", "--config", str(cfg_path), "--out", str(tmp_path / "bom")]) == 0
+
+    def test_too_few_units_in_a_file_stop_before_the_chains(self, tmp_path, capsys):
+        # K = 6 composite groups: the linear-model baseline needs N >= 8
+        out = tmp_path / "run"
+        assert main(["synth", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 0
+        lines = (out / "dataset.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+        seven = tmp_path / "seven.csv"
+        seven.write_text("".join(lines[:8]), encoding="utf-8")
+        cfg_path = write_config(tmp_path, TINY, dataset={"path": str(seven)})
+        run = tmp_path / "seven"
+        capsys.readouterr()
+        assert main(["pipeline", "--config", str(cfg_path), "--out", str(run)]) == 3
+        assert capsys.readouterr().err == (
+            "[pipeline] DataError: dataset: n_units must be >= 8, the groups plus 2\n")
+        assert (run / "external_field.csv").exists()
+        assert not list(run.glob("retained_*")) and not list(run.glob("trace_*"))
 
     def test_validate_rejects_a_constant_indicator(self, tmp_path, capsys):
         header, rows = _units_table()

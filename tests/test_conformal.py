@@ -13,13 +13,18 @@ from softspin.conformal import (
     _raw_bounds,
     batch_means,
     calibrate,
-    empirical_quantiles,
     nonconformity,
     repeat_splits,
     six_number,
 )
 from softspin.errors import ConfigError, DataError
 from softspin.sampler import make_rng
+
+
+def column_bounds(column, alpha):
+    """The raw (lo, hi) order statistics of one column of replicates."""
+    lo, hi = _raw_bounds(np.asarray(column, dtype=float)[:, None], alpha)
+    return lo[0], hi[0]
 
 
 def exchangeable_fixture(n_units, b=800, seed=0):
@@ -95,16 +100,16 @@ class TestBatchMeans:
 
 class TestEmpiricalQuantiles:
     def test_constant_column(self):
-        lo, hi = empirical_quantiles(np.full(40, 7.0), 0.1)
+        lo, hi = column_bounds(np.full(40, 7.0), 0.1)
         assert lo == hi == 7.0
 
     def test_order_statistic_indices(self):
-        lo, hi = empirical_quantiles(np.arange(1, 101, dtype=float), 0.10)
+        lo, hi = column_bounds(np.arange(1, 101, dtype=float), 0.10)
         assert (lo, hi) == (5.0, 95.0)
 
     def test_small_alpha_uses_extremes(self):
         x = np.arange(1, 11, dtype=float)
-        lo, hi = empirical_quantiles(x, 1e-9)
+        lo, hi = column_bounds(x, 1e-9)
         assert (lo, hi) == (1.0, 10.0)
 
     @given(
@@ -113,7 +118,7 @@ class TestEmpiricalQuantiles:
     )
     @settings(max_examples=150, deadline=None)
     def test_ordering(self, xs, alpha):
-        lo, hi = empirical_quantiles(np.array(xs), alpha)
+        lo, hi = column_bounds(xs, alpha)
         assert lo <= hi
 
 
@@ -166,14 +171,13 @@ class TestRawBounds:
     )
     @settings(max_examples=150, deadline=None)
     def test_one_column_path_is_a_sort_of_the_column(self, xs, alpha):
-        # empirical_quantiles on a 1-D column: the k-th smallest, k = ceil(p * B)
+        # _raw_bounds on one column: the k-th smallest, k = ceil(p * B)
         x = np.array(xs)
         b = x.shape[0]
         ordered = np.sort(x)
         lo = ordered[min(max(math.ceil(alpha / 2 * b - 1e-9), 1), b) - 1]
         hi = ordered[min(max(math.ceil((1 - alpha / 2) * b - 1e-9), 1), b) - 1]
-        got = empirical_quantiles(x, alpha)
-        assert all(type(v) is float for v in got)
+        got = column_bounds(x, alpha)
         np.testing.assert_array_equal(np.array(got).view(np.uint64),
                                       np.array([lo, hi]).view(np.uint64))
 
@@ -213,6 +217,14 @@ class TestCalibrate:
 
     def test_degenerate_small_sample(self):
         assert calibrate(np.array([1.0, 2.0, 3.0]), 0.05) == (3.0, True)
+
+    @pytest.mark.parametrize("n, alpha, expected", [
+        (19, 0.05, (19.0, False)),  # (n + 1)(1 - alpha) = 19.0: the largest score
+        (18, 0.05, (18.0, True)),   # 18.05 rounds up past n
+        (9, 0.7, (3.0, False)),     # 3.0000000000000004: the fuzz keeps k = 3
+    ])
+    def test_order_index_at_integer_boundaries(self, n, alpha, expected):
+        assert calibrate(np.arange(1.0, n + 1.0), alpha) == expected
 
     def test_empty(self):
         with pytest.raises(DataError, match="no calibration scores"):
@@ -271,7 +283,7 @@ class TestConformalIntervals:
         batches, y = exchangeable_fixture(120)
         spec = self.spec()
         res = repeat_splits(batches, y, spec)
-        q_lo, q_hi = np.array([empirical_quantiles(col, spec.alpha) for col in batches.T]).T
+        q_lo, q_hi = np.array([column_bounds(col, spec.alpha) for col in batches.T]).T
         np.testing.assert_array_equal(res.q_lo, q_lo)
         np.testing.assert_array_equal(res.q_hi, q_hi)
         n_cal = int(spec.calib_frac * 120)
@@ -289,6 +301,20 @@ class TestConformalIntervals:
             np.testing.assert_array_equal(res.width[r], hi - lo)
             np.testing.assert_array_equal(res.covered[r], covered)
             assert res.test_coverage[r] == np.mean(covered[test_idx])
+
+    @pytest.mark.parametrize("n_units, alpha", [(120, 0.10), (30, 0.05)])
+    def test_offsets_equal_per_split_scores_with_ties(self, n_units, alpha):
+        # rounded replicates and observations tie many scores, zeros included;
+        # at N=30 each split's 15 calibration units are too few for alpha 0.05
+        batches, y = exchangeable_fixture(n_units)
+        batches, y = np.round(batches), np.round(y)
+        spec = self.spec(alpha=alpha)
+        res = repeat_splits(batches, y, spec)
+        q_lo, q_hi = _raw_bounds(batches, alpha)
+        for r, row in enumerate(res.calib):
+            q_hat, degenerate = calibrate(nonconformity(y[row], q_lo[row], q_hi[row]), alpha)
+            assert (res.q_hat[r], res.degenerate[r]) == (q_hat, degenerate)
+        assert res.degenerate.all() == (n_units == 30)
 
     def test_shape_mismatch_is_config_error(self):
         batches, y = exchangeable_fixture(50)

@@ -41,3 +41,17 @@ def test_every_class_has_an_instance():
 def test_pickle_round_trip_keeps_message_and_fields(exc, protocol):
     back = pickle.loads(pickle.dumps(exc, protocol=protocol))
     assert_same(exc, back)
+
+
+@pytest.mark.parametrize("exc, code", [
+    (errors.SoftspinError("base"), 3),
+    (errors.ConfigError("workers must be >= 1"), 2),
+    (errors.DataError("no calibration scores"), 3),
+    (errors.DivergenceDetected(12, "non-finite state"), 4),
+    (errors.ParallelChainError([(0, errors.DataError("x")), (1, OSError("disk full"))]), 3),
+    (errors.ParallelChainError([(0, errors.DataError("x")), (2, errors.DivergenceDetected(7))]), 4),
+], ids=["SoftspinError", "ConfigError", "DataError", "DivergenceDetected",
+        "ParallelChainError-failed", "ParallelChainError-diverged"])
+def test_exit_code(exc, code):
+    assert exc.exit_code == code
+    assert pickle.loads(pickle.dumps(exc)).exit_code == code

@@ -21,7 +21,7 @@ from softspin.sampler import (
     ChainConfig,
     Engine,
     init_state,
-    langevin_step,
+    langevin_kernel,
     make_rng,
     metropolis_kernel,
     metropolis_step,
@@ -318,7 +318,7 @@ class TestLangevinStep:
         s = state.s.copy()
         temperature = sched.t0
         for _ in range(25):
-            langevin_step(model, state, sched, stream)
+            assert langevin_kernel(model, state, sched, (stream,)) == []
             dt = sched.dt0 * (temperature / sched.t0)
             s = np.clip(s - dt * grad(model, s)
                         + math.sqrt(2.0 * temperature * dt) * replay.standard_normal(g.n),
@@ -363,9 +363,7 @@ class TestLangevinStep:
         model = quadratic_model(h=0.0, lam=1.0)
         sched = fixed_t(1.0, dt0=1e30)
         state = init_state(model, np.array([start]), sched, bounds)
-        with pytest.raises(DivergenceDetected) as err:
-            langevin_step(model, state, sched, make_rng(1))
-        assert err.value.detail == detail
+        assert langevin_kernel(model, state, sched, (make_rng(1),)) == [(0, detail)]
         np.testing.assert_array_equal(state.s, [start])
 
     def test_frozen_at_stationary_point(self):
@@ -374,7 +372,7 @@ class TestLangevinStep:
         sched = AnnealingSchedule(t0=1.0, cooling=0.5, t_min=0.0, dt0=1e-2)
         state = init_state(model, np.array([0.5]), sched, None)
         state.temperature = 1e-300
-        langevin_step(model, state, sched, make_rng(0))
+        assert langevin_kernel(model, state, sched, (make_rng(0),)) == []
         assert state.s[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_bit_identical_trajectory(self):
@@ -385,7 +383,7 @@ class TestLangevinStep:
             rng = make_rng(seed)
             state = init_state(model, np.zeros(4), sched, None)
             for _ in range(300):
-                langevin_step(model, state, sched, rng)
+                assert langevin_kernel(model, state, sched, (rng,)) == []
             return state.s.copy(), state.temperature
 
         s1, t1 = run(7)
@@ -400,7 +398,7 @@ class TestLangevinStep:
         rng = make_rng(4)
         expected = sched.t0
         for _ in range(20):
-            langevin_step(model, state, sched, rng)
+            assert langevin_kernel(model, state, sched, (rng,)) == []
             expected = max(sched.t_min, sched.cooling * expected)
             assert state.temperature == expected
         assert expected == sched.t_min
@@ -409,9 +407,13 @@ class TestLangevinStep:
         model = quadratic_model(h=0.0, lam=1.0)
         sched = fixed_t(1.0, dt0=1e6)
         state = init_state(model, np.array([50.0]), sched, (0.0, 100.0))
-        with pytest.raises(DivergenceDetected):
-            for _ in range(50):
-                langevin_step(model, state, sched, make_rng(1))
+        for _ in range(50):
+            before = state.s.copy()
+            diverged = langevin_kernel(model, state, sched, (make_rng(1),))
+            if diverged:
+                break
+        assert diverged == [(0, "state escaped the domain guard")]
+        np.testing.assert_array_equal(state.s, before)
 
     def test_clamps_to_bounds(self):
         model = quadratic_model(h=0.0, lam=1.0)
@@ -419,7 +421,7 @@ class TestLangevinStep:
         rng = make_rng(2)
         state = init_state(model, np.array([99.0]), sched, (0.0, 100.0))
         for _ in range(500):
-            langevin_step(model, state, sched, rng)
+            assert langevin_kernel(model, state, sched, (rng,)) == []
             assert 0.0 <= state.s[0] <= 100.0
 
     def test_ou_stationary_moments(self):
@@ -435,7 +437,7 @@ class TestLangevinStep:
             state = init_state(model, np.array([0.5]), sched, None)
             xs = np.empty(150_000)
             for k in range(xs.shape[0]):
-                langevin_step(model, state, sched, rng)
+                assert langevin_kernel(model, state, sched, (rng,)) == []
                 xs[k] = state.s[0]
             samples.append(xs[5000:])
         pooled = np.concatenate(samples)
