@@ -1,9 +1,10 @@
 """Annealed exploration around the observed configuration with both engines.
 
 The Metropolis engine perturbs one spin at a time on the [-1, 1] scale and
-cools on acceptance; the Langevin engine takes full-vector gradient steps
-with temperature-scaled noise on the raw percent scale and cools every
-step. Both start at the observed configuration and drift toward
+cools on acceptance; the Langevin engine is the chain of full-vector
+gradient steps with temperature-scaled noise on the raw percent scale,
+cooling every step, sampled from its closed-form law at the iterations it
+records. Both start at the observed configuration and drift toward
 energetically more favorable states nearby, which is the point: local
 exploration, not global optimization. The chains write their retained
 snapshots into one float32 pool file per engine, here in a temporary

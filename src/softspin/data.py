@@ -200,11 +200,18 @@ def load_dataset(
     extra cells, out-of-domain categories, out-of-range targets or duplicate
     ids raise. Row numbers in errors are 1-based data rows. ``content``, if
     given, is the file's bytes, already read; a leading UTF-8 byte-order
-    mark, as spreadsheet exports write, is skipped.
+    mark, as spreadsheet exports write, is skipped, and a byte that is not
+    UTF-8, as a Latin-1 export writes, raises.
     """
     spec = tuple(spec)
     path = Path(path)
-    text = (path.read_bytes() if content is None else content).decode("utf-8-sig")
+    raw = path.read_bytes() if content is None else content
+    try:
+        text = raw.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        row = raw.count(b"\n", 0, exc.start)  # the header is line 0
+        raise DataError(f"{path.name}: {f'row {row}' if row else 'the header'} is not UTF-8 "
+                        f"text: byte 0x{raw[exc.start]:02x}") from None
     with io.StringIO(text, newline="") as fh:
         reader = csv.DictReader(fh, delimiter=delimiter)
         header = reader.fieldnames or []

@@ -95,22 +95,18 @@ def delta_h(model: EnergyModel, s, i: int, s_new: float, sums: GroupSums | None 
     )
 
 
-def grad(model: EnergyModel, s, sums: GroupSums | None = None,
-         out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
+def grad(model: EnergyModel, s, sums: GroupSums | None = None) -> np.ndarray:
     """Gradient of the energy: (grad H)_i = -sum_j J_ij s_j - h_i + lambda s_i.
 
     ``s`` is one configuration or a (k, N) stack of them, with ``sums`` its
-    cache; each row gets its own gradient. With ``out`` the gradient is
-    written into that array, and with ``work``, an array of the same shape,
-    the product lambda * s is formed there.
+    cache; each row gets its own gradient.
     """
     x = np.asarray(s, dtype=float)
     if sums is None:
         sums = GroupSums(model.graph, x)
-    out = np.take(sums.sums, sums.index, out=out, mode="clip")
-    np.subtract(x, out, out=out)  # minus the neighbour sums
+    out = x - np.take(sums.sums, sums.index)  # minus the neighbour sums
     out -= model.field
-    out += np.multiply(x, model.lambda_reg, out=work)
+    out += model.lambda_reg * x
     return out
 
 

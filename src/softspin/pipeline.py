@@ -227,6 +227,9 @@ def _simulate_engine(cfg: RunConfig, out: Path, dataset, field, graph,
         "final_temperatures": [t.final_temperature for t in traces],
         "accept_counts": [t.accept_count for t in traces],
     }
+    if engine is Engine.LANGEVIN:  # the chains are not clamped: count what left the bounds
+        meta.update(flow_time=traces[0].flow_time,
+                    retained_outside_bounds=[t.outside_bounds for t in traces])
     written.append(write_json(out / f"retained_{engine.value}.json", meta))
     return written
 
@@ -383,6 +386,9 @@ def stage_report(cfg: RunConfig, out: Path) -> list[Path]:
             f"(burn-in {meta['burn_in']}, thin {meta['thin']})"
         )
         lines.append(f"lambda: {meta['lambda_reg']!r}  reference energy: {meta['h_ref']!r}")
+        if "flow_time" in meta:
+            lines.append(f"flow time: {meta['flow_time']!r}  retained values outside "
+                         f"{meta['bounds']} per chain: {meta['retained_outside_bounds']}")
         lines.append(
             "initial mean: {:.4f}  estimated mean: {:.4f}".format(
                 comp["initial_mean"], comp["estimated_mean"]

@@ -3,13 +3,14 @@
 Both engines explore the energy landscape around a reference configuration
 under a geometric cooling schedule. The Metropolis engine perturbs one
 randomly chosen spin with Gaussian noise and accepts with the Boltzmann
-rule, cooling on acceptance; the Langevin engine performs full-vector
-gradient steps with temperature-scaled noise and a step size proportional
-to the current temperature, cooling every step, so drift and noise shrink
-together. Chains are reproducible: each one owns an SFC64 stream seeded
-by its seed, and parallel runs assign seeds by chain index so results do
-not depend on scheduling. A Metropolis chain draws its variates from that
-stream in fixed-size blocks (``METROPOLIS_BLOCK``).
+rule, cooling on acceptance. The Langevin engine is the chain of
+full-vector gradient steps with temperature-scaled noise and a step size
+proportional to the current temperature, cooling every step; its law is
+closed form (:func:`euler_law`), so it is sampled only where it records.
+Chains are reproducible: each one owns an SFC64 stream seeded by its seed,
+and parallel runs assign seeds by chain index so results do not depend on
+scheduling. A Metropolis chain draws its variates from that stream in
+fixed-size blocks (``METROPOLIS_BLOCK``).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import replaced
-from .energy import EnergyModel, SpinConfiguration, grad, hamiltonian
+from .energy import EnergyModel, SpinConfiguration, hamiltonian
 from .errors import ConfigError, DivergenceDetected, ParallelChainError
 from .graph import GroupSums
 
@@ -103,11 +104,10 @@ class AnnealingSchedule:
 class ChainConfig:
     """Run-length, retention and reproducibility settings of one chain.
 
-    ``bounded`` keeps the state inside ``engine.bounds``
-    ([-1, 1] or [0, 100]); False lifts the boundary entirely (used by
-    unbounded diagnostics). Metropolis proposals are reflected at the
-    bounds, which preserves proposal symmetry; Langevin states are clamped,
-    with a divergence guard ten domain-widths out.
+    ``bounded`` reflects Metropolis proposals at ``engine.bounds`` ([-1, 1]
+    or [0, 100]), which preserves proposal symmetry, and puts the Langevin
+    divergence guard ten domain widths beyond them; False lifts both (used
+    by unbounded diagnostics). A Langevin state is never clamped.
     """
 
     engine: Engine
@@ -158,28 +158,18 @@ class ChainConfig:
 
 @dataclass
 class ChainState:
-    """Mutable state of one chain, or of a stack of Langevin chains.
-
-    ``s`` is one configuration or, for chains stepped together, a (k, N)
-    stack of them with ``sums`` caching every row; ``energy`` starts as the
-    energy of ``s`` (a float) or of each row (a (k,) array), and only the
-    Metropolis step keeps it current. ``work`` holds the
-    Langevin step's four preallocated buffers of the shape of ``s`` (noise,
-    drift, next state, lambda * s), created on the first step.
-    """
+    """Mutable state of one Metropolis chain; ``sums`` caches the group sums of ``s``."""
 
     s: np.ndarray
     temperature: float
     sums: GroupSums
-    energy: float | np.ndarray
+    energy: float
     bounds: tuple[float, float] | None
-    work: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
 
 
 def init_state(model: EnergyModel, s0, schedule: AnnealingSchedule,
                bounds: tuple[float, float] | None) -> ChainState:
-    """The state of a chain starting at ``s0``, or of a stack of chains
-    starting at the rows of a (k, N) ``s0``, each row with its energy."""
+    """The state of a Metropolis chain starting at ``s0``, with its energy."""
     s = np.array(s0, dtype=float)
     sums = GroupSums(model.graph, s)
     return ChainState(s, schedule.t0, sums, hamiltonian(model, s, sums), bounds)
@@ -317,99 +307,100 @@ def _run_metropolis(model: EnergyModel, state: ChainState, trace: ChainTrace) ->
     trace.final_temperature = state.temperature
 
 
-def langevin_kernel(model: EnergyModel, state: ChainState,
-                    schedule: AnnealingSchedule, rngs) -> list[tuple[int, str]]:
-    """One full-vector Euler-Maruyama update of every row of ``state.s``.
+def langevin_steps(schedule: AnnealingSchedule, n_iters: int) -> tuple[np.ndarray, np.ndarray]:
+    """``temps[k]``, the temperature after ``k`` of ``n_iters`` Langevin steps
+    (cooled every step, so ``temps[-1]`` is the final one), and ``dts[k]``,
+    the size dt0 * T/t0 of step ``k + 1``, which runs at ``temps[k]``."""
+    temps = [schedule.t0]
+    for _ in range(n_iters):
+        temps.append(schedule.cooled(temps[-1]))
+    return np.array(temps), schedule.dt0 * (np.array(temps[:-1]) / schedule.t0)
 
-    The one home of the update rule. Each row is a configuration (a 1-D
-    ``state.s`` is one row); row ``c`` draws its noise from ``rngs[c]``:
 
-        s <- s - dt * grad H(s) + sqrt(2 T dt) * eta,  eta standard normal
+def euler_law(model: EnergyModel, temps: np.ndarray, dts: np.ndarray, grid):
+    """The law of the Euler-Maruyama steps between consecutive grid points.
 
-    with dt = dt0 * T/t0, so the drift and noise scales shrink together as
-    the temperature drops. The rows share T, dt and the cooling, which
-    happens every step. A row leaving the divergence guard (ten domain
-    widths beyond the bounds, 1e12 without bounds, or non-finite anywhere)
-    is dropped from the state, and the others go on, clamped back into the
-    domain when bounded; a step in which every row diverges leaves the state
-    as it was. Returns the (row, detail) pairs of the dropped rows, row
-    numbers as they were before the step. Works in ``state.work``.
+    The one home of the Langevin dynamics. A step at temperature T is
+    s <- s - dt (A s - h) + sqrt(2 T dt) eta, eta standard normal, with
+    A = (lambda + 1) I - 1 1^T on each clique, so it moves two kinds of mode
+    as scalars: mode 0, a unit's deviation from its clique mean, at rate
+    a = lambda + 1, and mode 1 + g, the mean of clique g, at lambda + 1 - n_g.
+    Over a stretch of steps each mode x maps to P x + B h + sqrt(V) xi (h
+    and xi that mode of the field and of a standard normal vector), where
+    each step makes P <- f P, B <- f B + dt and V <- f^2 V + 2 T dt, with
+    f = 1 - dt a. Yields (P, B, V) over the modes for each grid iteration,
+    of the steps since the previous one; step k runs at ``temps[k - 1]``.
     """
-    temperature = state.temperature
-    dt = schedule.dt0 * (temperature / schedule.t0)
-    s = state.s
-    if state.work is None:
-        state.work = tuple(np.empty_like(s) for _ in range(4))
-    noise, drift, s_new, scaled = state.work
-    for row, rng in zip(noise.reshape(len(rngs), -1), rngs):
-        rng.standard_normal(out=row)
-    grad(model, s, state.sums, out=drift, work=scaled)
-    drift *= dt
-    np.subtract(s, drift, out=s_new)
-    noise *= math.sqrt(2.0 * temperature * dt)
-    s_new += noise
-
-    bounds = state.bounds
-    if bounds is not None:
-        lo, hi = bounds
-        guard = 10.0 * (hi - lo)
-        floor, ceiling = lo - guard, hi + guard
-    else:
-        floor, ceiling = -1e12, 1e12
-    diverged = []
-    if not (s_new.min() >= floor and s_new.max() <= ceiling):  # NaN fails too
-        escaped = ("state escaped the domain guard" if bounds is not None
-                   else "unbounded state exceeded 1e12")
-        for c, row in enumerate(s_new.reshape(len(rngs), -1)):
-            if not (row.min() >= floor and row.max() <= ceiling):
-                diverged.append((c, escaped if np.all(np.isfinite(row)) else "non-finite state"))
-        if len(diverged) == len(rngs):
-            return diverged
-    if bounds is not None:
-        np.clip(s_new, lo, hi, out=s_new)
-
-    if diverged:
-        state.s = np.delete(s_new, [c for c, _ in diverged], axis=0)
-        state.sums, state.work = GroupSums(model.graph, state.s), None
-    else:
-        state.s, state.work = s_new, (noise, drift, s, scaled)
-        state.sums.recompute(s_new)
-    state.temperature = schedule.cooled(temperature)
-    return diverged
+    rates = model.lambda_reg + 1.0 - np.concatenate(([0], model.graph.group_sizes))
+    start = 0
+    for stop in grid:
+        p, b, v = 1.0, 0.0, 0.0
+        for temperature, dt in zip(temps[start:stop].tolist(), dts[start:stop].tolist()):
+            f = 1.0 - dt * rates
+            p, b, v = f * p, f * b + dt, f * f * v + 2.0 * temperature * dt
+        yield p, b, v
+        start = stop
 
 
-def _run_langevin(model: EnergyModel, state: ChainState,
+def _run_langevin(model: EnergyModel, s0: np.ndarray,
                   traces: list[ChainTrace]) -> list[DivergenceDetected | None]:
-    """Step the chains of ``traces`` together, row ``c`` of ``state.s`` being
-    chain ``c``; return each chain's divergence, None where it finished.
+    """Sample the chains of ``traces`` (row ``c`` of a (k, N) stack from
+    ``s0`` is chain ``c``) at their energy and retained iterations; return
+    each chain's divergence, None where it finished.
 
-    After every ``energy_stride``-th step each running chain's energy goes
-    into its ``energies``, and after each retained step its ``keep`` keeps
-    the snapshot. A chain that diverges is dropped at that iteration.
+    At each grid point each row draws a standard normal vector xi from its
+    own stream, and the stack moves to a draw of the law of :func:`euler_law`:
+    x <- P0 x + sqrt(V0) xi + B0 h + ((Pg - P0) m + (Bg - B0) hbar
+    + (sqrt(Vg) - sqrt(V0)) xibar)[group_of], with m, hbar and xibar the
+    clique means of x, h and xi. A row outside the divergence guard (ten
+    domain widths beyond the bounds, 1e12 unbounded, or non-finite) fails
+    there and records nothing more, but stays in the stack until all fail.
     """
     cfg = traces[0].config
-    stride = cfg.energy_stride
-    # only the iterations that record an energy or keep a snapshot stop the run
-    stops = set(cfg.energy_iterations()[1:]).union(cfg.retained_iterations())
+    graph, stride, retained = model.graph, cfg.energy_stride, cfg.retained_iterations()
+    temps, dts = langevin_steps(cfg.schedule, cfg.n_iters)
+    grid = sorted(set(cfg.energy_iterations()[1:]).union(retained))
+    x = np.tile(s0, (len(traces), 1))
+    xi, shift = np.empty_like(x), np.empty_like(x)
+    sums, noise = GroupSums(graph, x), GroupSums(graph, x)  # the group sums of x and of xi
+    h_bar = GroupSums(graph, model.field).sums / graph.group_sizes
+    lo, hi = cfg.engine.bounds
+    floor, ceiling = (lo - 10 * (hi - lo), hi + 10 * (hi - lo)) if cfg.bounded else (-1e12, 1e12)
+    escaped = "state escaped the domain guard" if cfg.bounded else "unbounded state exceeded 1e12"
     rngs = [make_rng(trace.config.seed) for trace in traces]
-    running = list(range(len(traces)))  # chain index of each row
     failures: list[DivergenceDetected | None] = [None] * len(traces)
-    for it in range(1, cfg.n_iters + 1):
-        diverged = langevin_kernel(model, state, cfg.schedule, rngs)
-        if diverged:
-            for row, detail in diverged:
-                failures[running[row]] = DivergenceDetected(it, detail)
-            dropped = {row for row, _ in diverged}
-            rngs = [r for row, r in enumerate(rngs) if row not in dropped]
-            running = [c for row, c in enumerate(running) if row not in dropped]
-            if not running:
+    with np.errstate(over="ignore", invalid="ignore"):  # a failed row may overflow
+        for t, (p, b, v) in zip(grid, euler_law(model, temps, dts, grid)):
+            for row, rng in zip(xi, rngs):
+                rng.standard_normal(out=row)
+            noise.recompute(xi)
+            sd = np.sqrt(v)
+            group = ((p[1:] - p[0]) * sums.sums + (sd[1:] - sd[0]) * noise.sums) / graph.group_sizes
+            group += (b[1:] - b[0]) * h_bar
+            x *= p[0]
+            x += np.multiply(xi, sd[0], out=xi)
+            x += np.take(group, sums.index, out=shift, mode="clip")
+            x += b[0] * model.field
+            sums.recompute(x)
+            energies = hamiltonian(model, x, sums).tolist()
+            lows, highs = x.min(axis=1).tolist(), x.max(axis=1).tolist()
+            for c, trace in enumerate(traces):
+                if failures[c] is None and not (lows[c] >= floor and highs[c] <= ceiling):
+                    finite = np.all(np.isfinite(x[c]))  # NaN fails the guard too
+                    failures[c] = DivergenceDetected(t, escaped if finite else "non-finite state")
+                if failures[c] is not None:
+                    continue
+                if t % stride == 0:
+                    trace.energies[t // stride] = energies[c]
+                if t in retained:
+                    if lows[c] < lo or highs[c] > hi:
+                        trace.outside_bounds += int(np.count_nonzero((x[c] < lo) | (x[c] > hi)))
+                    trace.keep(t, x[c], energies[c])
+            if None not in failures:
                 break
-        if it in stops:  # the step left state.sums fresh
-            energies = np.atleast_1d(hamiltonian(model, state.s, state.sums))
-            for c, s, energy in zip(running, state.s.reshape(len(running), -1), energies):
-                if it % stride == 0:
-                    traces[c].energies[it // stride] = energy
-                traces[c].keep(it, s, energy)
+    final, flow_time = float(temps[-1]), float(dts.sum())
+    for trace in traces:
+        trace.accept_count, trace.final_temperature, trace.flow_time = cfg.n_iters, final, flow_time
     return failures
 
 
@@ -421,7 +412,9 @@ class ChainTrace:
     starting with the reference energy; ``retained`` holds the snapshots at
     ``config.retained_iterations()`` in chronological order, with their
     energies in ``retained_energies``. ``retained`` is None when the chain
-    wrote its snapshots into a pool file (see :func:`run_parallel`).
+    wrote its snapshots into a pool file (see :func:`run_parallel`). A
+    Langevin chain gives its flow time, the sum of its step sizes, and the
+    number of its retained values outside ``config.engine.bounds``.
     """
 
     config: ChainConfig
@@ -430,6 +423,8 @@ class ChainTrace:
     retained_energies: np.ndarray
     accept_count: int = 0
     final_temperature: float = math.nan
+    flow_time: float = math.nan
+    outside_bounds: int = 0
 
     @cached_property
     def _grid(self) -> range:  # computed once: keep runs after every retained step
@@ -459,7 +454,7 @@ def run_chains(model: EnergyModel, cfg: ChainConfig, s_ref: SpinConfiguration,
     recorded every ``energy_stride`` iterations; the Metropolis group-sum
     cache and running energy are fully recomputed every ``recompute_every``
     iterations to cancel float drift. Metropolis chains run one after
-    another; Langevin chains are stepped together as the rows of one (k, N)
+    another; Langevin chains are sampled together as the rows of one (k, N)
     stack, which gives each chain the same bits as a run on its own. Chain
     ``c``'s snapshots go into ``retained[c]``, a (retain_last, N) output
     array such as a view of a memory-mapped pool, or into a new array.
@@ -472,22 +467,17 @@ def run_chains(model: EnergyModel, cfg: ChainConfig, s_ref: SpinConfiguration,
     if s_ref.engine is not cfg.engine:
         raise ConfigError(f"chain: a {cfg.engine.value} chain needs a reference on its "
                           f"own scale, not on the {s_ref.engine.value} scale")
-    bounds = cfg.engine.bounds if cfg.bounded else None
     h_ref = hamiltonian(model, s_ref.s)  # row 0 of every energy series; the run writes the rest
     traces = [ChainTrace(replace(cfg, seed=seed), np.full(len(cfg.energy_iterations()), h_ref),
                          np.empty((cfg.retain_last, n)) if retained is None else retained[c],
                          np.empty(cfg.retain_last))
               for c, seed in enumerate(seeds)]
     if cfg.engine is Engine.ISING:
+        bounds = cfg.engine.bounds if cfg.bounded else None
         for trace in traces:
             _run_metropolis(model, init_state(model, s_ref.s, cfg.schedule, bounds), trace)
         return traces
-    # one chain keeps a 1-D state: a (1, N) stack costs a few µs a step
-    s0 = np.tile(s_ref.s, (len(traces), 1)) if len(traces) > 1 else s_ref.s
-    state = init_state(model, s0, cfg.schedule, bounds)
-    failures = _run_langevin(model, state, traces)
-    for trace in traces:
-        trace.accept_count, trace.final_temperature = cfg.n_iters, state.temperature
+    failures = _run_langevin(model, s_ref.s, traces)
     return [trace if failure is None else failure for trace, failure in zip(traces, failures)]
 
 

@@ -406,9 +406,19 @@ class TestPipeline:
                 np.testing.assert_array_equal(trace[:, c], solo.energies)
 
     def test_divergence_exit_code(self, tmp_path):
-        cfg_path = write_config(tmp_path, DIVERGING)
+        # in a fresh process on two workers, so that a numpy warning the
+        # diverging chains raise in any process would reach stderr
+        cfg_path = write_config(tmp_path, DIVERGING, workers=2)
         out = tmp_path / "run"
-        assert main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 4
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "softspin", "pipeline", "--config", str(cfg_path),
+             "--out", str(out)], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=path))
+        assert done.returncode == 4
+        assert done.stderr.splitlines() == [done.stderr.rstrip("\n")]
+        assert done.stderr.startswith("[pipeline] ParallelChainError: chain 0: state diverged at")
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_divergence_leaves_no_pool(self, tmp_path, workers):
@@ -688,6 +698,23 @@ class TestStages:
         cfg_path = write_config(tmp_path, TINY, dataset={"path": str(marked)})
         assert main(["validate", "--config", str(cfg_path), "--out", str(tmp_path / "bom")]) == 0
 
+    def test_latin1_dataset_names_its_row(self, tmp_path, capsys):
+        # a Latin-1 export writes "Forl\xec" for the id Forli with a grave accent
+        out = tmp_path / "run"
+        assert main(["synth", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 0
+        lines = (out / "dataset.csv").read_bytes().split(b"\n")
+        latin = tmp_path / "latin1.csv"
+        for row in (1, 3):
+            edited = list(lines)
+            edited[row] = b"Forl\xec" + edited[row][edited[row].index(b","):]
+            latin.write_bytes(b"\n".join(edited))
+            cfg_path = write_config(tmp_path, TINY, dataset={"path": str(latin)})
+            capsys.readouterr()
+            assert main(["validate", "--config", str(cfg_path), "--out", str(tmp_path / "v")]) == 3
+            assert capsys.readouterr().err == (
+                f"[validate] DataError: latin1.csv: row {row} is not UTF-8 text: byte 0xec\n")
+        assert not (tmp_path / "v" / "validation.txt").exists()
+
     def test_too_few_units_in_a_file_stop_before_the_chains(self, tmp_path, capsys):
         # K = 6 composite groups: the linear-model baseline needs N >= 8
         out = tmp_path / "run"
@@ -878,6 +905,26 @@ class TestArtifactLayouts:
         meta = json.loads((run_dir / f"retained_{engine}.json").read_text())
         assert meta["bounds"] == list(Engine(engine).bounds)
         assert "domain" not in meta
+
+    def test_langevin_json_gives_flow_time_and_values_outside_bounds(self, run_dir):
+        # a Langevin chain is not clamped: its metadata and the report count
+        # the retained values outside the bounds, and give the flow time sum(dt)
+        meta = json.loads((run_dir / "retained_langevin.json").read_text())
+        sched = load_config(run_dir.parent / "config.yaml").schedule(Engine.LANGEVIN)
+        temperature, flow_time = sched.t0, 0.0
+        for _ in range(meta["n_iters"]):
+            flow_time += sched.dt0 * temperature / sched.t0
+            temperature = sched.cooled(temperature)
+        assert meta["flow_time"] == pytest.approx(flow_time, rel=1e-12)
+        pool = np.load(run_dir / "retained_langevin_configs.npy").reshape(
+            meta["retain_last"], meta["k_chains"], -1)
+        outside = np.count_nonzero((pool < 0.0) | (pool > 100.0), axis=(0, 2))
+        assert meta["retained_outside_bounds"] == outside.tolist()
+        line = (f"flow time: {meta['flow_time']!r}  retained values outside [0.0, 100.0] "
+                f"per chain: {meta['retained_outside_bounds']}")
+        assert (run_dir / "report.txt").read_text().splitlines().count(line) == 1
+        ising = json.loads((run_dir / "retained_ising.json").read_text())
+        assert not {"flow_time", "retained_outside_bounds"} & set(ising)
 
     def test_pooled_rows_labelled_from_json(self, run_dir, tmp_path):
         # row i of the pooled arrays is chain i % k_chains, whose final

@@ -5,23 +5,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2
 
-from conftest import make_clique_graph
+from conftest import dense_coupling, make_clique_graph
 from softspin import sampler
+from softspin.data import synth_dataset
 from softspin.energy import EnergyModel, SpinConfiguration, grad, hamiltonian
 from softspin.errors import (
     ConfigError,
     DivergenceDetected,
     ParallelChainError,
 )
-from softspin.graph import GroupSums
+from softspin.graph import GroupSums, build_graph, spectrum_extremes
+from softspin.indices import build_composites, external_field, pca
 from softspin.sampler import (
     METROPOLIS_BLOCK,
     AnnealingSchedule,
     ChainConfig,
     Engine,
     init_state,
-    langevin_kernel,
     make_rng,
     metropolis_kernel,
     metropolis_step,
@@ -308,26 +310,6 @@ class TestMetropolisKernel:
 
 
 class TestLangevinStep:
-    def test_buffered_step_equals_direct_formula(self):
-        g = make_clique_graph([3, 2, 4])
-        rng = np.random.default_rng(3)
-        model = EnergyModel(g, rng.normal(size=g.n), lambda_reg=2.5)
-        sched = AnnealingSchedule(t0=1.0, cooling=0.9, t_min=0.1, dt0=0.05)
-        state = init_state(model, rng.uniform(10, 90, size=g.n), sched, (0.0, 100.0))
-        stream, replay = make_rng(21), make_rng(21)
-        s = state.s.copy()
-        temperature = sched.t0
-        for _ in range(25):
-            assert langevin_kernel(model, state, sched, (stream,)) == []
-            dt = sched.dt0 * (temperature / sched.t0)
-            s = np.clip(s - dt * grad(model, s)
-                        + math.sqrt(2.0 * temperature * dt) * replay.standard_normal(g.n),
-                        0.0, 100.0)
-            temperature = sched.cooled(temperature)
-            np.testing.assert_array_equal(state.s, s)
-            np.testing.assert_array_equal(state.sums.sums,
-                                          np.bincount(g.group_of, weights=s))
-
     def test_grad_out_keeps_operation_order(self):
         g = make_clique_graph([3, 1, 5, 40])
         rng = np.random.default_rng(9)
@@ -335,10 +317,8 @@ class TestLangevinStep:
         s = rng.uniform(-1, 1, size=g.n)
         nb = np.bincount(g.group_of, weights=s)[g.group_of] - s
         expected = -nb - model.field + model.lambda_reg * s  # bit for bit
-        out = np.empty(g.n)
-        assert grad(model, s, out=out) is out
-        np.testing.assert_array_equal(out, expected)
         np.testing.assert_array_equal(grad(model, s), expected)
+        np.testing.assert_array_equal(grad(model, s, GroupSums(g, s)), expected)
 
     def test_grad_of_stack_is_grad_of_each_row(self):
         g = make_clique_graph([3, 1, 5, 2])
@@ -347,8 +327,7 @@ class TestLangevinStep:
         stack = rng.uniform(-1, 1, size=(3, g.n))
         sums = GroupSums(g, stack)
         assert sums.sums.shape == (3, g.n_groups)
-        out, work = np.empty_like(stack), np.empty_like(stack)
-        grad(model, stack, sums, out=out, work=work)
+        out = grad(model, stack, sums)
         for c in range(3):
             np.testing.assert_array_equal(sums.sums[c], GroupSums(g, stack[c]).sums)
             np.testing.assert_array_equal(out[c], grad(model, stack[c]))
@@ -360,69 +339,54 @@ class TestLangevinStep:
         ((0.0, 100.0), np.nan, "non-finite state"),
     ])
     def test_divergence_detail_and_state_kept(self, bounds, start, detail):
+        # the chain fails at the first grid point, its row kept in the stack
         model = quadratic_model(h=0.0, lam=1.0)
-        sched = fixed_t(1.0, dt0=1e30)
-        state = init_state(model, np.array([start]), sched, bounds)
-        assert langevin_kernel(model, state, sched, (make_rng(1),)) == [(0, detail)]
-        np.testing.assert_array_equal(state.s, [start])
+        cfg = ChainConfig(engine=Engine.LANGEVIN, n_iters=5, energy_stride=1,
+                          bounded=bounds is not None, schedule=fixed_t(1.0, dt0=1e30))
+        ref = SpinConfiguration(np.array([50.0]), Engine.LANGEVIN)
+        ref.s[0] = start  # a non-finite reference is refused at construction
+        (failure,) = run_chains(model, cfg, ref, [1])
+        assert isinstance(failure, DivergenceDetected)
+        assert (failure.iteration, failure.detail) == (1, detail)
 
     def test_frozen_at_stationary_point(self):
         # temperature ~ 0 at the decoupled minimum: zero drift, zero noise
         model = quadratic_model(h=0.5, lam=1.0)
-        sched = AnnealingSchedule(t0=1.0, cooling=0.5, t_min=0.0, dt0=1e-2)
-        state = init_state(model, np.array([0.5]), sched, None)
-        state.temperature = 1e-300
-        assert langevin_kernel(model, state, sched, (make_rng(0),)) == []
-        assert state.s[0] == pytest.approx(0.5, abs=1e-12)
+        sched = AnnealingSchedule(t0=1e-300, cooling=0.5, t_min=0.0, dt0=1e-2)
+        cfg = ChainConfig(engine=Engine.LANGEVIN, n_iters=1, burn_in_frac=0.0,
+                          retain_last=1, bounded=False, schedule=sched)
+        trace = run_chain(model, cfg, SpinConfiguration(np.array([0.5]), Engine.LANGEVIN))
+        assert trace.retained[0, 0] == pytest.approx(0.5, abs=1e-12)
 
     def test_bit_identical_trajectory(self):
         model = quadratic_model(n=4)
         sched = AnnealingSchedule(t0=1.0, cooling=0.999, t_min=1e-3, dt0=1e-3)
-
-        def run(seed):
-            rng = make_rng(seed)
-            state = init_state(model, np.zeros(4), sched, None)
-            for _ in range(300):
-                assert langevin_kernel(model, state, sched, (rng,)) == []
-            return state.s.copy(), state.temperature
-
-        s1, t1 = run(7)
-        s2, t2 = run(7)
-        np.testing.assert_array_equal(s1, s2)
-        assert t1 == t2
+        cfg = ChainConfig(engine=Engine.LANGEVIN, n_iters=300, burn_in_frac=0.0, thin=1,
+                          retain_last=300, seed=7, bounded=False, schedule=sched)
+        ref = SpinConfiguration(np.zeros(4), Engine.LANGEVIN)
+        a, b = run_chain(model, cfg, ref), run_chain(model, cfg, ref)
+        np.testing.assert_array_equal(a.retained, b.retained)
+        np.testing.assert_array_equal(a.energies, b.energies)
+        assert a.final_temperature == b.final_temperature
 
     def test_cools_every_step(self):
         model = quadratic_model(n=3)
         sched = AnnealingSchedule(t0=1.0, cooling=0.9, t_min=0.2, dt0=1e-3)
-        state = init_state(model, np.zeros(3), sched, None)
-        rng = make_rng(4)
+        ref = SpinConfiguration(np.zeros(3), Engine.LANGEVIN)
         expected = sched.t0
-        for _ in range(20):
-            assert langevin_kernel(model, state, sched, (rng,)) == []
+        for n_iters in range(1, 21):
             expected = max(sched.t_min, sched.cooling * expected)
-            assert state.temperature == expected
+            cfg = ChainConfig(engine=Engine.LANGEVIN, n_iters=n_iters, schedule=sched)
+            assert run_chain(model, cfg, ref).final_temperature == expected
         assert expected == sched.t_min
 
     def test_divergence_guard(self):
         model = quadratic_model(h=0.0, lam=1.0)
-        sched = fixed_t(1.0, dt0=1e6)
-        state = init_state(model, np.array([50.0]), sched, (0.0, 100.0))
-        for _ in range(50):
-            before = state.s.copy()
-            diverged = langevin_kernel(model, state, sched, (make_rng(1),))
-            if diverged:
-                break
-        assert diverged == [(0, "state escaped the domain guard")]
-        np.testing.assert_array_equal(state.s, before)
-
-    def test_clamps_to_bounds(self):
-        model = quadratic_model(h=0.0, lam=1.0)
-        sched = fixed_t(5.0, dt0=0.05)
-        rng = make_rng(2)
-        state = init_state(model, np.array([99.0]), sched, (0.0, 100.0))
-        for _ in range(500):
-            assert langevin_kernel(model, state, sched, (rng,)) == []
-            assert 0.0 <= state.s[0] <= 100.0
+        cfg = ChainConfig(engine=Engine.LANGEVIN, n_iters=50, seed=1,
+                          schedule=fixed_t(1.0, dt0=1e6))
+        with pytest.raises(DivergenceDetected) as err:
+            run_chain(model, cfg, SpinConfiguration(np.array([50.0]), Engine.LANGEVIN))
+        assert err.value.detail == "state escaped the domain guard"
 
     def test_ou_stationary_moments(self):
         # well-powered check of the stationary law at a larger step:
@@ -430,19 +394,131 @@ class TestLangevinStep:
         model = quadratic_model(h=0.5, lam=1.0)
         t = 0.5
         dt = 0.01
-        sched = fixed_t(t, dt0=dt)
-        samples = []
-        for seed in range(4):
-            rng = make_rng(seed)
-            state = init_state(model, np.array([0.5]), sched, None)
-            xs = np.empty(150_000)
-            for k in range(xs.shape[0]):
-                assert langevin_kernel(model, state, sched, (rng,)) == []
-                xs[k] = state.s[0]
-            samples.append(xs[5000:])
-        pooled = np.concatenate(samples)
+        cfg = ChainConfig(engine=Engine.LANGEVIN, n_iters=150_000, burn_in_frac=5000 / 150_000,
+                          thin=10, retain_last=14_500, bounded=False,
+                          schedule=fixed_t(t, dt0=dt))
+        traces = run_chains(model, cfg, SpinConfiguration(np.array([0.5]), Engine.LANGEVIN),
+                            list(range(4)))
+        pooled = np.concatenate([trace.retained[:, 0] for trace in traces])
         assert pooled.mean() == pytest.approx(0.5, abs=0.025)
         assert pooled.var(ddof=1) == pytest.approx(t / (1.0 - 0.5 * dt), rel=0.05)
+
+
+def grid_of(cfg):
+    """The iterations at which a Langevin chain of ``cfg`` is sampled."""
+    return sorted(set(cfg.energy_iterations()[1:]).union(cfg.retained_iterations()))
+
+
+def stepped_law(model, cfg, s0):
+    """The Euler chain of ``cfg`` from ``s0``, stepped densely on ``grad``.
+
+    Per grid point: the noise-free iterate, and the linear map and the
+    covariance of the steps since the previous grid point, from
+    M = I - dt (lambda I - J) and Sigma <- M Sigma M^T + 2 T dt I.
+    """
+    sched, n = cfg.schedule, model.graph.n
+    a = model.lambda_reg * np.eye(n) - dense_coupling(model.graph)
+    x, temperature, t, out = np.array(s0, dtype=float), sched.t0, 0, []
+    for stop in grid_of(cfg):
+        step_map, cov = np.eye(n), np.zeros((n, n))
+        for _ in range(t, stop):
+            dt = sched.dt0 * temperature / sched.t0
+            x = x - dt * grad(model, x)
+            m = np.eye(n) - dt * a
+            step_map, cov = m @ step_map, m @ cov @ m.T + 2.0 * temperature * dt * np.eye(n)
+            temperature = sched.cooled(temperature)
+        out.append((x, step_map, cov))
+        t = stop
+    return out
+
+
+class TestEulerLaw:
+    """The law of :func:`sampler.euler_law` against the Euler chain stepped densely."""
+
+    GRAPH = [4, 1, 3, 2]
+
+    def make_case(self):
+        g = make_clique_graph(self.GRAPH)
+        rng = np.random.default_rng(23)
+        # a field large against the noise, so that its gains show in the mean
+        model = EnergyModel(g, 5.0 * rng.normal(size=g.n), lambda_reg=5.0)
+        # T reaches t_min at step 14 of 40; t0 != 1, so dt = dt0 T/t0 differs from dt0 T
+        sched = AnnealingSchedule(t0=2.0, cooling=0.8, t_min=0.1, dt0=0.05)
+        cfg = ChainConfig(engine=Engine.LANGEVIN, n_iters=40, burn_in_frac=0.1, thin=3,
+                          retain_last=6, energy_stride=7, bounded=False, schedule=sched)
+        return model, cfg, rng.uniform(-1, 1, size=g.n)
+
+    def test_law_equals_dense_euler_steps(self):
+        model, cfg, s0 = self.make_case()
+        g = model.graph
+        same = g.group_of[:, None] == g.group_of[None, :]
+        mean_of = same / g.group_sizes[g.group_of][:, None]  # row i averages i's clique
+        h, x = model.field, s0.copy()
+        temps, dts = sampler.langevin_steps(cfg.schedule, cfg.n_iters)
+        laws = list(sampler.euler_law(model, temps, dts, grid_of(cfg)))
+        assert temps[-1] == cfg.schedule.t_min and len(laws) == len(grid_of(cfg)) == 10
+        for (p, b, v), (x_ref, _, cov_ref) in zip(laws, stepped_law(model, cfg, s0)):
+            by_unit = [q[1:][g.group_of] for q in (p, b, v)]
+            m, hm = mean_of @ x, mean_of @ h
+            x = p[0] * (x - m) + by_unit[0] * m + b[0] * (h - hm) + by_unit[1] * hm
+            np.testing.assert_allclose(x, x_ref, rtol=1e-10)
+            cov = v[0] * (np.eye(g.n) - mean_of) + by_unit[2][:, None] * mean_of
+            np.testing.assert_allclose(cov, cov_ref, rtol=1e-10)
+
+    def test_sampled_moments_match_the_law(self):
+        # one stack of 2,000 chains against the moments at iteration 40 from
+        # the dense steps: the mean's squared Mahalanobis distance, times k,
+        # is chi-square with N degrees of freedom, and each covariance within
+        # a clique lies within 5 standard errors
+        model, cfg, s0 = self.make_case()
+        cfg = replace(cfg, burn_in_frac=0.0, thin=1, retain_last=1, energy_stride=20)
+        k = 2000
+        traces = run_chains(model, cfg, SpinConfiguration(s0, Engine.LANGEVIN), list(range(k)))
+        samples = np.array([trace.retained[0] for trace in traces])
+        total = np.zeros((model.graph.n,) * 2)
+        for x_ref, step_map, cov in stepped_law(model, cfg, s0):
+            total = step_map @ total @ step_map.T + cov
+        gap = samples.mean(axis=0) - x_ref
+        assert k * gap @ np.linalg.solve(total, gap) <= chi2.ppf(1.0 - 1e-6, model.graph.n)
+        var = np.diag(total)
+        same = model.graph.group_of[:, None] == model.graph.group_of[None, :]
+        cov_se = np.sqrt((np.outer(var, var) + total**2) / k)
+        assert np.all(np.abs(np.cov(samples.T) - total)[same] <= 5.0 * cov_se[same])
+
+
+class TestLangevinOracle:
+    """The law's moments at N=1383, the closed-form oracle of a Langevin run."""
+
+    def test_pool_moments_match_the_oracle(self):
+        dataset = synth_dataset(1383, seed=20240811)  # the benchmark's dataset
+        graph = build_graph(dataset)
+        model = EnergyModel(graph, external_field(pca(*build_composites(dataset))),
+                            lambda_reg=spectrum_extremes(graph)[0] + 1.0)
+        s0 = Engine.LANGEVIN.scale(dataset.target)
+        cfg = ChainConfig(engine=Engine.LANGEVIN, n_iters=300, burn_in_frac=0.0, thin=100,
+                          retain_last=3, energy_stride=100)
+        k = 400
+        traces = run_chains(model, cfg, SpinConfiguration(s0, Engine.LANGEVIN), list(range(k)))
+        pool = np.stack([trace.retained for trace in traces], axis=1)  # (3, k, N)
+        # the oracle: the mean and the per-unit variance at each retained iteration
+        g, sizes, h = graph.group_of, graph.group_sizes[graph.group_of], model.field
+        h_mean = np.bincount(g, h)[g] / sizes
+        mean, modes, means, variances = s0, 0.0, [], []
+        temps, dts = sampler.langevin_steps(cfg.schedule, cfg.n_iters)
+        for p, b, v in sampler.euler_law(model, temps, dts, grid_of(cfg)):
+            m = np.bincount(g, mean)[g] / sizes
+            mean = p[0] * (mean - m) + p[1:][g] * m + b[0] * (h - h_mean) + b[1:][g] * h_mean
+            modes = p * p * modes + v
+            means.append(mean)
+            variances.append(modes[0] * (1.0 - 1.0 / sizes) + modes[1:][g] / sizes)
+        means, variances = np.array(means), np.array(variances)
+        # a mean of correlated snapshots varies by at most their largest variance
+        gap = np.abs(pool.mean(axis=(0, 1)) - means.mean(axis=0))
+        assert np.all(gap <= 5.0 * np.sqrt(variances.max(axis=0) / k))
+        # the squared distance from the oracle's mean, per unit, over 1,200
+        # draws: its relative sd is 0.04 for independent snapshots, 0.07 at most
+        spread = ((pool - means[:, None]) ** 2).mean(axis=(0, 1))
+        np.testing.assert_allclose(spread, variances.mean(axis=0), rtol=0.25)
 
 
 class TestRunChain:
@@ -479,9 +555,9 @@ class TestRunChain:
         assert grid[-1] == burn + ((2000 - burn) // 7) * 7
         assert np.all(np.diff(grid) == 7)
 
+    # a Langevin chain is sampled on its own grid, so a shorter chain has another
     @pytest.mark.parametrize("engine, sched", [
         (Engine.ISING, AnnealingSchedule(cooling=0.99, proposal_sd=0.3)),
-        (Engine.LANGEVIN, AnnealingSchedule(cooling=0.99, dt0=1e-3)),
     ])
     def test_snapshot_j_is_state_at_grid_j(self, engine, sched):
         model = quadratic_model(n=6)
@@ -571,7 +647,8 @@ class TestRunChain:
 
 class SpikedRng:
     """Test double: a chain's real SFC64 stream, except that noise draw
-    number ``at`` (counting from 1) puts ``value`` into its first unit."""
+    number ``at`` (counting from 1), that of grid point ``at``, puts
+    ``value`` into its first unit."""
 
     def __init__(self, seed, at, value):
         self.inner, self.at, self.value, self.calls = make_rng(seed), at, value, 0
@@ -585,7 +662,7 @@ class SpikedRng:
 
 
 class TestLangevinStack:
-    """Langevin chains stepped together as the rows of one (k, N) stack."""
+    """Langevin chains sampled together as the rows of one (k, N) stack."""
 
     GRAPH = [4, 1, 3, 2, 1]
 
@@ -612,8 +689,9 @@ class TestLangevinStack:
             np.testing.assert_array_equal(trace.retained_energies, solo.retained_energies)
             assert trace.final_temperature == solo.final_temperature
             assert trace.accept_count == cfg.n_iters
-        if bounded:  # the clamp is reached, so the per-row clip is exercised
-            assert any(np.any((t.retained == 0.0) | (t.retained == 100.0)) for t in stacked)
+            # nothing is clamped: the chains leave [0, 100], and each counts that
+            outside = np.count_nonzero((trace.retained < 0.0) | (trace.retained > 100.0))
+            assert trace.outside_bounds == solo.outside_bounds == outside > 0
 
     def test_one_hamiltonian_call_per_stop(self, monkeypatch):
         model, ref, cfg = self.make_case(True)
@@ -625,17 +703,18 @@ class TestLangevinStack:
 
         monkeypatch.setattr(sampler, "hamiltonian", counting)
         run_chains(model, cfg, ref, [cfg.seed + c for c in range(3)])
-        stops = set(cfg.energy_iterations()[1:]).union(cfg.retained_iterations())
-        # the reference, then the stack at the start and at each stop
-        assert shapes == [(model.graph.n,)] + [(3, model.graph.n)] * (1 + len(stops))
+        # the reference, then the stack at each grid point
+        assert shapes == [(model.graph.n,)] + [(3, model.graph.n)] * len(grid_of(cfg))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # a failed row overflows silently
     @pytest.mark.parametrize("bounded, value, detail", [
         (True, np.inf, "non-finite state"),
         (True, 1e9, "state escaped the domain guard"),
         (False, 1e20, "unbounded state exceeded 1e12"),
     ])
     def test_diverging_row_dropped_siblings_go_on(self, monkeypatch, bounded, value, detail):
-        # chain 1 diverges at iteration 7 and chain 3 at 12, when it is row 2
+        # chain 1 diverges at grid point 7 and chain 3 at 12; their rows stay in
+        # the stack, and the siblings' bytes equal their runs alone
         model, ref, cfg = self.make_case(bounded)
         spikes = {cfg.seed + 1: 7, cfg.seed + 3: 12}
         monkeypatch.setattr(sampler, "make_rng", lambda seed: (
@@ -647,7 +726,8 @@ class TestLangevinStack:
                 with pytest.raises(DivergenceDetected) as solo:
                     run_chain(model, c_cfg, ref)
                 assert isinstance(results[c], DivergenceDetected)
-                assert results[c].iteration == solo.value.iteration == spikes[c_cfg.seed]
+                iteration = grid_of(cfg)[spikes[c_cfg.seed] - 1]
+                assert results[c].iteration == solo.value.iteration == iteration
                 assert results[c].detail == solo.value.detail == detail
             else:
                 solo = run_chain(model, c_cfg, ref)
@@ -663,7 +743,7 @@ class TestLangevinStack:
             SpikedRng(seed, 5, np.nan) if seed == cfg.seed + 2 else make_rng(seed)))
         with pytest.raises(ParallelChainError) as err:
             run_parallel(model, cfg, ref, 4, tmp_path / "pool.npy")
-        assert [(i, e.iteration) for i, e in err.value.failures] == [(2, 5)]
+        assert [(i, e.iteration) for i, e in err.value.failures] == [(2, grid_of(cfg)[4])]
         assert list(tmp_path.iterdir()) == []
 
     def test_worker_count_invariance(self, tmp_path):
