@@ -2,7 +2,8 @@
 
 Equivalent to `softspin pipeline --config ...`: synthesize, validate, build
 the field and graph, run both engines, calibrate intervals, analyze, and
-write every artifact plus the manifest into the run directory.
+write every artifact plus the manifest into the run directory, a temporary
+one that is removed when the demo ends.
 """
 
 import copy
@@ -25,17 +26,18 @@ tree.update({
 })
 cfg = resolve_config(tree)
 
-out = Path(tempfile.mkdtemp(prefix="softspin_demo_"))
-written = run_pipeline(cfg, out)
-print(f"{len(written)} artifacts in {out}:")
-for path in sorted(p.name for p in written):
-    print("  ", path)
+with tempfile.TemporaryDirectory(prefix="softspin_demo_") as tmp:
+    out = Path(tmp)
+    written = run_pipeline(cfg, out)
+    print(f"{len(written)} artifacts in {out}:")
+    for path in sorted(p.name for p in written):
+        print("  ", path)
 
-print("\nbenchmark table:")
-header, rows = read_table(out / "benchmark.csv")
-print("  ", header)
-for row in rows:
-    print("  ", [row[0], f"{float(row[1]):.4f}", f"{float(row[2]):.4f}"])
+    print("\nbenchmark table:")
+    header, rows = read_table(out / "benchmark.csv")
+    print("  ", header)
+    for row in rows:
+        print("  ", [row[0], f"{float(row[1]):.4f}", f"{float(row[2]):.4f}"])
 
-print("\nconsolidated report:")
-print((out / "report.txt").read_text())
+    print("\nconsolidated report:")
+    print((out / "report.txt").read_text())

@@ -10,7 +10,9 @@ closed form (:func:`euler_law`), so it is sampled only where it records.
 Chains are reproducible: each one owns an SFC64 stream seeded by its seed,
 and parallel runs assign seeds by chain index so results do not depend on
 scheduling. A Metropolis chain draws its variates from that stream in
-fixed-size blocks (``METROPOLIS_BLOCK``).
+fixed-size blocks (``METROPOLIS_BLOCK``). A Langevin stack is sampled a
+block of grid points (``LANGEVIN_BLOCK``) at a time, and its bits do not
+depend on that block's size.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain, islice
 from pathlib import Path
 
@@ -312,8 +314,9 @@ def langevin_steps(schedule: AnnealingSchedule, n_iters: int) -> tuple[np.ndarra
     (cooled every step, so ``temps[-1]`` is the final one), and ``dts[k]``,
     the size dt0 * T/t0 of step ``k + 1``, which runs at ``temps[k]``."""
     temps = [schedule.t0]
-    for _ in range(n_iters):
+    while len(temps) <= n_iters and temps[-1] > schedule.t_min:  # cooled(t_min) == t_min
         temps.append(schedule.cooled(temps[-1]))
+    temps += [schedule.t_min] * (n_iters + 1 - len(temps))
     return np.array(temps), schedule.dt0 * (np.array(temps[:-1]) / schedule.t0)
 
 
@@ -330,16 +333,26 @@ def euler_law(model: EnergyModel, temps: np.ndarray, dts: np.ndarray, grid):
     each step makes P <- f P, B <- f B + dt and V <- f^2 V + 2 T dt, with
     f = 1 - dt a. Yields (P, B, V) over the modes for each grid iteration,
     of the steps since the previous one; step k runs at ``temps[k - 1]``.
+    A stretch that starts at the final temperature runs wholly at it, so its
+    law depends on its length alone: its (read-only) arrays are reused.
     """
     rates = model.lambda_reg + 1.0 - np.concatenate(([0], model.graph.group_sizes))
-    start = 0
+    laws, start = {}, 0  # stretches at the final temperature by length; None: the last other
     for stop in grid:
-        p, b, v = 1.0, 0.0, 0.0
-        for temperature, dt in zip(temps[start:stop].tolist(), dts[start:stop].tolist()):
-            f = 1.0 - dt * rates
-            p, b, v = f * p, f * b + dt, f * f * v + 2.0 * temperature * dt
-        yield p, b, v
+        key = stop - start if temps[start] == temps[-1] else None
+        if key is None or key not in laws:
+            p, b, v = 1.0, 0.0, 0.0
+            for temperature, dt in zip(temps[start:stop].tolist(), dts[start:stop].tolist()):
+                f = 1.0 - dt * rates
+                p, b, v = f * p, f * b + dt, f * f * v + 2.0 * temperature * dt
+            laws[key] = p, b, v
+        yield laws[key]
         start = stop
+
+
+# Grid points a Langevin stack is sampled in at a time (see _run_langevin);
+# any size gives the same bits.
+LANGEVIN_BLOCK = 32
 
 
 def _run_langevin(model: EnergyModel, s0: np.ndarray,
@@ -352,17 +365,27 @@ def _run_langevin(model: EnergyModel, s0: np.ndarray,
     own stream, and the stack moves to a draw of the law of :func:`euler_law`:
     x <- P0 x + sqrt(V0) xi + B0 h + ((Pg - P0) m + (Bg - B0) hbar
     + (sqrt(Vg) - sqrt(V0)) xibar)[group_of], with m, hbar and xibar the
-    clique means of x, h and xi. A row outside the divergence guard (ten
-    domain widths beyond the bounds, 1e12 unbounded, or non-finite) fails
-    there and records nothing more, but stays in the stack until all fail.
+    clique means of x, h and xi. Per block of ``LANGEVIN_BLOCK`` grid points
+    each row draws its normals in one call, in the same stream order, and
+    all but the update of x and of m are done once for the block: the
+    energies in one :func:`hamiltonian` call, the guard and the records. A
+    row outside the divergence guard (ten domain widths beyond the bounds,
+    1e12 unbounded, or non-finite) fails at its first grid point there and
+    records nothing more, but stays in the stack until all fail.
     """
     cfg = traces[0].config
     graph, stride, retained = model.graph, cfg.energy_stride, cfg.retained_iterations()
     temps, dts = langevin_steps(cfg.schedule, cfg.n_iters)
-    grid = sorted(set(cfg.energy_iterations()[1:]).union(retained))
-    x = np.tile(s0, (len(traces), 1))
-    xi, shift = np.empty_like(x), np.empty_like(x)
-    sums, noise = GroupSums(graph, x), GroupSums(graph, x)  # the group sums of x and of xi
+    grid = np.array(sorted(set(cfg.energy_iterations()[1:]).union(retained)), dtype=np.int64)
+    laws = euler_law(model, temps, dts, grid.tolist())
+    on_energy, kept = grid % stride == 0, np.isin(grid, retained)
+    slot = (grid - retained.start) // retained.step  # a kept point's snapshot index
+    k, n, size = len(traces), graph.n, min(LANGEVIN_BLOCK, len(grid))
+    x = np.tile(s0, (k, 1))
+    sums = GroupSums(graph, x)  # the group sums of x
+    shift, xi_buffer = np.empty_like(x), np.empty(size * k * n)
+    xs, xs_sums = np.empty((size, k, n)), np.empty((size, *sums.sums.shape))  # a block's states
+    block_sums = cache(lambda rows: GroupSums(graph, np.zeros((rows, n))))  # per block size
     h_bar = GroupSums(graph, model.field).sums / graph.group_sizes
     lo, hi = cfg.engine.bounds
     floor, ceiling = (lo - 10 * (hi - lo), hi + 10 * (hi - lo)) if cfg.bounded else (-1e12, 1e12)
@@ -370,32 +393,51 @@ def _run_langevin(model: EnergyModel, s0: np.ndarray,
     rngs = [make_rng(trace.config.seed) for trace in traces]
     failures: list[DivergenceDetected | None] = [None] * len(traces)
     with np.errstate(over="ignore", invalid="ignore"):  # a failed row may overflow
-        for t, (p, b, v) in zip(grid, euler_law(model, temps, dts, grid)):
+        for first in range(0, len(grid), LANGEVIN_BLOCK):
+            g = len(grid[first:first + LANGEVIN_BLOCK])
+            p, b, v = (np.array(q) for q in zip(*islice(laws, g)))  # (g, modes) each
+            sd = np.sqrt(v)
+            xi = xi_buffer[:k * g * n].reshape(k, g, n)  # chain c's normals in xi[c]
             for row, rng in zip(xi, rngs):
                 rng.standard_normal(out=row)
-            noise.recompute(xi)
-            sd = np.sqrt(v)
-            group = ((p[1:] - p[0]) * sums.sums + (sd[1:] - sd[0]) * noise.sums) / graph.group_sizes
-            group += (b[1:] - b[0]) * h_bar
-            x *= p[0]
-            x += np.multiply(xi, sd[0], out=xi)
-            x += np.take(group, sums.index, out=shift, mode="clip")
-            x += b[0] * model.field
-            sums.recompute(x)
-            energies = hamiltonian(model, x, sums).tolist()
-            lows, highs = x.min(axis=1).tolist(), x.max(axis=1).tolist()
+            block = block_sums(k * g)
+            block.recompute(xi.reshape(k * g, n))
+            noise = block.sums.reshape(k, g, -1) * (sd[:, 1:] - sd[:, :1])
+            xi *= sd[:, 0, None]
+            dp, h_term = p[:, 1:] - p[:, :1], (b[:, 1:] - b[:, :1]) * h_bar
+            field = np.multiply.outer(b[:, 0], model.field)
+            for j in range(g):
+                group = dp[j] * sums.sums
+                group += noise[:, j]
+                group /= graph.group_sizes
+                group += h_term[j]
+                x = np.multiply(x, p[j, 0], out=xs[j])
+                x += xi[:, j]
+                x += np.take(group, sums.index, out=shift, mode="clip")
+                x += field[j]
+                sums.recompute(x)
+                xs_sums[j] = sums.sums
+            states = xs[:g]
+            block.sums = xs_sums[:g].reshape(g * k, -1)  # now the group sums of the states
+            energies = hamiltonian(model, states.reshape(g * k, n), block).reshape(g, k)
+            lows, highs = states.min(axis=2), states.max(axis=2)
+            inside, outside = (lows >= floor) & (highs <= ceiling), (lows < lo) | (highs > hi)
             for c, trace in enumerate(traces):
-                if failures[c] is None and not (lows[c] >= floor and highs[c] <= ceiling):
-                    finite = np.all(np.isfinite(x[c]))  # NaN fails the guard too
-                    failures[c] = DivergenceDetected(t, escaped if finite else "non-finite state")
                 if failures[c] is not None:
                     continue
-                if t % stride == 0:
-                    trace.energies[t // stride] = energies[c]
-                if t in retained:
-                    if lows[c] < lo or highs[c] > hi:
-                        trace.outside_bounds += int(np.count_nonzero((x[c] < lo) | (x[c] > hi)))
-                    trace.keep(t, x[c], energies[c])
+                end = g if inside[:, c].all() else int(np.argmin(inside[:, c]))
+                if end < g:  # the chain fails at its first point outside the guard
+                    finite = np.all(np.isfinite(states[end, c]))  # NaN fails the guard too
+                    failures[c] = DivergenceDetected(int(grid[first + end]),
+                                                     escaped if finite else "non-finite state")
+                mine, energy = slice(first, first + end), energies[:end, c]
+                at = on_energy[mine]
+                trace.energies[grid[mine][at] // stride] = energy[at]
+                at = kept[mine]
+                trace.retained[slot[mine][at]] = snaps = states[:end, c][at]
+                trace.retained_energies[slot[mine][at]] = energy[at]
+                if outside[:end, c][at].any():
+                    trace.outside_bounds += int(np.count_nonzero((snaps < lo) | (snaps > hi)))
             if None not in failures:
                 break
     final, flow_time = float(temps[-1]), float(dts.sum())

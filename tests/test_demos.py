@@ -16,3 +16,4 @@ def test_demo_runs(script, tmp_path):
     done = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr[-2000:]
+    assert not list(tmp_path.glob("softspin_demo_*"))  # no run directory is left behind

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
+from scipy.stats import f as f_dist
 
 from conftest import dense_coupling, make_clique_graph
 from softspin import sampler
@@ -380,6 +381,20 @@ class TestLangevinStep:
             assert run_chain(model, cfg, ref).final_temperature == expected
         assert expected == sched.t_min
 
+    @pytest.mark.parametrize("sched", [
+        AnnealingSchedule(cooling=0.9, t_min=0.2),  # at t_min from step 16 of 100
+        AnnealingSchedule(cooling=0.999, t_min=0.2),  # above it to the end
+        fixed_t(0.5),
+        AnnealingSchedule(t0=1e-300, cooling=0.5, t_min=0.0),  # 0.0 after 79 steps
+    ])
+    def test_steps_equal_cooling_every_step(self, sched):
+        temps, dts = sampler.langevin_steps(sched, 100)
+        expected = [sched.t0]
+        for _ in range(100):
+            expected.append(sched.cooled(expected[-1]))
+        np.testing.assert_array_equal(temps, expected)
+        np.testing.assert_array_equal(dts, sched.dt0 * (np.array(expected[:-1]) / sched.t0))
+
     def test_divergence_guard(self):
         model = quadratic_model(h=0.0, lam=1.0)
         cfg = ChainConfig(engine=Engine.LANGEVIN, n_iters=50, seed=1,
@@ -484,6 +499,60 @@ class TestEulerLaw:
         same = model.graph.group_of[:, None] == model.graph.group_of[None, :]
         cov_se = np.sqrt((np.outer(var, var) + total**2) / k)
         assert np.all(np.abs(np.cov(samples.T) - total)[same] <= 5.0 * cov_se[same])
+
+
+def stepped_chains(model, cfg, s0, k, rng):
+    """k Euler chains of ``cfg`` from ``s0``, stepped on ``grad`` as a
+    (k, N) stack with normals from ``rng``: their states at the retained
+    iterations, (retain_last, k, N)."""
+    sched, x, temperature, kept = cfg.schedule, np.tile(s0, (k, 1)), cfg.schedule.t0, []
+    for t in range(1, cfg.n_iters + 1):
+        dt = sched.dt0 * temperature / sched.t0
+        x = x - dt * grad(model, x) + np.sqrt(2.0 * temperature * dt) * rng.standard_normal(x.shape)
+        temperature = sched.cooled(temperature)
+        if t in cfg.retained_iterations():
+            kept.append(x)
+    return np.array(kept)
+
+
+def hotelling_p(a, b):
+    """The p-value of the two-sample Hotelling T^2 test that the rows of
+    ``a`` and ``b`` have one mean."""
+    (na, dim), nb = a.shape, len(b)
+    gap = a.mean(axis=0) - b.mean(axis=0)
+    pooled = ((na - 1) * np.cov(a.T) + (nb - 1) * np.cov(b.T)) / (na + nb - 2)
+    t2 = na * nb / (na + nb) * gap @ np.linalg.solve(pooled, gap)
+    return f_dist.sf((na + nb - dim - 1) / (dim * (na + nb - 2)) * t2, dim, na + nb - dim - 1)
+
+
+class TestTwoSample:
+    """The sampled grid against chains stepped densely, at N=61 over 10 seeds."""
+
+    def test_sampled_grid_matches_stepped_chains(self):
+        # at an annealing and a floor iteration, the first two moments of each
+        # unit (x and its squared distance from the pooled mean) in one
+        # Hotelling test per seed and iteration; stretches of 1 to 5 steps
+        g = make_clique_graph([12, 1, 8, 5, 1, 10, 3, 7, 2, 6, 1, 4, 1])
+        rng = np.random.default_rng(41)
+        model = EnergyModel(g, 2.0 * rng.normal(size=g.n), lambda_reg=12.0)
+        s0 = rng.uniform(-1, 1, size=g.n)
+        # T reaches t_min at step 32 of 40
+        cfg = ChainConfig(engine=Engine.LANGEVIN, n_iters=40, burn_in_frac=0.0, thin=8,
+                          retain_last=5, energy_stride=5, bounded=False,
+                          schedule=AnnealingSchedule(cooling=0.95, t_min=0.2, dt0=0.05))
+        k, p_values = 400, []
+        for seed in range(10):
+            traces = run_chains(model, cfg, SpinConfiguration(s0, Engine.LANGEVIN),
+                                [1000 * seed + c for c in range(k)])
+            sampled = np.stack([trace.retained for trace in traces], axis=1)
+            stepped = stepped_chains(model, cfg, s0, k, np.random.default_rng(seed))
+            for j in (1, 4):  # iterations 16 and 40
+                a, b = sampled[j], stepped[j]
+                center = np.concatenate([a, b]).mean(axis=0)
+                p_values.append(hotelling_p(np.hstack([a, (a - center) ** 2]),
+                                            np.hstack([b, (b - center) ** 2])))
+        assert min(p_values) > 1e-4
+        assert chi2.sf(-2.0 * np.log(p_values).sum(), 2 * len(p_values)) > 1e-3
 
 
 class TestLangevinOracle:
@@ -646,18 +715,19 @@ class TestRunChain:
 
 
 class SpikedRng:
-    """Test double: a chain's real SFC64 stream, except that noise draw
-    number ``at`` (counting from 1), that of grid point ``at``, puts
-    ``value`` into its first unit."""
+    """Test double: a chain's real SFC64 stream, except that the noise of
+    grid point ``at`` (counting from 1) puts ``value`` into its first unit,
+    whether that point's normals are drawn alone or in a block of points."""
 
     def __init__(self, seed, at, value):
-        self.inner, self.at, self.value, self.calls = make_rng(seed), at, value, 0
+        self.inner, self.at, self.value, self.drawn = make_rng(seed), at, value, 0
 
     def standard_normal(self, out):
         self.inner.standard_normal(out=out)
-        self.calls += 1
-        if self.calls == self.at:
-            out[0] = self.value
+        points = out.reshape(-1, out.shape[-1])  # one row per grid point
+        if 0 <= self.at - 1 - self.drawn < len(points):
+            points[self.at - 1 - self.drawn, 0] = self.value
+        self.drawn += len(points)
         return out
 
 
@@ -703,8 +773,11 @@ class TestLangevinStack:
 
         monkeypatch.setattr(sampler, "hamiltonian", counting)
         run_chains(model, cfg, ref, [cfg.seed + c for c in range(3)])
-        # the reference, then the stack at each grid point
-        assert shapes == [(model.graph.n,)] + [(3, model.graph.n)] * len(grid_of(cfg))
+        # the reference, then stacks of whole blocks of grid points that score
+        # each of the 3 chains once at each grid point
+        assert shapes[0] == (model.graph.n,)
+        assert all(n == model.graph.n and rows % 3 == 0 for rows, n in shapes[1:])
+        assert sum(rows for rows, _ in shapes[1:]) == 3 * len(grid_of(cfg))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")  # a failed row overflows silently
     @pytest.mark.parametrize("bounded, value, detail", [
@@ -736,6 +809,44 @@ class TestLangevinStack:
                 np.testing.assert_array_equal(results[c].retained_energies,
                                               solo.retained_energies)
                 assert results[c].final_temperature == solo.final_temperature
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("spikes", [{}, {1: 7, 3: 12}, {0: 1, 2: 64, 4: 70}])
+    def test_block_size_invariance(self, monkeypatch, spikes):
+        # blocks of one grid point, of three (a spike lands first, last or
+        # inside one) and of the default length (100 points: the last block
+        # is short) give the same bits and the same failures
+        model, ref, cfg = self.make_case(True)
+        monkeypatch.setattr(sampler, "make_rng", lambda seed: (
+            SpikedRng(seed, spikes[seed - cfg.seed], np.inf) if seed - cfg.seed in spikes
+            else make_rng(seed)))
+        assert len(grid_of(cfg)) == 100
+        runs = []
+        for size in (1, 3, sampler.LANGEVIN_BLOCK):
+            monkeypatch.setattr(sampler, "LANGEVIN_BLOCK", size)
+            runs.append(run_chains(model, cfg, ref, [cfg.seed + c for c in range(5)]))
+        for c, results in enumerate(zip(*runs)):
+            if c in spikes:
+                assert {(r.iteration, r.detail) for r in results} == {
+                    (grid_of(cfg)[spikes[c] - 1], "non-finite state")}
+                continue
+            first, *others = results
+            for other in others:
+                np.testing.assert_array_equal(other.energies, first.energies)
+                np.testing.assert_array_equal(other.retained, first.retained)
+                np.testing.assert_array_equal(other.retained_energies, first.retained_energies)
+                assert other.outside_bounds == first.outside_bounds > 0
+
+    def test_outside_bounds_counts_every_retained_value(self):
+        # a stationary chain about 0.5 with sd 0.58: some snapshots of a block
+        # leave [0, 100] and some do not
+        model = quadratic_model(h=0.5, lam=1.0, n=2)
+        cfg = ChainConfig(engine=Engine.LANGEVIN, n_iters=400, burn_in_frac=0.0, thin=1,
+                          retain_last=400, seed=3, schedule=fixed_t(0.25, dt0=0.5))
+        trace = run_chain(model, cfg, SpinConfiguration(np.full(2, 0.5), Engine.LANGEVIN))
+        outside = (trace.retained < 0.0) | (trace.retained > 100.0)
+        assert 0.1 < outside.any(axis=1).mean() < 0.5
+        assert trace.outside_bounds == np.count_nonzero(outside)
 
     def test_parallel_reports_only_diverged_chains(self, monkeypatch, tmp_path):
         model, ref, cfg = self.make_case(True)
