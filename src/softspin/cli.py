@@ -3,8 +3,9 @@
 Subcommands run either the full pipeline or exactly one stage against the
 artifacts of a run directory, from a YAML configuration (built-in defaults
 when omitted). It exits with 0 when the command succeeds, with the failure's
-``exit_code`` (see ``softspin.errors``) and with 1 for any other error, such
-as an OSError while writing an artifact.
+``exit_code`` (see ``softspin.errors``: 2 for a configuration error, a
+Langevin law that could diverge included, 3 for a data error) and with 1 for
+any other error, such as an OSError while writing an artifact.
 """
 
 from __future__ import annotations

@@ -6,7 +6,9 @@ randomly chosen spin with Gaussian noise and accepts with the Boltzmann
 rule, cooling on acceptance. The Langevin engine is the chain of
 full-vector gradient steps with temperature-scaled noise and a step size
 proportional to the current temperature, cooling every step; its law is
-closed form (:func:`euler_law`), so it is sampled only where it records.
+closed form (:func:`euler_law`), so it is sampled only where it records,
+and a run whose law could leave the divergence guard is refused with
+:class:`ConfigError` before it draws.
 Chains are reproducible: each one owns an SFC64 stream seeded by its seed,
 and parallel runs assign seeds by chain index so results do not depend on
 scheduling. A Metropolis chain draws its variates from that stream in
@@ -29,7 +31,7 @@ import numpy as np
 
 from .data import replaced
 from .energy import EnergyModel, SpinConfiguration, hamiltonian
-from .errors import ConfigError, DivergenceDetected, ParallelChainError
+from .errors import ConfigError
 from .graph import GroupSums
 
 
@@ -107,9 +109,10 @@ class ChainConfig:
     """Run-length, retention and reproducibility settings of one chain.
 
     ``bounded`` reflects Metropolis proposals at ``engine.bounds`` ([-1, 1]
-    or [0, 100]), which preserves proposal symmetry, and puts the Langevin
-    divergence guard ten domain widths beyond them; False lifts both (used
-    by unbounded diagnostics). A Langevin state is never clamped.
+    or [0, 100]), which preserves proposal symmetry, and puts the divergence
+    guard that a Langevin law is checked against ten domain widths beyond
+    them; False lifts the reflection and moves the guard to 1e12 (used by
+    unbounded diagnostics). A Langevin state is never clamped.
     """
 
     engine: Engine
@@ -354,30 +357,82 @@ def euler_law(model: EnergyModel, temps: np.ndarray, dts: np.ndarray, grid):
 # any size gives the same bits.
 LANGEVIN_BLOCK = 32
 
+# Standard deviations of the envelope that _check_law puts about the mean of
+# each unit's law. A normal value passes it with chance 2 Phi(-40) < 1e-349,
+# so over the 1383 x 60,001 x 6 = 5.0e8 values of the README's full scale
+# the chance that some sampled value passes its envelope is below 1e-340.
+ENVELOPE_Z = 40.0
 
-def _run_langevin(model: EnergyModel, s0: np.ndarray,
-                  traces: list[ChainTrace]) -> list[DivergenceDetected | None]:
+
+def _check_law(model: EnergyModel, cfg: ChainConfig, s0: np.ndarray, grid: np.ndarray,
+               laws: list) -> None:
+    """Raise :class:`ConfigError` if the chains from ``s0`` may leave the
+    divergence guard at a grid point: ten domain widths beyond
+    ``cfg.engine.bounds``, 1e12 when not ``cfg.bounded``, or non-finite.
+
+    ``laws`` are the per-stretch laws of :func:`euler_law` at ``grid``;
+    composed from iteration 0 (P <- p P, B <- p B + b, V <- p^2 V + v) they
+    give each unit the normal law with mean Pg m + Bg hbar + P0 d + B0 e
+    and variance V0 (1 - 1/n_g) + Vg / n_g, where m and hbar are the clique
+    means of ``s0`` and of the field, and d and e the unit's deviations
+    from them. The envelope bounds |P0 d + B0 e| by the largest deviations
+    and adds ``ENVELOPE_Z`` sd. The law does not depend on the seed, so the
+    check fails every chain or none.
+    """
+    graph, sizes = model.graph, model.graph.group_sizes
+    m = GroupSums(graph, s0).sums / sizes
+    h_bar = GroupSums(graph, model.field).sums / sizes
+    dev_s = np.abs(s0 - m[graph.group_of]).max()
+    dev_h = np.abs(model.field - h_bar[graph.group_of]).max()
+    lo, hi = cfg.engine.bounds
+    floor, ceiling = (lo - 10 * (hi - lo), hi + 10 * (hi - lo)) if cfg.bounded else (-1e12, 1e12)
+    big, small = 1.0 - 1.0 / sizes, 1.0 / sizes  # the deviation and mean shares of a unit's noise
+    P, B, V = 1.0, 0.0, 0.0
+    for first in range(0, len(grid), LANGEVIN_BLOCK):
+        p, b, v = (np.array(q) for q in zip(*laws[first:first + LANGEVIN_BLOCK]))
+        for pj, bj, vj in zip(p, b, v):  # each row becomes the law from iteration 0
+            bj += pj * B
+            vj += pj * pj * V
+            pj *= P
+            P, B, V = pj, bj, vj
+        mean = p[:, 1:] * m + b[:, 1:] * h_bar
+        reach = ENVELOPE_Z * np.sqrt(v[:, :1] * big + v[:, 1:] * small)
+        reach += np.abs(p[:, :1]) * dev_s + np.abs(b[:, :1]) * dev_h
+        inside = ((mean - reach >= floor) & (mean + reach <= ceiling)).all(axis=1)
+        if not inside.all():
+            j = int(np.argmin(inside))
+            if not (np.isfinite(mean[j]).all() and np.isfinite(reach[j]).all()):
+                detail = "non-finite state"
+            else:
+                detail = ("state escaped the domain guard" if cfg.bounded
+                          else "unbounded state exceeded 1e12")
+            raise ConfigError(f"langevin: the law of the chains leaves the divergence guard at "
+                              f"iteration {grid[first + j]}: {detail} "
+                              f"(mean +- {ENVELOPE_Z:g} sd)")
+
+
+def _run_langevin(model: EnergyModel, s0: np.ndarray, traces: list[ChainTrace]) -> None:
     """Sample the chains of ``traces`` (row ``c`` of a (k, N) stack from
-    ``s0`` is chain ``c``) at their energy and retained iterations; return
-    each chain's divergence, None where it finished.
+    ``s0`` is chain ``c``) at their energy and retained iterations.
 
-    At each grid point each row draws a standard normal vector xi from its
-    own stream, and the stack moves to a draw of the law of :func:`euler_law`:
-    x <- P0 x + sqrt(V0) xi + B0 h + ((Pg - P0) m + (Bg - B0) hbar
+    The law of :func:`euler_law` is computed once; :func:`_check_law`
+    rejects it before any normal is drawn if the chains could leave the
+    divergence guard. At each grid point each row draws a standard normal
+    vector xi from its own stream, and the stack moves to a draw of that
+    law: x <- P0 x + sqrt(V0) xi + B0 h + ((Pg - P0) m + (Bg - B0) hbar
     + (sqrt(Vg) - sqrt(V0)) xibar)[group_of], with m, hbar and xibar the
     clique means of x, h and xi. Per block of ``LANGEVIN_BLOCK`` grid points
     each row draws its normals in one call, in the same stream order, and
     all but the update of x and of m are done once for the block: the
-    energies in one :func:`hamiltonian` call, the guard and the records. A
-    row outside the divergence guard (ten domain widths beyond the bounds,
-    1e12 unbounded, or non-finite) fails at its first grid point there and
-    records nothing more, but stays in the stack until all fail.
+    energies in one :func:`hamiltonian` call, and the records.
     """
     cfg = traces[0].config
     graph, stride, retained = model.graph, cfg.energy_stride, cfg.retained_iterations()
     temps, dts = langevin_steps(cfg.schedule, cfg.n_iters)
     grid = np.array(sorted(set(cfg.energy_iterations()[1:]).union(retained)), dtype=np.int64)
-    laws = euler_law(model, temps, dts, grid.tolist())
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverging law overflows
+        laws = list(euler_law(model, temps, dts, grid.tolist()))
+        _check_law(model, cfg, s0, grid, laws)
     on_energy, kept = grid % stride == 0, np.isin(grid, retained)
     slot = (grid - retained.start) // retained.step  # a kept point's snapshot index
     k, n, size = len(traces), graph.n, min(LANGEVIN_BLOCK, len(grid))
@@ -388,62 +443,47 @@ def _run_langevin(model: EnergyModel, s0: np.ndarray,
     block_sums = cache(lambda rows: GroupSums(graph, np.zeros((rows, n))))  # per block size
     h_bar = GroupSums(graph, model.field).sums / graph.group_sizes
     lo, hi = cfg.engine.bounds
-    floor, ceiling = (lo - 10 * (hi - lo), hi + 10 * (hi - lo)) if cfg.bounded else (-1e12, 1e12)
-    escaped = "state escaped the domain guard" if cfg.bounded else "unbounded state exceeded 1e12"
     rngs = [make_rng(trace.config.seed) for trace in traces]
-    failures: list[DivergenceDetected | None] = [None] * len(traces)
-    with np.errstate(over="ignore", invalid="ignore"):  # a failed row may overflow
-        for first in range(0, len(grid), LANGEVIN_BLOCK):
-            g = len(grid[first:first + LANGEVIN_BLOCK])
-            p, b, v = (np.array(q) for q in zip(*islice(laws, g)))  # (g, modes) each
-            sd = np.sqrt(v)
-            xi = xi_buffer[:k * g * n].reshape(k, g, n)  # chain c's normals in xi[c]
-            for row, rng in zip(xi, rngs):
-                rng.standard_normal(out=row)
-            block = block_sums(k * g)
-            block.recompute(xi.reshape(k * g, n))
-            noise = block.sums.reshape(k, g, -1) * (sd[:, 1:] - sd[:, :1])
-            xi *= sd[:, 0, None]
-            dp, h_term = p[:, 1:] - p[:, :1], (b[:, 1:] - b[:, :1]) * h_bar
-            field = np.multiply.outer(b[:, 0], model.field)
-            for j in range(g):
-                group = dp[j] * sums.sums
-                group += noise[:, j]
-                group /= graph.group_sizes
-                group += h_term[j]
-                x = np.multiply(x, p[j, 0], out=xs[j])
-                x += xi[:, j]
-                x += np.take(group, sums.index, out=shift, mode="clip")
-                x += field[j]
-                sums.recompute(x)
-                xs_sums[j] = sums.sums
-            states = xs[:g]
-            block.sums = xs_sums[:g].reshape(g * k, -1)  # now the group sums of the states
-            energies = hamiltonian(model, states.reshape(g * k, n), block).reshape(g, k)
-            lows, highs = states.min(axis=2), states.max(axis=2)
-            inside, outside = (lows >= floor) & (highs <= ceiling), (lows < lo) | (highs > hi)
-            for c, trace in enumerate(traces):
-                if failures[c] is not None:
-                    continue
-                end = g if inside[:, c].all() else int(np.argmin(inside[:, c]))
-                if end < g:  # the chain fails at its first point outside the guard
-                    finite = np.all(np.isfinite(states[end, c]))  # NaN fails the guard too
-                    failures[c] = DivergenceDetected(int(grid[first + end]),
-                                                     escaped if finite else "non-finite state")
-                mine, energy = slice(first, first + end), energies[:end, c]
-                at = on_energy[mine]
-                trace.energies[grid[mine][at] // stride] = energy[at]
-                at = kept[mine]
-                trace.retained[slot[mine][at]] = snaps = states[:end, c][at]
-                trace.retained_energies[slot[mine][at]] = energy[at]
-                if outside[:end, c][at].any():
-                    trace.outside_bounds += int(np.count_nonzero((snaps < lo) | (snaps > hi)))
-            if None not in failures:
-                break
+    for first in range(0, len(grid), LANGEVIN_BLOCK):
+        mine = slice(first, first + LANGEVIN_BLOCK)
+        p, b, v = (np.array(q) for q in zip(*laws[mine]))  # (g, modes) each
+        g = len(p)
+        sd = np.sqrt(v)
+        xi = xi_buffer[:k * g * n].reshape(k, g, n)  # chain c's normals in xi[c]
+        for row, rng in zip(xi, rngs):
+            rng.standard_normal(out=row)
+        block = block_sums(k * g)
+        block.recompute(xi.reshape(k * g, n))
+        noise = block.sums.reshape(k, g, -1) * (sd[:, 1:] - sd[:, :1])
+        xi *= sd[:, 0, None]
+        dp, h_term = p[:, 1:] - p[:, :1], (b[:, 1:] - b[:, :1]) * h_bar
+        field = np.multiply.outer(b[:, 0], model.field)
+        for j in range(g):
+            group = dp[j] * sums.sums
+            group += noise[:, j]
+            group /= graph.group_sizes
+            group += h_term[j]
+            x = np.multiply(x, p[j, 0], out=xs[j])
+            x += xi[:, j]
+            x += np.take(group, sums.index, out=shift, mode="clip")
+            x += field[j]
+            sums.recompute(x)
+            xs_sums[j] = sums.sums
+        states = xs[:g]
+        block.sums = xs_sums[:g].reshape(g * k, -1)  # now the group sums of the states
+        energies = hamiltonian(model, states.reshape(g * k, n), block).reshape(g, k)
+        outside = (states.min(axis=2) < lo) | (states.max(axis=2) > hi)
+        at_energy, at_kept = on_energy[mine], kept[mine]
+        at, to = grid[mine][at_energy] // stride, slot[mine][at_kept]
+        for c, trace in enumerate(traces):
+            trace.energies[at] = energies[at_energy, c]
+            trace.retained[to] = snaps = states[at_kept, c]
+            trace.retained_energies[to] = energies[at_kept, c]
+            if outside[at_kept, c].any():
+                trace.outside_bounds += int(np.count_nonzero((snaps < lo) | (snaps > hi)))
     final, flow_time = float(temps[-1]), float(dts.sum())
     for trace in traces:
         trace.accept_count, trace.final_temperature, trace.flow_time = cfg.n_iters, final, flow_time
-    return failures
 
 
 @dataclass
@@ -486,22 +526,22 @@ class ChainTrace:
 
 
 def run_chains(model: EnergyModel, cfg: ChainConfig, s_ref: SpinConfiguration,
-               seeds: list[int], retained: list[np.ndarray] | None = None,
-               ) -> list[ChainTrace | DivergenceDetected]:
+               seeds: list[int], retained: list[np.ndarray] | None = None) -> list[ChainTrace]:
     """Run one chain of ``cfg`` per seed: burn-in, thinned retention.
 
     Every chain starts at the reference configuration. ``cfg.engine`` alone
     sets the dynamics and, if ``cfg.bounded``, the bounds; a reference on
-    the other engine's scale raises :class:`ConfigError`. Energies are
-    recorded every ``energy_stride`` iterations; the Metropolis group-sum
-    cache and running energy are fully recomputed every ``recompute_every``
-    iterations to cancel float drift. Metropolis chains run one after
-    another; Langevin chains are sampled together as the rows of one (k, N)
-    stack, which gives each chain the same bits as a run on its own. Chain
-    ``c``'s snapshots go into ``retained[c]``, a (retain_last, N) output
-    array such as a view of a memory-mapped pool, or into a new array.
-    Returns, per chain, its trace (``config`` is ``cfg`` with seed
-    ``seeds[c]``) or the divergence that stopped it, iteration attached.
+    the other engine's scale raises :class:`ConfigError`, and so does a
+    Langevin law that could leave the divergence guard, before any chain
+    draws (:func:`_check_law`). Energies are recorded every
+    ``energy_stride`` iterations; the Metropolis group-sum cache and running
+    energy are fully recomputed every ``recompute_every`` iterations to
+    cancel float drift. Metropolis chains run one after another; Langevin
+    chains are sampled together as the rows of one (k, N) stack, which
+    gives each chain the same bits as a run on its own. Chain ``c``'s
+    snapshots go into ``retained[c]``, a (retain_last, N) output array such
+    as a view of a memory-mapped pool, or into a new array. Returns the
+    traces; chain ``c``'s ``config`` is ``cfg`` with seed ``seeds[c]``.
     """
     n = model.graph.n
     if s_ref.s.shape != (n,):
@@ -518,37 +558,30 @@ def run_chains(model: EnergyModel, cfg: ChainConfig, s_ref: SpinConfiguration,
         bounds = cfg.engine.bounds if cfg.bounded else None
         for trace in traces:
             _run_metropolis(model, init_state(model, s_ref.s, cfg.schedule, bounds), trace)
-        return traces
-    failures = _run_langevin(model, s_ref.s, traces)
-    return [trace if failure is None else failure for trace, failure in zip(traces, failures)]
+    else:
+        _run_langevin(model, s_ref.s, traces)
+    return traces
 
 
 def run_chain(model: EnergyModel, cfg: ChainConfig, s_ref: SpinConfiguration) -> ChainTrace:
-    """Run one chain: :func:`run_chains` with the one seed ``cfg.seed``.
-
-    Divergence is raised as :class:`DivergenceDetected` with the iteration
-    attached.
-    """
-    (result,) = run_chains(model, cfg, s_ref, [cfg.seed])
-    if isinstance(result, DivergenceDetected):
-        raise result
-    return result
+    """Run one chain: :func:`run_chains` with the one seed ``cfg.seed``."""
+    (trace,) = run_chains(model, cfg, s_ref, [cfg.seed])
+    return trace
 
 
 def _slice_job(model: EnergyModel, cfg: ChainConfig, s_ref: SpinConfiguration, pool_path: Path,
-               chains: list[int], k: int) -> list[ChainTrace | DivergenceDetected]:
+               chains: list[int], k: int) -> list[ChainTrace]:
     """Run each chain ``c`` in ``chains`` of ``k`` with seed ``cfg.seed + c``
     into rows ``j * k + c`` of the .npy file at ``pool_path``, leaving only
     the energies in the traces."""
     # a plain ndarray: each row write to a memmap runs its Python __array_finalize__
     pool = np.load(pool_path, mmap_mode="r+").view(np.ndarray)
     rows = pool.reshape(cfg.retain_last, k, model.graph.n)
-    results = run_chains(model, cfg, s_ref, [cfg.seed + c for c in chains],
-                         [rows[:, c] for c in chains])
-    for result in results:
-        if isinstance(result, ChainTrace):
-            result.retained = None  # the rows are in the file: unmap, and pickle nothing back
-    return results
+    traces = run_chains(model, cfg, s_ref, [cfg.seed + c for c in chains],
+                        [rows[:, c] for c in chains])
+    for trace in traces:
+        trace.retained = None  # the rows are in the file: unmap, and pickle nothing back
+    return traces
 
 
 def run_parallel(
@@ -565,44 +598,26 @@ def run_parallel(
     one job per slice, each through :func:`run_chains`. Each chain owns its
     configuration, cache and random stream, so the result is invariant to
     the worker count and scheduling; traces come back in chain-index order.
-    A failing chain does not abort its siblings: all failures are collected
-    and raised together afterwards.
+    The first job's exception, in slice order, propagates once every job
+    has ended.
 
     The chains write their snapshots in place into one float32 .npy file of
     ``k_chains x retain_last`` rows: row ``j * k + c`` is chain ``c``'s
     snapshot ``j``, so rows run oldest first by (iteration, chain index).
     The chains step in float64; only the stored rows are rounded.
     The file is written through :func:`~softspin.data.replaced`, so it
-    appears at ``pool_path`` only once every chain has finished; when any
-    chain fails it is deleted. The traces carry no snapshots.
+    appears at ``pool_path`` only once every chain has finished; when a job
+    fails it is deleted. The traces carry no snapshots.
     """
     if k_chains < 1:
         raise ConfigError("k_chains must be >= 1")
     slices = np.array_split(range(k_chains), min(max(workers, 1), k_chains))
-    results: list[ChainTrace | Exception] = []
     with replaced(pool_path) as partial:
         # create the file; each job maps it on its own
         np.lib.format.open_memmap(partial, mode="w+", dtype=np.float32,
                                   shape=(cfg.retain_last * k_chains, model.graph.n))
         jobs = [(model, cfg, s_ref, partial, chains.tolist(), k_chains) for chains in slices]
         if len(jobs) == 1:
-            outcomes = [_outcome(_slice_job, *jobs[0])]
-        else:
-            with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
-                futures = [pool.submit(_slice_job, *job) for job in jobs]
-                outcomes = [_outcome(fut.result) for fut in futures]
-        for job, outcome in zip(jobs, outcomes):
-            # a job that failed as a whole fails each of its chains
-            results += outcome if isinstance(outcome, list) else [outcome] * len(job[4])
-        failures = [(i, r) for i, r in enumerate(results) if isinstance(r, Exception)]
-        if failures:
-            raise ParallelChainError(failures)
-    return results  # type: ignore[return-value]
-
-
-def _outcome(call, *args):
-    """The value of ``call(*args)``, or the exception it raised."""
-    try:
-        return call(*args)
-    except Exception as exc:  # reported per chain by run_parallel
-        return exc
+            return _slice_job(*jobs[0])
+        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
+            return [trace for traces in pool.map(_slice_job, *zip(*jobs)) for trace in traces]

@@ -37,7 +37,7 @@ TINY = {
     },
 }
 
-# Langevin steps so large that the first chain step leaves the domain guard
+# Langevin steps so large that the law leaves the divergence guard at the first grid point
 DIVERGING = dict(
     TINY,
     engines=["langevin"],
@@ -407,7 +407,7 @@ class TestPipeline:
 
     def test_divergence_exit_code(self, tmp_path):
         # in a fresh process on two workers, so that a numpy warning the
-        # diverging chains raise in any process would reach stderr
+        # diverging law raises in any process would reach stderr
         cfg_path = write_config(tmp_path, DIVERGING, workers=2)
         out = tmp_path / "run"
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -416,9 +416,10 @@ class TestPipeline:
             [sys.executable, "-m", "softspin", "pipeline", "--config", str(cfg_path),
              "--out", str(out)], capture_output=True, text=True,
             env=dict(os.environ, PYTHONPATH=path))
-        assert done.returncode == 4
+        assert done.returncode == 2
         assert done.stderr.splitlines() == [done.stderr.rstrip("\n")]
-        assert done.stderr.startswith("[pipeline] ParallelChainError: chain 0: state diverged at")
+        assert done.stderr.startswith("[pipeline] ConfigError: langevin: the law of the chains "
+                                      "leaves the divergence guard at iteration 10: ")
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_divergence_leaves_no_pool(self, tmp_path, workers):
@@ -427,9 +428,10 @@ class TestPipeline:
         for stage in ("synth", "validate", "field"):
             assert main([stage, "--config", str(cfg_path), "--out", str(out)]) == 0
         assert main(["simulate", "--config", str(cfg_path), "--out", str(out),
-                     "--workers", workers]) == 4
-        assert not list(out.glob("retained_langevin_configs*"))
-        assert not list(out.glob("trace_langevin*"))  # the table and its .tmp
+                     "--workers", workers]) == 2
+        assert not list(out.glob("retained_langevin*"))
+        assert not list(out.glob("trace_langevin*"))
+        assert not list(out.glob("*.tmp"))
         assert main(["conformal", "--config", str(cfg_path), "--out", str(out)]) == 3
 
     def test_failed_trace_write_exits_1_and_writes_no_metadata(self, tmp_path, capsys):
@@ -495,7 +497,7 @@ class TestPipeline:
         finished = write_config(tmp_path, DIVERGING, langevin=TINY["langevin"])
         assert main(["pipeline", "--config", str(finished), "--out", str(out)]) == 0
         diverging = write_config(tmp_path, DIVERGING)
-        assert main(["simulate", "--config", str(diverging), "--out", str(out)]) == 4
+        assert main(["simulate", "--config", str(diverging), "--out", str(out)]) == 2
         assert not list(out.glob("retained_langevin*"))
         assert not list(out.glob("trace_langevin*"))
         assert main(["conformal", "--config", str(diverging), "--out", str(out)]) == 3
