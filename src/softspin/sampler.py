@@ -361,11 +361,14 @@ LANGEVIN_BLOCK = 32
 # each unit's law. A normal value passes it with chance 2 Phi(-40) < 1e-349,
 # so over the 1383 x 60,001 x 6 = 5.0e8 values of the README's full scale
 # the chance that some sampled value passes its envelope is below 1e-340.
+# A smaller Z (10 gives 1e-14 there) would admit more runs; 40 refuses a unit
+# whose mean bound stays in the domain only if its sd is above a quarter of
+# the domain width (the guard is ten widths out), where a chain says nothing.
 ENVELOPE_Z = 40.0
 
 
-def _check_law(model: EnergyModel, cfg: ChainConfig, s0: np.ndarray, grid: np.ndarray,
-               laws: list) -> None:
+def _check_law(model: EnergyModel, cfg: ChainConfig, s0: np.ndarray, h_bar: np.ndarray,
+               grid: np.ndarray, laws: list) -> None:
     """Raise :class:`ConfigError` if the chains from ``s0`` may leave the
     divergence guard at a grid point: ten domain widths beyond
     ``cfg.engine.bounds``, 1e12 when not ``cfg.bounded``, or non-finite.
@@ -373,28 +376,29 @@ def _check_law(model: EnergyModel, cfg: ChainConfig, s0: np.ndarray, grid: np.nd
     ``laws`` are the per-stretch laws of :func:`euler_law` at ``grid``;
     composed from iteration 0 (P <- p P, B <- p B + b, V <- p^2 V + v) they
     give each unit the normal law with mean Pg m + Bg hbar + P0 d + B0 e
-    and variance V0 (1 - 1/n_g) + Vg / n_g, where m and hbar are the clique
-    means of ``s0`` and of the field, and d and e the unit's deviations
+    and variance V0 (1 - 1/n_g) + Vg / n_g, where m and ``h_bar`` are the
+    clique means of ``s0`` and of the field, and d and e the unit's deviations
     from them. The envelope bounds |P0 d + B0 e| by the largest deviations
     and adds ``ENVELOPE_Z`` sd. The law does not depend on the seed, so the
     check fails every chain or none.
     """
     graph, sizes = model.graph, model.graph.group_sizes
     m = GroupSums(graph, s0).sums / sizes
-    h_bar = GroupSums(graph, model.field).sums / sizes
     dev_s = np.abs(s0 - m[graph.group_of]).max()
     dev_h = np.abs(model.field - h_bar[graph.group_of]).max()
     lo, hi = cfg.engine.bounds
     floor, ceiling = (lo - 10 * (hi - lo), hi + 10 * (hi - lo)) if cfg.bounded else (-1e12, 1e12)
     big, small = 1.0 - 1.0 / sizes, 1.0 / sizes  # the deviation and mean shares of a unit's noise
-    P, B, V = 1.0, 0.0, 0.0
+    P, BV = 1.0, np.zeros((2, 1))  # B and V
     for first in range(0, len(grid), LANGEVIN_BLOCK):
+        # one block at a time, as the sampler stacks them again: the whole grid's would not fit
         p, b, v = (np.array(q) for q in zip(*laws[first:first + LANGEVIN_BLOCK]))
-        for pj, bj, vj in zip(p, b, v):  # each row becomes the law from iteration 0
-            bj += pj * B
-            vj += pj * pj * V
+        bv, scale = np.stack((b, v), axis=1), np.stack((p, p * p), axis=1)
+        for pj, scale_j, bv_j in zip(p, scale, bv):  # each row becomes the law from iteration 0
+            bv_j += scale_j * BV
             pj *= P
-            P, B, V = pj, bj, vj
+            P, BV = pj, bv_j
+        b, v = bv[:, 0], bv[:, 1]
         mean = p[:, 1:] * m + b[:, 1:] * h_bar
         reach = ENVELOPE_Z * np.sqrt(v[:, :1] * big + v[:, 1:] * small)
         reach += np.abs(p[:, :1]) * dev_s + np.abs(b[:, :1]) * dev_h
@@ -430,9 +434,10 @@ def _run_langevin(model: EnergyModel, s0: np.ndarray, traces: list[ChainTrace]) 
     graph, stride, retained = model.graph, cfg.energy_stride, cfg.retained_iterations()
     temps, dts = langevin_steps(cfg.schedule, cfg.n_iters)
     grid = np.array(sorted(set(cfg.energy_iterations()[1:]).union(retained)), dtype=np.int64)
+    h_bar = GroupSums(graph, model.field).sums / graph.group_sizes
     with np.errstate(over="ignore", invalid="ignore"):  # a diverging law overflows
         laws = list(euler_law(model, temps, dts, grid.tolist()))
-        _check_law(model, cfg, s0, grid, laws)
+        _check_law(model, cfg, s0, h_bar, grid, laws)
     on_energy, kept = grid % stride == 0, np.isin(grid, retained)
     slot = (grid - retained.start) // retained.step  # a kept point's snapshot index
     k, n, size = len(traces), graph.n, min(LANGEVIN_BLOCK, len(grid))
@@ -441,7 +446,6 @@ def _run_langevin(model: EnergyModel, s0: np.ndarray, traces: list[ChainTrace]) 
     shift, xi_buffer = np.empty_like(x), np.empty(size * k * n)
     xs, xs_sums = np.empty((size, k, n)), np.empty((size, *sums.sums.shape))  # a block's states
     block_sums = cache(lambda rows: GroupSums(graph, np.zeros((rows, n))))  # per block size
-    h_bar = GroupSums(graph, model.field).sums / graph.group_sizes
     lo, hi = cfg.engine.bounds
     rngs = [make_rng(trace.config.seed) for trace in traces]
     for first in range(0, len(grid), LANGEVIN_BLOCK):

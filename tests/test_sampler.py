@@ -336,14 +336,18 @@ class TestLangevinStep:
         ((0.0, 100.0), np.nan, "non-finite state"),
     ])
     def test_divergence_detail_and_state_kept(self, bounds, start, detail):
-        # the law check names the first grid point and how the state leaves the guard
+        # the law check names the first grid point and how the state leaves the guard;
+        # it draws nothing, so the reference and the output rows keep their values
         model = quadratic_model(h=0.0, lam=1.0)
         cfg = ChainConfig(engine=Engine.LANGEVIN, n_iters=5, energy_stride=1,
                           bounded=bounds is not None, schedule=fixed_t(1.0, dt0=1e30))
         ref = SpinConfiguration(np.array([50.0]), Engine.LANGEVIN)
         ref.s[0] = start  # a non-finite reference is refused at construction
+        rows = np.full((cfg.retain_last, 1), -7.0)
         with pytest.raises(ConfigError, match=f"at iteration 1: {detail} "):
-            run_chains(model, cfg, ref, [1])
+            run_chains(model, cfg, ref, [1], [rows])
+        np.testing.assert_array_equal(ref.s, [start])
+        assert (rows == -7.0).all()
 
     def test_frozen_at_stationary_point(self):
         # temperature ~ 0 at the decoupled minimum: zero drift, zero noise
@@ -924,7 +928,8 @@ class TestRunParallel:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failed_slice_job_fails_each_chain(self, tmp_path, workers):
-        # a start of the wrong length fails each slice job; the first one's error propagates
+        # a start of the wrong length fails each slice job, so the run fails for every
+        # chain: no trace comes back, the first job's error propagates, no pool is left
         model = quadratic_model(n=5)
         cfg = ChainConfig(engine=Engine.ISING, n_iters=100, retain_last=5, seed=0)
         ref = SpinConfiguration(np.zeros(4), Engine.ISING)
