@@ -37,7 +37,6 @@ from .sampler import (
     ChainTrace,
     Engine,
     make_rng,
-    metropolis_step,
     run_chain,
     run_parallel,
 )

@@ -175,7 +175,10 @@ class RunConfig:
 
     @property
     def engines(self) -> list[Engine]:
-        return [Engine(e) for e in self.raw["engines"]]
+        names = self.raw["engines"]
+        if not isinstance(names, list):
+            raise ConfigError(f"engines must be a list of engine names, not {names!r}")
+        return [Engine(e) for e in names]
 
     @property
     def dataset_path(self):
@@ -329,7 +332,10 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("engines: at least one engine must be enabled")
     if len(set(engines)) != len(engines):
         raise ConfigError("engines: each engine may be listed only once")
-    groups = indicator_groups(cfg.indicator_spec())
+    indicators = cfg.indicator_spec()
+    if not indicators:
+        raise ConfigError("indicators: at least one indicator must be listed")
+    groups = indicator_groups(indicators)
     n_groups = len(groups)
     if clash := [name for name in _FIXED_COLUMNS if name in groups]:
         raise ConfigError(f"indicators: composite group names {clash} are reserved "
@@ -368,6 +374,8 @@ def _validate(cfg: RunConfig) -> None:
             raise ConfigError(f"{engine.value}: {exc}") from exc
         if not chain.schedule.t_min > 0:
             raise ConfigError(f"{engine.value}: schedule.t_min must be > 0")
+        if cfg.k_chains(engine) < 1:
+            raise ConfigError(f"{engine.value}: k_chains must be >= 1")
         if chain.seed + cfg.k_chains(engine) - 1 >= 2**128:
             raise ConfigError(f"{engine.value}: seed + k_chains - 1 must be < 2**128")
         pooled = chain.retain_last * cfg.k_chains(engine)
@@ -386,12 +394,16 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("dataset: path must be a string or null")
     options = cfg.dataset_options
     delimiter = options.pop("delimiter")
-    if not (isinstance(delimiter, str) and len(delimiter) == 1):
-        raise ConfigError("dataset: delimiter must be a one-character string")
+    if not (isinstance(delimiter, str) and len(delimiter) == 1) or delimiter in "\r\n":
+        raise ConfigError("dataset: delimiter must be one character, not a line break")
     for key, name in options.items():
         if not isinstance(name, str):
             raise ConfigError(f"dataset: {key} must be a string")
-    names = [item.name for item in cfg.indicator_spec()]
+    columns = list(options.values())
+    if len(set(columns)) < len(columns) or set(columns) & set(PROFILE_COLUMNS):
+        raise ConfigError(f"dataset: the id, target and center/periphery columns {columns} "
+                          f"must differ from one another and from the profile columns")
+    names = [item.name for item in indicators]
     if repeated := sorted({name for name in names if names.count(name) > 1}):
         raise ConfigError(f"indicators: names {repeated} are listed more than once")
     if clash := sorted(set(names) & {*options.values(), *PROFILE_COLUMNS}):

@@ -23,7 +23,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cache, cached_property
+from functools import cache
 from itertools import chain, islice
 from pathlib import Path
 
@@ -161,25 +161,6 @@ class ChainConfig:
         return range(0, self.n_iters + 1, self.energy_stride)
 
 
-@dataclass
-class ChainState:
-    """Mutable state of one Metropolis chain; ``sums`` caches the group sums of ``s``."""
-
-    s: np.ndarray
-    temperature: float
-    sums: GroupSums
-    energy: float
-    bounds: tuple[float, float] | None
-
-
-def init_state(model: EnergyModel, s0, schedule: AnnealingSchedule,
-               bounds: tuple[float, float] | None) -> ChainState:
-    """The state of a Metropolis chain starting at ``s0``, with its energy."""
-    s = np.array(s0, dtype=float)
-    sums = GroupSums(model.graph, s)
-    return ChainState(s, schedule.t0, sums, hamiltonian(model, s, sums), bounds)
-
-
 # Variates a Metropolis chain draws from its stream at a time: this many
 # sites, then as many normals, then as many uniforms. Chains draw whole
 # blocks only, so a chain of n steps uses the first n variates of any longer
@@ -201,12 +182,12 @@ def metropolis_kernel(spins, mirror, sums, group_of, field, lambda_reg: float,
     written to ``spins`` and ``mirror``, its group sum and the running energy
     take the change, and T cools to ``max(t_min, cooling * T)``.
 
-    ``spins``, ``sums``, ``group_of`` and ``field`` are indexed per unit or
-    group: plain lists on the chain's fast path, numpy arrays in
-    :func:`metropolis_step`. After the step numbered ``stop`` (counting from
-    1), ``on_stop(stop, energy)`` runs and returns the next stop and the
-    energy to carry on with; then each ``stride``-th step's energy goes to
-    ``energies[t // stride]``, if given. Returns (T, energy, accepted moves).
+    ``spins``, ``sums``, ``group_of`` and ``field`` are plain lists indexed
+    per unit or group; ``mirror`` is a numpy copy of ``spins``. After the
+    step numbered ``stop`` (counting from 1), ``on_stop(stop, energy)`` runs
+    and returns the next stop and the energy to carry on with; then each
+    ``stride``-th step's energy goes to ``energies[t // stride]``, if given.
+    Returns (T, energy, accepted moves).
     """
     sd, cooling, t_min = schedule.proposal_sd, schedule.cooling, schedule.t_min
     half_lambda = 0.5 * lambda_reg
@@ -246,27 +227,6 @@ def metropolis_kernel(spins, mirror, sums, group_of, field, lambda_reg: float,
     return temperature, energy, accepted
 
 
-def metropolis_step(model: EnergyModel, state: ChainState,
-                    schedule: AnnealingSchedule, rng) -> bool:
-    """One single-site Metropolis update; returns whether it was accepted.
-
-    The readable one-step form of the chain's update: draws a uniform site,
-    a standard normal and a uniform variate from ``rng``, in that order, and
-    runs :func:`metropolis_kernel` on that one triple and the state's
-    arrays. All three variates are drawn whatever the outcome, so the
-    random stream stays aligned across runs.
-    """
-    i = int(rng.integers(0, state.s.shape[0]))
-    z = float(rng.standard_normal())
-    u = float(rng.random())
-    state.temperature, state.energy, accepted = metropolis_kernel(
-        state.s, state.s, state.sums.sums, model.graph.group_of, model.field,
-        model.lambda_reg, schedule, state.bounds, ((i, z, u),),
-        state.temperature, state.energy,
-    )
-    return accepted == 1
-
-
 def _metropolis_blocks(rng, n: int):
     """Endless (site, normal, uniform) blocks of one chain's stream."""
     while True:
@@ -276,40 +236,45 @@ def _metropolis_blocks(rng, n: int):
         yield zip(sites, normals, uniforms)
 
 
-def _run_metropolis(model: EnergyModel, state: ChainState, trace: ChainTrace) -> None:
-    """Run the Metropolis chain of ``trace`` from ``state`` and fill the trace.
+def _run_metropolis(model: EnergyModel, s0: np.ndarray, trace: ChainTrace) -> None:
+    """Run the Metropolis chain of ``trace`` from ``s0`` and fill the trace.
 
-    Spins and group sums are held as Python lists, which index and add much
-    faster than numpy scalars. ``state.s`` mirrors the spins, written only
-    on acceptance, so a snapshot is still one array copy. The kernel writes
-    the energy series into ``trace.energies``, and ``trace.keep`` keeps the
-    snapshot after each retained step. Every ``recompute_every`` steps the
-    group sums and the running energy are recomputed from ``state.s`` first,
-    which cancels float drift.
+    The chain starts at ``config.schedule.t0`` and at the reference energy
+    ``trace.energies[0]``. Spins and group sums are held as Python lists,
+    which index and add much faster than numpy scalars; a numpy mirror of
+    the spins, written only on acceptance, makes a snapshot one array copy.
+    :func:`metropolis_kernel` writes the energy series into
+    ``trace.energies``; after each retained step the mirror and the running
+    energy go into ``trace.retained`` and ``trace.retained_energies``. Every
+    ``recompute_every`` steps the group sums and the running energy are
+    recomputed from the mirror first, which cancels float drift.
     """
-    cfg, keep = trace.config, trace.keep
-    every = cfg.recompute_every
-    spins, sums = state.s.tolist(), state.sums.sums.tolist()
-    pending = iter(sorted(set(cfg.retained_iterations()).union(
-        range(every, cfg.n_iters + 1, every))))
+    cfg = trace.config
+    every, retained = cfg.recompute_every, cfg.retained_iterations()
+    mirror = np.array(s0, dtype=float)
+    group_sums = GroupSums(model.graph, mirror)
+    spins, sums = mirror.tolist(), group_sums.sums.tolist()
+    pending = iter(sorted(set(retained).union(range(every, cfg.n_iters + 1, every))))
 
     def on_stop(t: int, energy: float) -> tuple[int, float]:
         if t % every == 0:
-            state.sums.recompute(state.s)
-            sums[:] = state.sums.sums.tolist()
-            energy = hamiltonian(model, state.s, state.sums)
-        keep(t, state.s, energy)
+            group_sums.recompute(mirror)
+            sums[:] = group_sums.sums.tolist()
+            energy = hamiltonian(model, mirror, group_sums)
+        if t in retained:
+            j = retained.index(t)
+            trace.retained[j] = mirror
+            trace.retained_energies[j] = energy
         return next(pending, 0), energy
 
     variates = islice(chain.from_iterable(_metropolis_blocks(make_rng(cfg.seed), len(spins))),
                       cfg.n_iters)
-    state.temperature, state.energy, trace.accept_count = metropolis_kernel(
-        spins, state.s, sums, model.graph.group_of.tolist(), model.field.tolist(),
-        model.lambda_reg, cfg.schedule, state.bounds, variates,
-        state.temperature, state.energy, trace.energies, cfg.energy_stride,
+    trace.final_temperature, _, trace.accept_count = metropolis_kernel(
+        spins, mirror, sums, model.graph.group_of.tolist(), model.field.tolist(),
+        model.lambda_reg, cfg.schedule, cfg.engine.bounds if cfg.bounded else None, variates,
+        cfg.schedule.t0, float(trace.energies[0]), trace.energies, cfg.energy_stride,
         next(pending, 0), on_stop,
     )
-    trace.final_temperature = state.temperature
 
 
 def langevin_steps(schedule: AnnealingSchedule, n_iters: int) -> tuple[np.ndarray, np.ndarray]:
@@ -497,10 +462,11 @@ class ChainTrace:
     ``energies`` is the energy series at ``config.energy_iterations()``,
     starting with the reference energy; ``retained`` holds the snapshots at
     ``config.retained_iterations()`` in chronological order, with their
-    energies in ``retained_energies``. ``retained`` is None when the chain
-    wrote its snapshots into a pool file (see :func:`run_parallel`). A
-    Langevin chain gives its flow time, the sum of its step sizes, and the
-    number of its retained values outside ``config.engine.bounds``.
+    energies in ``retained_energies``; each engine's run writes these rows
+    itself. ``retained`` is None when the chain wrote its snapshots into a
+    pool file (see :func:`run_parallel`). A Langevin chain gives its flow
+    time, the sum of its step sizes, and the number of its retained values
+    outside ``config.engine.bounds``.
     """
 
     config: ChainConfig
@@ -511,17 +477,6 @@ class ChainTrace:
     final_temperature: float = math.nan
     flow_time: float = math.nan
     outside_bounds: int = 0
-
-    @cached_property
-    def _grid(self) -> range:  # computed once: keep runs after every retained step
-        return self.config.retained_iterations()
-
-    def keep(self, t: int, s: np.ndarray, energy: float) -> None:
-        """Keep state ``s`` and its ``energy`` if step ``t`` is on the retained grid."""
-        if t in self._grid:
-            j = self._grid.index(t)
-            self.retained[j] = s
-            self.retained_energies[j] = energy
 
     @property
     def acceptance_rate(self) -> float:
@@ -540,9 +495,10 @@ def run_chains(model: EnergyModel, cfg: ChainConfig, s_ref: SpinConfiguration,
     draws (:func:`_check_law`). Energies are recorded every
     ``energy_stride`` iterations; the Metropolis group-sum cache and running
     energy are fully recomputed every ``recompute_every`` iterations to
-    cancel float drift. Metropolis chains run one after another; Langevin
-    chains are sampled together as the rows of one (k, N) stack, which
-    gives each chain the same bits as a run on its own. Chain ``c``'s
+    cancel float drift. Metropolis chains run one after another, from the
+    reference energy; Langevin chains are sampled together as the rows of
+    one (k, N) stack, which gives each chain the same bits as a run on its
+    own. Chain ``c``'s
     snapshots go into ``retained[c]``, a (retain_last, N) output array such
     as a view of a memory-mapped pool, or into a new array. Returns the
     traces; chain ``c``'s ``config`` is ``cfg`` with seed ``seeds[c]``.
@@ -559,9 +515,8 @@ def run_chains(model: EnergyModel, cfg: ChainConfig, s_ref: SpinConfiguration,
                          np.empty(cfg.retain_last))
               for c, seed in enumerate(seeds)]
     if cfg.engine is Engine.ISING:
-        bounds = cfg.engine.bounds if cfg.bounded else None
         for trace in traces:
-            _run_metropolis(model, init_state(model, s_ref.s, cfg.schedule, bounds), trace)
+            _run_metropolis(model, s_ref.s, trace)
     else:
         _run_langevin(model, s_ref.s, traces)
     return traces

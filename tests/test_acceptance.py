@@ -23,9 +23,6 @@ from softspin.sampler import (
     AnnealingSchedule,
     ChainConfig,
     Engine,
-    init_state,
-    make_rng,
-    metropolis_step,
     run_chain,
     run_parallel,
 )
@@ -53,14 +50,13 @@ class TestCriterion1AnalyticStationarity:
         model = one_unit_model(h=0.5, lam=1.0)
         temperature, n_steps, burn = 0.5, 100_000, 10_000
 
-        sched_m = fixed_t(temperature, proposal_sd=1.0)
-        rng = make_rng(0)
-        state = init_state(model, np.array([0.5]), sched_m, None)
-        xs = np.empty(n_steps)
-        for k in range(n_steps):
-            metropolis_step(model, state, sched_m, rng)
-            xs[k] = state.s[0]
-        m_mean, m_var = xs[burn:].mean(), xs[burn:].var(ddof=1)
+        cfg = ChainConfig(
+            engine=Engine.ISING, n_iters=n_steps, burn_in_frac=burn / n_steps, thin=1,
+            retain_last=n_steps - burn, seed=0, bounded=False,
+            schedule=fixed_t(temperature, proposal_sd=1.0),
+        )
+        xs = run_chain(model, cfg, SpinConfiguration(np.array([0.5]), Engine.ISING)).retained
+        m_mean, m_var = xs.mean(), xs.var(ddof=1)
 
         # One Langevin unit at dt=1e-3 moves too slowly for its mean to be
         # resolved to the tolerance in 100k steps (sd of the mean about 0.1);
@@ -107,25 +103,8 @@ class TestCriterion2GibbsAgreement:
         np.add.at(counts, (b1, b2), 1)
         return 0.5 * np.abs(counts / counts.sum() - target).sum()
 
-    def test_total_variation(self):
-        graph = make_clique_graph([2])
-        model = EnergyModel(graph, np.array([0.3, -0.3]), lambda_reg=1.0)
-        sched = fixed_t(1.0, proposal_sd=0.8)
-        rng = make_rng(0)
-        state = init_state(model, np.zeros(2), sched, (-1.0, 1.0))
-        n_steps, burn = 1_000_000, 10_000
-        traj = np.empty((n_steps, 2))
-        for k in range(n_steps):
-            metropolis_step(model, state, sched, rng)
-            traj[k] = state.s
-        tv = self.total_variation(traj[burn:])
-        check(
-            "criterion 2 (Gibbs agreement)", tv <= 0.05,
-            f"total variation {tv:.4f} <= 0.05 on the 21x21 grid at 10^6 steps",
-        )
-
     def test_total_variation_block_kernel(self):
-        # the same check on the chain's block-drawn path through run_chain
+        # the chain the pipeline runs, reflected at [-1, 1]
         graph = make_clique_graph([2])
         model = EnergyModel(graph, np.array([0.3, -0.3]), lambda_reg=1.0)
         cfg = ChainConfig(
@@ -135,7 +114,7 @@ class TestCriterion2GibbsAgreement:
         trace = run_chain(model, cfg, SpinConfiguration(np.zeros(2), Engine.ISING))
         tv = self.total_variation(trace.retained)
         check(
-            "criterion 2 (Gibbs agreement, block kernel)", tv <= 0.05,
+            "criterion 2 (Gibbs agreement)", tv <= 0.05,
             f"total variation {tv:.4f} <= 0.05 on the 21x21 grid at 10^6 steps",
         )
 
@@ -179,16 +158,15 @@ class TestCriterion4IncrementalEnergy:
         graph = make_clique_graph(sizes)
         n = graph.n
         model = EnergyModel(graph, rng.normal(size=n), lambda_reg=1.0)
-        sched = fixed_t(5.0, proposal_sd=0.1)  # hot chain accepts most moves
-        stream = make_rng(17)
-        state = init_state(model, rng.uniform(-1, 1, size=n), sched, (-1.0, 1.0))
-        accepted = 0
-        steps = 0
-        while accepted < 100_000:
-            accepted += metropolis_step(model, state, sched, stream)
-            steps += 1
-            assert steps < 10_000_000
-        drift = abs(state.energy - hamiltonian(model, state.s))
+        cfg = ChainConfig(
+            engine=Engine.ISING, n_iters=130_000, burn_in_frac=0.0, thin=1, retain_last=1,
+            seed=17, schedule=fixed_t(5.0, proposal_sd=0.1),  # hot chain accepts most moves
+            recompute_every=10**9,  # never: the running energy is all increments
+        )
+        trace = run_chain(model, cfg, SpinConfiguration(rng.uniform(-1, 1, size=n), Engine.ISING))
+        accepted, steps = trace.accept_count, cfg.n_iters
+        assert accepted >= 100_000
+        drift = abs(trace.energies[-1] - hamiltonian(model, trace.retained[-1]))
         check(
             "criterion 4 (incremental energy)", drift <= 1e-8,
             f"cumulative increment drift {drift:.2e} <= 1e-8 "

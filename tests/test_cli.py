@@ -146,6 +146,27 @@ _OUT_OF_RANGE = {
     "conformal.repeats=0": (_section("conformal", repeats=0), ()),
     "conformal.calib_frac=0": (_section("conformal", calib_frac=0), ()),
     "conformal.n_batches=0": (_section("conformal", n_batches=0), ()),
+    "ising.k_chains=0": (_section("ising", k_chains=0), ()),
+    "indicators=[]": (dict(TINY, indicators=[]), ()),
+    "indicators=[]_with_path": (dict(TINY, dataset={"path": "absent.csv"}, indicators=[]), ()),
+    "engines=ising": (dict(TINY, engines="ising"), ()),
+    # a column option that names another column: the dataset would name a column twice
+    "unit_id_column=target": (dict(TINY, dataset={"unit_id_column": "target"}), ()),
+    "target_column=ALT": (dict(TINY, dataset={"target_column": "ALT"}), ()),
+    "center_periph_column=ALT": (dict(TINY, dataset={"center_periph_column": "ALT"}), ()),
+    "delimiter=LF": (dict(TINY, dataset={"delimiter": "\n"}), ()),
+    "delimiter=CR": (dict(TINY, dataset={"delimiter": "\r"}), ()),
+}
+
+# the key each of these load errors must name
+_NAMED_IN_ERROR = {
+    "ising.k_chains=0": "ising: k_chains must be",
+    "indicators=[]": "indicators",
+    "indicators=[]_with_path": "indicators",
+    "engines=ising": "engines",
+    "unit_id_column=target": "dataset",
+    "target_column=ALT": "dataset",
+    "delimiter=LF": "delimiter",
 }
 
 _CSV_WRITER, _NP_SAVE = csv.writer, np.save
@@ -328,6 +349,12 @@ class TestPipeline:
     @pytest.mark.parametrize("tree, flags", _OUT_OF_RANGE.values(), ids=list(_OUT_OF_RANGE))
     def test_out_of_range_value_fails_at_load(self, tmp_path, tree, flags):
         assert_fails_at_load(tmp_path, tree, *flags)
+
+    @pytest.mark.parametrize("case", list(_NAMED_IN_ERROR))
+    def test_load_error_names_the_key(self, tmp_path, capsys, case):
+        tree, flags = _OUT_OF_RANGE[case]
+        assert_fails_at_load(tmp_path, tree, *flags)
+        assert _NAMED_IN_ERROR[case] in capsys.readouterr().err
 
     def test_non_mapping_config_file_fails_at_load(self, tmp_path):
         cfg_path = tmp_path / "config.yaml"

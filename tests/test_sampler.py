@@ -20,10 +20,8 @@ from softspin.sampler import (
     AnnealingSchedule,
     ChainConfig,
     Engine,
-    init_state,
     make_rng,
     metropolis_kernel,
-    metropolis_step,
     run_chain,
     run_chains,
     run_parallel,
@@ -38,25 +36,6 @@ def quadratic_model(h=0.5, lam=1.0, n=1):
 def fixed_t(t, **kwargs):
     """Constant-temperature schedule (floor equals the start)."""
     return AnnealingSchedule(t0=t, cooling=0.5, t_min=t, **kwargs)
-
-
-class FixedEtaRng:
-    """Test double: fixed Gaussian perturbation, real uniforms and indices."""
-
-    def __init__(self, eta, seed=0):
-        self.eta = eta
-        self.inner = make_rng(seed)
-
-    def integers(self, lo, hi):
-        return self.inner.integers(lo, hi)
-
-    def standard_normal(self, size=None):
-        if size is None:
-            return self.eta
-        return np.full(size, self.eta)
-
-    def random(self):
-        return self.inner.random()
 
 
 class TestSchedule:
@@ -82,15 +61,16 @@ class TestSchedule:
 
 
 def one_spin_step(start, z, u, temperature=1.0, bounds=None):
-    """One metropolis_step of a lone spin (h = 0, lambda = 1, so
+    """One Metropolis update of a lone spin (h = 0, lambda = 1, so
     dH = (s'^2 - s^2) / 2) at ``start``, proposing ``start + z`` with
     uniform ``u``; returns whether it was accepted and the spin after it."""
-    model = quadratic_model(h=0.0, lam=1.0)
-    sched = fixed_t(1.0, proposal_sd=1.0)
-    state = init_state(model, np.array([start]), sched, bounds)
-    state.temperature = temperature
-    accepted = metropolis_step(model, state, sched, ScriptedRng([(0, z, u)]))
-    return accepted, state.s[0]
+    spins, mirror = [start], np.array([start])
+    _, energy, accepted = metropolis_kernel(
+        spins, mirror, [start], [0], [0.0], 1.0, fixed_t(1.0, proposal_sd=1.0), bounds,
+        [(0, z, u)], temperature, 0.5 * start * start,
+    )
+    assert mirror[0] == spins[0] and energy == pytest.approx(0.5 * spins[0] ** 2)
+    return accepted == 1, spins[0]
 
 
 class TestReflect:
@@ -111,14 +91,9 @@ class TestReflect:
 
 class TestMetropolisStep:
     def test_downhill_always_accepted(self):
-        model = quadratic_model(h=0.0, lam=1.0)
-        sched = fixed_t(0.5, proposal_sd=0.3)
-        # start far from the minimum; a move toward zero is downhill
-        rng = FixedEtaRng(eta=-1.0, seed=4)
-        state = init_state(model, np.array([2.0]), sched, None)
-        accepted = metropolis_step(model, state, sched, rng)
-        assert accepted
-        assert state.s[0] == pytest.approx(1.7)  # 2.0 + (-1.0draw * 0.3)
+        # start far from the minimum; a move toward zero is downhill whatever the uniform
+        for u in (0.0, 0.5, np.nextafter(1.0, 0.0)):
+            assert one_spin_step(2.0, -0.3, u, temperature=0.5) == (True, pytest.approx(1.7))
 
     def test_accept_probability_contract(self):
         below_one = np.nextafter(1.0, 0.0)
@@ -135,79 +110,50 @@ class TestMetropolisStep:
     def test_acceptance_frequency_at_known_delta(self):
         # engineered proposal with dH = T ln 2 -> acceptance probability 1/2
         t = 1.0
-        model = quadratic_model(h=0.0, lam=1.0)
         sched = fixed_t(t, proposal_sd=1.0)
         eta = math.sqrt(1.0 + 2.0 * t * math.log(2.0)) - 1.0
-        rng = FixedEtaRng(eta=eta, seed=99)
-        accepted = 0
+        assert 0.5 * ((1.0 + eta) ** 2 - 1.0) == pytest.approx(t * math.log(2.0))
         trials = 100_000
-        for _ in range(trials):
-            state = init_state(model, np.array([1.0]), sched, None)
-            d_check = 0.5 * ((1.0 + eta) ** 2 - 1.0)
-            assert d_check == pytest.approx(t * math.log(2.0))
-            accepted += metropolis_step(model, state, sched, rng)
+        accepted = 0
+        for u in make_rng(99).random(trials).tolist():
+            accepted += metropolis_kernel([1.0], np.ones(1), [1.0], [0], [0.0], 1.0, sched,
+                                          None, [(0, eta, u)], t, 0.5)[2]
         assert accepted / trials == pytest.approx(0.5, abs=0.01)
 
     def test_deterministic_sequence(self):
         model = quadratic_model(n=5)
         sched = AnnealingSchedule(t0=1.0, cooling=0.99, t_min=1e-3, proposal_sd=0.3)
-
-        def trajectory(seed):
-            rng = make_rng(seed)
-            state = init_state(model, np.zeros(5), sched, (-1.0, 1.0))
-            out = []
-            for _ in range(500):
-                acc = metropolis_step(model, state, sched, rng)
-                out.append((acc, state.s.copy(), state.temperature))
-            return out
-
-        a, b = trajectory(42), trajectory(42)
-        for (acc1, s1, t1), (acc2, s2, t2) in zip(a, b):
-            assert acc1 == acc2 and t1 == t2
-            np.testing.assert_array_equal(s1, s2)
+        cfg = ChainConfig(engine=Engine.ISING, n_iters=500, burn_in_frac=0.0,
+                          retain_last=500, seed=42, schedule=sched, energy_stride=1)
+        ref = SpinConfiguration(np.zeros(5), Engine.ISING)
+        a, b = run_chain(model, cfg, ref), run_chain(model, cfg, ref)
+        assert (a.accept_count, a.final_temperature) == (b.accept_count, b.final_temperature)
+        np.testing.assert_array_equal(a.retained, b.retained)
+        np.testing.assert_array_equal(a.energies, b.energies)
 
     def test_on_accept_cooling_only_on_acceptance(self):
-        model = quadratic_model(h=0.0, lam=1.0)
         sched = AnnealingSchedule(t0=1.0, cooling=0.9, t_min=1e-6, proposal_sd=0.5)
         rng = make_rng(3)
-        state = init_state(model, np.array([0.0]), sched, None)
-        cools = 0
-        for _ in range(200):
-            before = state.temperature
-            acc = metropolis_step(model, state, sched, rng)
+        spins, mirror, sums = [0.0], np.zeros(1), [0.0]
+        temperature, energy, cools = sched.t0, 0.0, 0
+        for z, u in zip(rng.standard_normal(200).tolist(), rng.random(200).tolist()):
+            before = temperature
+            temperature, energy, acc = metropolis_kernel(
+                spins, mirror, sums, [0], [0.0], 1.0, sched, None, [(0, z, u)], before, energy)
             if acc:
-                assert state.temperature == pytest.approx(
-                    max(sched.t_min, sched.cooling * before)
-                )
+                assert temperature == pytest.approx(max(sched.t_min, sched.cooling * before))
                 cools += 1
             else:
-                assert state.temperature == before
+                assert temperature == before
         assert cools > 0
 
     def test_reflection_keeps_state_in_bounds(self):
         model = quadratic_model(h=0.0, lam=1.0)
-        sched = fixed_t(2.0, proposal_sd=1.5)
-        rng = make_rng(8)
-        state = init_state(model, np.array([0.9]), sched, (-1.0, 1.0))
-        for _ in range(2000):
-            metropolis_step(model, state, sched, rng)
-            assert -1.0 <= state.s[0] <= 1.0
-
-
-class ScriptedRng:
-    """Test double: hands out given (site, normal, uniform) triples in turn."""
-
-    def __init__(self, triples):
-        self.values = iter([v for triple in triples for v in triple])
-
-    def integers(self, lo, hi):
-        return next(self.values)
-
-    def standard_normal(self):
-        return next(self.values)
-
-    def random(self):
-        return next(self.values)
+        cfg = ChainConfig(engine=Engine.ISING, n_iters=2000, burn_in_frac=0.0,
+                          retain_last=2000, seed=8, schedule=fixed_t(2.0, proposal_sd=1.5))
+        trace = run_chain(model, cfg, SpinConfiguration(np.array([0.9]), Engine.ISING))
+        assert 0 < trace.accept_count < 2000
+        assert (np.abs(trace.retained) <= 1.0).all()
 
 
 class TestMetropolisKernel:
@@ -215,8 +161,9 @@ class TestMetropolisKernel:
         (1.0, (-1.0, 1.0)), (1.0, None), (0.0, (-1.0, 1.0)),
     ])
     def test_list_kernel_equals_metropolis_step(self, t0, bounds):
-        # the chain's fast path (lists plus a numpy mirror, one call over all
-        # variates) and the one-step reference see the same variates
+        # one call over all variates, as the chain runs, against one call per
+        # (site, normal, uniform) triple; after every step the mirror equals
+        # the spins and on_stop and the series see the running energy
         g = make_clique_graph([3, 1, 4, 2])
         rng = np.random.default_rng(6)
         model = EnergyModel(g, rng.normal(size=g.n), lambda_reg=1.5)
@@ -227,48 +174,44 @@ class TestMetropolisKernel:
         triples = list(zip(rng.integers(0, g.n, steps).tolist(),
                            (3.0 * rng.standard_normal(steps)).tolist(),
                            rng.random(steps).tolist()))
+        group_of, field, e0 = g.group_of.tolist(), model.field.tolist(), hamiltonian(model, s0)
 
-        state = init_state(model, s0, sched, bounds)
-        state.temperature = t0
-        scripted = ScriptedRng(triples)
-        reference = []
-        for _ in range(steps):
-            accepted = metropolis_step(model, state, sched, scripted)
-            reference.append((accepted, state.s.copy(), state.temperature, state.energy))
+        spins, mirror, sums = s0.tolist(), s0.copy(), GroupSums(g, s0).sums.tolist()
+        temperature, energy, reference = t0, e0, []
+        for triple in triples:
+            temperature, energy, accepted = metropolis_kernel(
+                spins, mirror, sums, group_of, field, model.lambda_reg, sched, bounds,
+                [triple], temperature, energy)
+            reference.append((accepted, list(spins), temperature, energy))
 
-        fast = init_state(model, s0, sched, bounds)
-        spins, sums = fast.s.tolist(), fast.sums.sums.tolist()
+        spins, mirror, sums = s0.tolist(), s0.copy(), GroupSums(g, s0).sums.tolist()
         series = np.full(steps + 1, np.nan)
         seen = []
 
         def on_stop(t, energy):
-            seen.append((np.array(spins), fast.s.copy(), energy))
+            seen.append((list(spins), mirror.copy(), energy))
             return t + 1, energy
 
         temperature, energy, accepts = metropolis_kernel(
-            spins, fast.s, sums, g.group_of.tolist(), model.field.tolist(),
-            model.lambda_reg, sched, bounds, triples, t0, fast.energy,
-            series, 1, 1, on_stop,
+            spins, mirror, sums, group_of, field, model.lambda_reg, sched, bounds,
+            triples, t0, e0, series, 1, 1, on_stop,
         )
         assert accepts == sum(acc for acc, *_ in reference)
         assert 0 < accepts < steps or t0 == 0.0
         assert temperature == reference[-1][2]
         assert energy == reference[-1][3]
         assert len(seen) == steps
-        for (_, s_ref, _, e_ref), (s_list, mirror, e), e_series in zip(
+        for (_, s_ref, _, e_ref), (s_list, s_mirror, e), e_series in zip(
                 reference, seen, series[1:]):
-            np.testing.assert_array_equal(s_list, s_ref)
-            np.testing.assert_array_equal(mirror, s_ref)
+            assert s_list == s_ref
+            np.testing.assert_array_equal(s_mirror, s_list)
             assert e == e_ref and e_series == e_ref
+            assert e == pytest.approx(hamiltonian(model, s_mirror), abs=1e-9)
+        np.testing.assert_allclose(sums, GroupSums(g, mirror).sums, atol=1e-12)
 
     def test_zero_temperature_rejects_uphill(self):
-        model = quadratic_model(h=0.0, lam=1.0)
-        sched = AnnealingSchedule(t0=1.0, cooling=0.5, t_min=0.0, proposal_sd=1.0)
-        state = init_state(model, np.array([0.0]), sched, None)
-        state.temperature = 0.0
         # away from the minimum at 0 is uphill; u = 0 still rejects it
-        assert not metropolis_step(model, state, sched, ScriptedRng([(0, 0.5, 0.0)]))
-        assert state.s[0] == 0.0 and state.energy == 0.0
+        assert one_spin_step(0.0, 0.5, 0.0, temperature=0.0) == (False, 0.0)
 
     @pytest.mark.parametrize("n_iters", [
         METROPOLIS_BLOCK - 1, METROPOLIS_BLOCK, METROPOLIS_BLOCK + 1,
@@ -1012,29 +955,3 @@ class TestStationaryAgreement:
             assert samples.var(ddof=1) == pytest.approx(t / lam, rel=0.05)
         assert m_samples.mean() == pytest.approx(l_samples.mean(), rel=0.05)
         assert m_samples.var() == pytest.approx(l_samples.var(), rel=0.05)
-
-    def test_detailed_balance_quick(self):
-        # reduced-size version of the two-unit grid check (the acceptance
-        # suite runs the full 10^6-step variant)
-        g = make_clique_graph([2])
-        model = EnergyModel(g, np.array([0.3, -0.3]), lambda_reg=1.0)
-        sched = fixed_t(1.0, proposal_sd=0.8)
-        rng = make_rng(5)
-        state = init_state(model, np.zeros(2), sched, (-1.0, 1.0))
-        steps = 200_000
-        traj = np.empty((steps, 2))
-        for k in range(steps):
-            metropolis_step(model, state, sched, rng)
-            traj[k] = state.s
-        traj = traj[10_000:]
-        centers = -1 + (np.arange(21) + 0.5) * (2 / 21)
-        s1, s2 = np.meshgrid(centers, centers, indexing="ij")
-        energy = -s1 * s2 - 0.3 * s1 + 0.3 * s2 + 0.5 * (s1**2 + s2**2)
-        target = np.exp(-energy)
-        target /= target.sum()
-        b1 = np.clip(((traj[:, 0] + 1) / 2 * 21).astype(int), 0, 20)
-        b2 = np.clip(((traj[:, 1] + 1) / 2 * 21).astype(int), 0, 20)
-        counts = np.zeros((21, 21))
-        np.add.at(counts, (b1, b2), 1)
-        tv = 0.5 * np.abs(counts / counts.sum() - target).sum()
-        assert tv < 0.1
